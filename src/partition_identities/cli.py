@@ -4,19 +4,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+import time
+from typing import Optional, Sequence, Tuple
 
 from .genbinom import gen_binom
-from .identities import Form, IdentityCase, IdentityId
+from .identities import Form, IdentityCase, IdentityId, case_sides
 from .partitions import Partition, enumerate_partitions
 from .polynomials import Polynomial, format_rational
 from .verifier import (
     EXIT_CONFIG_ERROR,
+    EXIT_COUNTEREXAMPLE,
     EXIT_OK,
+    STATUS_COUNTEREXAMPLE,
+    CaseResult,
     ConfigError,
     Report,
     SweepConfig,
-    compare_case,
     run_sweep,
 )
 
@@ -68,17 +71,17 @@ def _cmd_genbinom(args) -> int:
 
 def _cmd_identity(args) -> int:
     case = IdentityCase.parse(args.case)
-    result = compare_case(case)
+    start = time.perf_counter()
+    pairs = case_sides(case)
+    result = CaseResult.judge(case, pairs, start)
     if args.format == "json":
         print(json.dumps(result.to_dict(), ensure_ascii=False, indent=2))
     else:
-        from .identities import case_sides
-
-        for lhs, rhs in case_sides(case):
+        for lhs, rhs in pairs:
             print(f"LHS = {_render_side(lhs)}")
             print(f"RHS = {_render_side(rhs)}")
         print(result.status)
-    return EXIT_OK if result.status != "COUNTEREXAMPLE" else 1
+    return EXIT_COUNTEREXAMPLE if result.status == STATUS_COUNTEREXAMPLE else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -94,7 +97,6 @@ def _cmd_sweep(args) -> int:
         s_range=_parse_range(args.s),
         form=form,
         worker_count=args.workers,
-        perturb=args.perturb,
     )
     config.validate()
     report = run_sweep(config)
@@ -165,11 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="write the report to a file")
     p.add_argument("--format", choices=FORMATS, default="json")
-    p.add_argument(
-        "--perturb",
-        action="store_true",
-        help=argparse.SUPPRESS,  # negative-path test fixture
-    )
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .genbinom import gen_binom
 from .partitions import Partition, enumerate_partitions
@@ -43,26 +43,9 @@ class Form(Enum):
     UNSIGNED = "UNSIGNED"
 
 
-#: which of (r, s, form) each identity accepts; n is always required.
-_PARAMS = {
-    IdentityId.CLASSICAL: (False, False, True),
-    IdentityId.CONJ1: (True, True, True),
-    IdentityId.CONJ2: (False, True, True),
-    IdentityId.CONJ3: (True, True, False),
-    IdentityId.CONJ4: (True, True, False),
-    IdentityId.CONST_TERM: (True, True, False),
-    IdentityId.TOP_COEFF: (True, True, False),
-    IdentityId.BINOMIAL_TYPE: (False, True, False),
-    IdentityId.HOCKEY_STICK: (True, False, False),
-}
-
-
 @dataclass(frozen=True)
 class IdentityCase:
-    """One identity plus its integer parameters.
-
-    For HOCKEY_STICK the pair (n, r) plays the role of (N, k).
-    """
+    """One identity plus its integer parameters."""
 
     identity_id: IdentityId
     n: int
@@ -71,22 +54,26 @@ class IdentityCase:
     form: Optional[Form] = None
 
     def __post_init__(self) -> None:
-        wants_r, wants_s, wants_form = _PARAMS[self.identity_id]
+        spec = IDENTITIES[self.identity_id]
         name = self.identity_id.value
         if self.n < 1:
             raise ValueError(f"{name}: n must be >= 1")
-        if wants_r != (self.r is not None):
-            raise ValueError(f"{name}: parameter r {'required' if wants_r else 'not applicable'}")
-        if wants_s != (self.s is not None):
-            raise ValueError(f"{name}: parameter s {'required' if wants_s else 'not applicable'}")
-        if wants_form != (self.form is not None):
-            raise ValueError(f"{name}: form {'required' if wants_form else 'not applicable'}")
+        for label, wanted, given in (
+            ("parameter r", spec.uses_r, self.r),
+            ("parameter s", spec.uses_s, self.s),
+            ("form", spec.has_forms, self.form),
+        ):
+            if wanted != (given is not None):
+                raise ValueError(f"{name}: {label} {'required' if wanted else 'not applicable'}")
         if self.r is not None and self.r < 1:
             raise ValueError(f"{name}: r must be >= 1")
-        if self.s is not None:
-            s_min = 0 if self.identity_id is IdentityId.CONJ3 else 1
-            if self.s < s_min:
-                raise ValueError(f"{name}: s must be >= {s_min}")
+        if self.s is not None and self.s < spec.s_min:
+            raise ValueError(f"{name}: s must be >= {spec.s_min}")
+
+    @property
+    def skipped(self) -> bool:
+        """True when the case is evaluated but reported SKIPPED, not judged."""
+        return self.r == 1 and IDENTITIES[self.identity_id].skip_r1
 
     def __str__(self) -> str:
         fields = [f"n={self.n}"]
@@ -116,6 +103,8 @@ class IdentityCase:
             key, _, value = item.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in kwargs:
+                raise ValueError(f"duplicate parameter {key!r}")
             if key in ("n", "r", "s"):
                 kwargs[key] = int(value)
             elif key == "form":
@@ -161,16 +150,23 @@ def _conj1_lhs(n: int, r: int, s: int, form: Form) -> Polynomial:
     return lhs
 
 
-def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
-    """Conjecture 1: degree r-1 polynomial identity; zero on both sides for r > n."""
-    lhs = _conj1_lhs(n, r, s, form)
-    prefactor = factorial(s - 1) * binom_rat(n + s - 1, n - r)
+def _conj1_prefactor(n: int, r: int, s: int) -> Fraction:
+    """(s-1)! binom(n+s-1, n-r), the scalar in front of the conjecture-1 RHS."""
+    return factorial(s - 1) * binom_rat(n + s - 1, n - r)
+
+
+def _conj1_rhs(r: int, s: int, form: Form, prefactor: Fraction) -> Polynomial:
     if form is Form.SIGNED:
         bracket = binom_poly(0, r) - binom_poly(-s, r)
     else:
         bracket = binom_poly(r + s - 1, r) - binom_poly(r - 1, r)
-    rhs = bracket * prefactor
-    return lhs, rhs
+    return bracket * prefactor
+
+
+def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
+    """Conjecture 1: degree r-1 polynomial identity; zero on both sides for r > n."""
+    lhs = _conj1_lhs(n, r, s, form)
+    return lhs, _conj1_rhs(r, s, form, _conj1_prefactor(n, r, s))
 
 
 def conj2_sides(n: int, s: int, form: Form) -> SidePair:
@@ -181,12 +177,7 @@ def conj2_sides(n: int, s: int, form: Form) -> SidePair:
         if form is Form.SIGNED and (n - mu.length) % 2 == 1:
             coeff = -coeff
         lhs = lhs + Polynomial([0] * (mu.length - 1) + [coeff])
-    pref = Fraction(factorial(s - 1))
-    if form is Form.SIGNED:
-        rhs = (binom_poly(0, n) - binom_poly(-s, n)) * pref
-    else:
-        rhs = (binom_poly(n + s - 1, n) - binom_poly(n - 1, n)) * pref
-    return lhs, rhs
+    return lhs, _conj1_rhs(n, s, form, Fraction(factorial(s - 1)))
 
 
 def _length_r_sum(n: int, r: int, s: int) -> Fraction:
@@ -229,11 +220,7 @@ def const_term_sides(n: int, r: int, s: int) -> SidePair:
     """Constant-term identity: only mu = (n) contributes at X^0."""
     sign = -1 if r % 2 == 1 else 1
     lhs = sign * Fraction(binom_rat(n, r), n) * rising_factorial_eval(n, s)
-    rhs = (
-        factorial(s - 1)
-        * binom_rat(n + s - 1, n - r)
-        * binom_rat(-s, r)
-    )
+    rhs = _conj1_prefactor(n, r, s) * binom_rat(-s, r)
     return lhs, rhs
 
 
@@ -243,8 +230,8 @@ def top_coeff_checks(n: int, r: int, s: int) -> List[SidePair]:
     Returns (extracted, closed-form) pairs for X^{r-1} and, when r >= 2,
     X^{r-2}.  Both carry the full (s-1)! binom(n+s-1, n-r) prefactor.
     """
-    _, rhs = conj1_sides(n, r, s, Form.SIGNED)
-    prefactor = factorial(s - 1) * binom_rat(n + s - 1, n - r)
+    prefactor = _conj1_prefactor(n, r, s)
+    rhs = _conj1_rhs(r, s, Form.SIGNED, prefactor)
     pairs = [
         (rhs.coefficient(r - 1), prefactor * Fraction(r * s, factorial(r)))
     ]
@@ -292,25 +279,65 @@ def sign_flip_check(n: int, r: int, s: int) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class IdentitySpec:
+    """One identity's parameters, lowest s, forms, builder and skip rule.
+
+    ``skip_r1`` cases are built at r = 1 but reported SKIPPED: a boundary
+    convention makes the identity fail there.
+    """
+
+    uses_r: bool
+    uses_s: bool
+    has_forms: bool
+    build: Callable[[IdentityCase], List[SidePair]]
+    s_min: int = 1
+    skip_r1: bool = False
+
+
+#: the single registry of identities, one entry per IdentityId
+IDENTITIES: Dict[IdentityId, IdentitySpec] = {
+    IdentityId.CLASSICAL: IdentitySpec(
+        uses_r=False, uses_s=False, has_forms=True,
+        build=lambda c: [classical_sides(c.n, c.form)],
+    ),
+    IdentityId.CONJ1: IdentitySpec(
+        uses_r=True, uses_s=True, has_forms=True,
+        build=lambda c: [conj1_sides(c.n, c.r, c.s, c.form)],
+    ),
+    IdentityId.CONJ2: IdentitySpec(
+        uses_r=False, uses_s=True, has_forms=True,
+        build=lambda c: [conj2_sides(c.n, c.s, c.form)],
+    ),
+    IdentityId.CONJ3: IdentitySpec(
+        uses_r=True, uses_s=True, has_forms=False, s_min=0,
+        build=lambda c: [conj3_sides(c.n, c.r, c.s)],
+    ),
+    # at r = 1 the resummed RHS has lower binomial index -1
+    IdentityId.CONJ4: IdentitySpec(
+        uses_r=True, uses_s=True, has_forms=False, skip_r1=True,
+        build=lambda c: [conj4_sides(c.n, c.r, c.s)],
+    ),
+    IdentityId.CONST_TERM: IdentitySpec(
+        uses_r=True, uses_s=True, has_forms=False,
+        build=lambda c: [const_term_sides(c.n, c.r, c.s)],
+    ),
+    IdentityId.TOP_COEFF: IdentitySpec(
+        uses_r=True, uses_s=True, has_forms=False,
+        build=lambda c: top_coeff_checks(c.n, c.r, c.s),
+    ),
+    IdentityId.BINOMIAL_TYPE: IdentitySpec(
+        uses_r=False, uses_s=True, has_forms=False,
+        build=lambda c: [binomial_type_sides(c.n, c.s)],
+    ),
+    # (n, r) plays the role of (N, k); the identity fails at k = 1
+    IdentityId.HOCKEY_STICK: IdentitySpec(
+        uses_r=True, uses_s=False, has_forms=False, skip_r1=True,
+        build=lambda c: [hockey_stick_sides(c.n, c.r)],
+    ),
+}
+
+
 def case_sides(case: IdentityCase) -> List[SidePair]:
     """All (lhs, rhs) pairs for one case; a single pair except TOP_COEFF."""
-    iid = case.identity_id
-    if iid is IdentityId.CLASSICAL:
-        return [classical_sides(case.n, case.form)]
-    if iid is IdentityId.CONJ1:
-        return [conj1_sides(case.n, case.r, case.s, case.form)]
-    if iid is IdentityId.CONJ2:
-        return [conj2_sides(case.n, case.s, case.form)]
-    if iid is IdentityId.CONJ3:
-        return [conj3_sides(case.n, case.r, case.s)]
-    if iid is IdentityId.CONJ4:
-        return [conj4_sides(case.n, case.r, case.s)]
-    if iid is IdentityId.CONST_TERM:
-        return [const_term_sides(case.n, case.r, case.s)]
-    if iid is IdentityId.TOP_COEFF:
-        return top_coeff_checks(case.n, case.r, case.s)
-    if iid is IdentityId.BINOMIAL_TYPE:
-        return [binomial_type_sides(case.n, case.s)]
-    if iid is IdentityId.HOCKEY_STICK:
-        return [hockey_stick_sides(case.n, case.r)]
-    raise AssertionError(f"unhandled identity {iid}")
+    return IDENTITIES[case.identity_id].build(case)

@@ -70,6 +70,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # constants hash as the scalar they compare equal to
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __add__(self, other: "Polynomial | RationalLike") -> "Polynomial":

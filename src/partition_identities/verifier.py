@@ -12,10 +12,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import partitions
-from .identities import Form, IdentityCase, IdentityId, case_sides
+from .identities import IDENTITIES, Form, IdentityCase, IdentityId, SidePair, case_sides
 from .polynomials import Polynomial, format_rational
 
 EXIT_OK = 0
@@ -41,8 +41,6 @@ class SweepConfig:
     s_range: Tuple[int, int] = (1, 1)
     form: Optional[Form] = None  # None means BOTH
     worker_count: int = 1
-    oracle_limit: int = 16
-    perturb: bool = False  # test fixture: corrupt every RHS
 
     def validate(self) -> None:
         if not self.identity_ids:
@@ -54,13 +52,11 @@ class SweepConfig:
         ):
             if lo > hi:
                 raise ConfigError(f"empty {name} range {lo}..{hi}")
-            floor = 0 if name == "s" and IdentityId.CONJ3 in self.identity_ids else 1
+            floor = min(IDENTITIES[i].s_min for i in self.identity_ids) if name == "s" else 1
             if lo < floor:
                 raise ConfigError(f"{name} range must start at {floor} or above")
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
-        if self.oracle_limit < 1:
-            raise ConfigError("oracle_limit must be >= 1")
 
     def to_dict(self) -> Dict:
         return {
@@ -70,8 +66,6 @@ class SweepConfig:
             "s_range": list(self.s_range),
             "form": self.form.value if self.form else "BOTH",
             "worker_count": self.worker_count,
-            "oracle_limit": self.oracle_limit,
-            "perturb": self.perturb,
         }
 
 
@@ -91,6 +85,23 @@ class CaseResult:
             "rhs": self.rhs,
             "elapsed_ms": self.elapsed_ms,
         }
+
+    @classmethod
+    def judge(cls, case: IdentityCase, pairs: List[SidePair], start: float) -> "CaseResult":
+        """Judge ``pairs`` by exact equality; elapsed time runs from ``start``."""
+        if case.skipped:
+            status = STATUS_SKIPPED
+        elif all(lhs == rhs for lhs, rhs in pairs):
+            status = STATUS_VERIFIED
+        else:
+            status = STATUS_COUNTEREXAMPLE
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        if len(pairs) == 1:
+            lhs, rhs = (serialize_side(v) for v in pairs[0])
+        else:
+            lhs = [_csv_side(serialize_side(l)) for l, _ in pairs]
+            rhs = [_csv_side(serialize_side(r)) for _, r in pairs]
+        return cls(case, status, lhs, rhs, elapsed_ms)
 
 
 @dataclass
@@ -170,43 +181,10 @@ def serialize_side(value) -> SerializedSide:
     raise TypeError(f"cannot serialize side {value!r}")
 
 
-def _is_skipped(case: IdentityCase) -> bool:
-    # conventions probed but not asserted: CONJ4 at r=1 (lower binomial
-    # index -1) and the hockey stick at k=1
-    if case.identity_id is IdentityId.CONJ4 and case.r == 1:
-        return True
-    if case.identity_id is IdentityId.HOCKEY_STICK and case.r == 1:
-        return True
-    return False
-
-
-def compare_case(case: IdentityCase, perturb: bool = False) -> CaseResult:
+def compare_case(case: IdentityCase) -> CaseResult:
     """Evaluate one case and compare both sides by exact canonical equality."""
     start = time.perf_counter()
-    pairs = case_sides(case)
-    if perturb:
-        pairs = [(lhs, rhs + 1) for lhs, rhs in pairs]
-    if _is_skipped(case):
-        status = STATUS_SKIPPED
-    elif all(lhs == rhs for lhs, rhs in pairs):
-        status = STATUS_VERIFIED
-    else:
-        status = STATUS_COUNTEREXAMPLE
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if len(pairs) == 1:
-        lhs, rhs = (serialize_side(v) for v in pairs[0])
-    else:
-        lhs = [_csv_side(serialize_side(l)) for l, _ in pairs]
-        rhs = [_csv_side(serialize_side(r)) for _, r in pairs]
-    return CaseResult(case, status, lhs, rhs, elapsed_ms)
-
-
-def _applicable_forms(iid: IdentityId, form: Optional[Form]) -> List[Optional[Form]]:
-    if iid in (IdentityId.CLASSICAL, IdentityId.CONJ1, IdentityId.CONJ2):
-        if form is None:
-            return [Form.SIGNED, Form.UNSIGNED]
-        return [form]
-    return [None]
+    return CaseResult.judge(case, case_sides(case), start)
 
 
 def expand_cases(config: SweepConfig) -> List[IdentityCase]:
@@ -216,22 +194,13 @@ def expand_cases(config: SweepConfig) -> List[IdentityCase]:
     n_lo, n_hi = config.n_range
     r_lo, r_hi = config.r_range
     s_lo, s_hi = config.s_range
+    forms = [config.form] if config.form else list(Form)
     for iid in ids:
-        uses_r = iid in (
-            IdentityId.CONJ1,
-            IdentityId.CONJ3,
-            IdentityId.CONJ4,
-            IdentityId.CONST_TERM,
-            IdentityId.TOP_COEFF,
-            IdentityId.HOCKEY_STICK,
-        )
-        uses_s = iid not in (IdentityId.CLASSICAL, IdentityId.HOCKEY_STICK)
+        spec = IDENTITIES[iid]
         for n in range(n_lo, n_hi + 1):
-            for r in range(r_lo, r_hi + 1) if uses_r else [None]:
-                for s in range(s_lo, s_hi + 1) if uses_s else [None]:
-                    if s == 0 and iid is not IdentityId.CONJ3:
-                        continue
-                    for fm in _applicable_forms(iid, config.form):
+            for r in range(r_lo, r_hi + 1) if spec.uses_r else [None]:
+                for s in range(max(s_lo, spec.s_min), s_hi + 1) if spec.uses_s else [None]:
+                    for fm in forms if spec.has_forms else [None]:
                         cases.append(IdentityCase(iid, n, r, s, fm))
     return cases
 
@@ -243,7 +212,7 @@ def run_sweep(config: SweepConfig) -> Report:
     partitions.warm_cache(range(config.n_range[0], config.n_range[1] + 1))
     start = time.perf_counter()
     if config.worker_count == 1 or len(cases) < 2:
-        results = [compare_case(c, config.perturb) for c in cases]
+        results = [compare_case(c) for c in cases]
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=config.worker_count
@@ -252,7 +221,6 @@ def run_sweep(config: SweepConfig) -> Report:
                 pool.map(
                     compare_case,
                     cases,
-                    [config.perturb] * len(cases),
                     chunksize=max(1, len(cases) // (config.worker_count * 4)),
                 )
             )

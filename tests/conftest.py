@@ -1,4 +1,25 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture
+def corrupt_rhs(monkeypatch):
+    """Make the sweep engine and the CLI see every RHS off by one.
+
+    Each judged case then becomes a counterexample, which exercises the
+    negative path end to end (single worker only: the patch lives in this
+    process).
+    """
+    from partition_identities import cli, identities, verifier
+
+    real = identities.case_sides
+
+    def corrupted(case):
+        return [(lhs, rhs + 1) for lhs, rhs in real(case)]
+
+    for module in (verifier, cli):
+        monkeypatch.setattr(module, "case_sides", corrupted)

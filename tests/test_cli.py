@@ -97,16 +97,46 @@ def test_sweep_csv(capsys):
     assert out.splitlines()[0] == "case,status,lhs,rhs,elapsed_ms"
 
 
-def test_sweep_counterexample_exit_code(capsys):
-    code, out, _ = run(
-        capsys, "sweep", "--ids", "CLASSICAL", "--n", "1..2", "--perturb"
-    )
+def test_sweep_counterexample_exit_code(capsys, corrupt_rhs):
+    code, out, _ = run(capsys, "sweep", "--ids", "CLASSICAL", "--n", "1..2")
     assert code == 1
+    results = json.loads(out)["results"]
+    assert {r["status"] for r in results} == {"COUNTEREXAMPLE"}
+    for res in results:
+        assert res["lhs"] != res["rhs"]
+
+
+def test_identity_builds_sides_once(capsys, monkeypatch):
+    from partition_identities import cli, identities, verifier
+
+    calls = []
+    real = identities.case_sides
+
+    def counted(case):
+        calls.append(case)
+        return real(case)
+
+    for module in (identities, verifier, cli):
+        monkeypatch.setattr(module, "case_sides", counted)
+    for fmt in ("human", "json"):
+        calls.clear()
+        code, _, _ = run(capsys, "identity", "TOP_COEFF(n=3,r=2,s=1)", "--format", fmt)
+        assert code == 0
+        assert len(calls) == 1
+
+
+def test_identity_counterexample_exit_code(capsys, corrupt_rhs):
+    code, out, _ = run(capsys, "identity", "CONJ3(n=3,r=2,s=1)")
+    assert code == 1
+    assert out.splitlines() == ["LHS = 3", "RHS = 4", "COUNTEREXAMPLE"]
 
 
 def test_malformed_input_exits_2(capsys):
     assert run(capsys, "zvalue", "1+3")[0] == 2
     assert run(capsys, "identity", "BOGUS(n=1)")[0] == 2
+    assert run(capsys, "identity", "CONJ3(n=3,n=4,r=2,s=1)")[0] == 2
     assert run(capsys, "sweep", "--ids", "CONJ1", "--n", "3..1")[0] == 2
     assert run(capsys, "sweep", "--ids", "NOPE", "--n", "1..2")[0] == 2
+    # the sweep has no hidden test flags
+    assert run(capsys, "sweep", "--ids", "CLASSICAL", "--n", "1", "--perturb")[0] == 2
     assert run(capsys, "unknown-subcommand")[0] == 2

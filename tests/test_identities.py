@@ -233,6 +233,11 @@ def test_case_validation():
         IdentityCase(IdentityId.CONJ4, n=3, r=2, s=0)
     # s = 0 is allowed only for the scalar coefficient identity
     IdentityCase(IdentityId.CONJ3, n=3, r=2, s=0)
+    # a repeated parameter is an error, not "last one wins"
+    with pytest.raises(ValueError):
+        IdentityCase.parse("CONJ3(n=3,n=4,r=2,s=1)")
+    with pytest.raises(ValueError):
+        IdentityCase.parse("CONJ1(n=3,r=2,s=1,form=SIGNED,form=UNSIGNED)")
 
 
 def test_case_text_round_trip():

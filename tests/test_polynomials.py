@@ -33,6 +33,14 @@ def test_canonical_form_trims_trailing_zeros():
     assert Polynomial([0, 0, 5]).degree == 2
 
 
+def test_hash_agrees_with_eq():
+    assert Polynomial([3]) == 3 and hash(Polynomial([3])) == hash(3)
+    assert Polynomial() == 0 and hash(Polynomial()) == hash(0)
+    assert hash(Polynomial([Fraction(1, 2)])) == hash(Fraction(1, 2))
+    assert len({Polynomial([3]), 3}) == 1
+    assert Polynomial([0, 1]) in {X}
+
+
 def test_mul_examples():
     assert X * (X + 1) == Polynomial([0, 1, 1])
     assert Polynomial() * Polynomial([-1, 0, 3]) == Polynomial()

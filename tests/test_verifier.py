@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -29,10 +30,8 @@ def test_compare_case_examples():
     assert res.lhs == res.rhs == "3"
 
 
-def test_compare_case_perturbed():
-    res = compare_case(
-        IdentityCase.parse("CLASSICAL(n=2,form=SIGNED)"), perturb=True
-    )
+def test_compare_case_perturbed(corrupt_rhs):
+    res = compare_case(IdentityCase.parse("CLASSICAL(n=2,form=SIGNED)"))
     assert res.status == STATUS_COUNTEREXAMPLE
     assert res.lhs != res.rhs
 
@@ -122,13 +121,9 @@ def test_run_sweep_classical_range():
     assert report.summary["verified"] == 24  # both forms
 
 
-def test_run_sweep_perturbed_counterexamples():
+def test_run_sweep_perturbed_counterexamples(corrupt_rhs):
     report = run_sweep(
-        SweepConfig(
-            identity_ids=(IdentityId.CLASSICAL,),
-            n_range=(1, 3),
-            perturb=True,
-        )
+        SweepConfig(identity_ids=(IdentityId.CLASSICAL,), n_range=(1, 3))
     )
     assert report.summary["counterexamples"] == len(report.results)
     assert report.exit_code == 1
@@ -162,6 +157,9 @@ def test_report_json_schema():
     )
     data = json.loads(report.to_json())
     assert set(data) == {"config", "results", "summary", "total_ms"}
+    assert list(data["config"]) == [
+        "identity_ids", "n_range", "r_range", "s_range", "form", "worker_count"
+    ]
     assert set(data["summary"]) == {"verified", "counterexamples", "skipped"}
     for res in data["results"]:
         assert set(res) == {"case", "status", "lhs", "rhs", "elapsed_ms"}
@@ -183,3 +181,34 @@ def test_determinism_repeated_runs():
         identity_ids=(IdentityId.CONJ2,), n_range=(1, 4), s_range=(1, 3)
     )
     assert run_sweep(config).content_dict() == run_sweep(config).content_dict()
+
+
+def test_registry_regression_all_identities():
+    # the s floor, forms, parameter use and skip rule of every identity
+    config = SweepConfig(
+        identity_ids=tuple(IdentityId),
+        n_range=(1, 3),
+        r_range=(1, 3),
+        s_range=(0, 2),
+    )
+    config.validate()
+    cases = expand_cases(config)
+    counts = Counter(c.identity_id.value for c in cases)
+    assert counts == {
+        "CONJ1": 36,
+        "CONJ3": 27,
+        "CONJ4": 18,
+        "CONST_TERM": 18,
+        "TOP_COEFF": 18,
+        "CONJ2": 12,
+        "HOCKEY_STICK": 9,
+        "CLASSICAL": 6,
+        "BINOMIAL_TYPE": 6,
+    }
+    assert len(cases) == 150
+    report = run_sweep(config)
+    skipped = {str(r.case) for r in report.results if r.status == STATUS_SKIPPED}
+    expected = {f"CONJ4(n={n},r=1,s={s})" for n in (1, 2, 3) for s in (1, 2)}
+    expected |= {f"HOCKEY_STICK(n={n},r=1)" for n in (1, 2, 3)}
+    assert skipped == expected
+    assert report.summary == {"verified": 141, "counterexamples": 0, "skipped": 9}
