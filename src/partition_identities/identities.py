@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .genbinom import gen_binom
@@ -114,40 +114,38 @@ class IdentityCase:
         return cls(identity_id, **kwargs)
 
 
-def _pochhammer_sum(mu: Partition, s: int) -> Fraction:
+def _pochhammer_sum(mu: Partition, s: int) -> int:
     """sum_i (mu_i)_s over the parts of mu."""
-    return sum(
-        (rising_factorial_eval(p, s) for p in mu.parts), Fraction(0)
-    )
+    return sum(rising_factorial_eval(p, s) for p in mu.parts)
+
+
+def _class_sum(
+    n: int, r: int, shift: int, form: Form, weight: Callable[[Partition], int]
+) -> Polynomial:
+    """sum over mu |- n with l(mu) <= r of weight(mu) X^(l(mu) - shift) / z_mu.
+
+    n!/z_mu is the size of the conjugacy class of cycle type mu, so every
+    term is an integer numerator over the single denominator n!.  In the
+    SIGNED form a term carries (-1)^(r - l(mu)).
+    """
+    n_fact = factorial(n)
+    coeffs = [0] * (n + 1)
+    for mu in enumerate_partitions(n, 0, r):
+        term = n_fact // mu.z_value() * weight(mu)
+        if form is Form.SIGNED and (r - mu.length) % 2 == 1:
+            term = -term
+        coeffs[mu.length] += term
+    return Polynomial(Fraction(c, n_fact) for c in coeffs[shift:])
 
 
 def classical_sides(n: int, form: Form) -> SidePair:
     """The classical expansion of binom(X, n) over partitions of n."""
-    lhs = Polynomial()
-    for mu in enumerate_partitions(n):
-        coeff = Fraction(1, mu.z_value())
-        if form is Form.SIGNED and (n - mu.length) % 2 == 1:
-            coeff = -coeff
-        lhs = lhs + Polynomial([0] * mu.length + [coeff])
+    lhs = _class_sum(n, n, 0, form, lambda mu: 1)
     if form is Form.SIGNED:
         rhs = binom_poly(0, n)
     else:
         rhs = binom_poly(n - 1, n)
     return lhs, rhs
-
-
-def _conj1_lhs(n: int, r: int, s: int, form: Form) -> Polynomial:
-    lhs = Polynomial()
-    # terms with l(mu) > r vanish (row-covering coefficient is zero)
-    for mu in enumerate_partitions(n, 0, r):
-        g = gen_binom(mu, r)
-        if g == 0:
-            continue
-        coeff = Fraction(g, mu.z_value()) * _pochhammer_sum(mu, s)
-        if form is Form.SIGNED and (r - mu.length) % 2 == 1:
-            coeff = -coeff
-        lhs = lhs + Polynomial([0] * (mu.length - 1) + [coeff])
-    return lhs
 
 
 def _conj1_prefactor(n: int, r: int, s: int) -> Fraction:
@@ -165,35 +163,32 @@ def _conj1_rhs(r: int, s: int, form: Form, prefactor: Fraction) -> Polynomial:
 
 def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
     """Conjecture 1: degree r-1 polynomial identity; zero on both sides for r > n."""
-    lhs = _conj1_lhs(n, r, s, form)
+    # terms with l(mu) > r vanish (row-covering coefficient is zero)
+    lhs = _class_sum(
+        n, r, 1, form, lambda mu: gen_binom(mu, r) * _pochhammer_sum(mu, s)
+    )
     return lhs, _conj1_rhs(r, s, form, _conj1_prefactor(n, r, s))
 
 
 def conj2_sides(n: int, s: int, form: Form) -> SidePair:
     """Conjecture 2, the r = n specialization with the covering count gone."""
-    lhs = Polynomial()
-    for mu in enumerate_partitions(n):
-        coeff = Fraction(1, mu.z_value()) * _pochhammer_sum(mu, s)
-        if form is Form.SIGNED and (n - mu.length) % 2 == 1:
-            coeff = -coeff
-        lhs = lhs + Polynomial([0] * (mu.length - 1) + [coeff])
+    lhs = _class_sum(n, n, 1, form, lambda mu: _pochhammer_sum(mu, s))
     return lhs, _conj1_rhs(n, s, form, Fraction(factorial(s - 1)))
 
 
 def _length_r_sum(n: int, r: int, s: int) -> Fraction:
-    """(r-1)! sum over |mu|=n, l(mu)=r of [sum_i m_i (i)_s] / [prod_i m_i!]."""
-    total = Fraction(0)
+    """(r-1)! sum over |mu|=n, l(mu)=r of [sum_i m_i (i)_s] / [prod_i m_i!].
+
+    r!/prod_i m_i! is a multinomial coefficient, so the sum is an integer
+    over r.
+    """
+    r_fact = factorial(r)
+    total = 0
     for mu in enumerate_partitions(n, r, r):
         mults = mu.multiplicities()
-        numer = sum(
-            (m * rising_factorial_eval(i, s) for i, m in mults.items()),
-            Fraction(0),
-        )
-        denom = 1
-        for m in mults.values():
-            denom *= factorial(m)
-        total += numer / denom
-    return factorial(r - 1) * total
+        numer = sum(m * rising_factorial_eval(i, s) for i, m in mults.items())
+        total += r_fact // prod(factorial(m) for m in mults.values()) * numer
+    return Fraction(total, r)
 
 
 def conj3_sides(n: int, r: int, s: int) -> SidePair:

@@ -3,13 +3,14 @@
 Rationals are ``fractions.Fraction`` values: arbitrary precision, always
 reduced, positive denominator.  Polynomials are dense coefficient lists in
 the indeterminate X, canonical (no trailing zeros), so equality is plain
-sequence equality.
+sequence equality.  Factorial evaluations stay in ``int`` for ``int``
+arguments and return a ``Fraction`` for ``Fraction`` arguments.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, List, Sequence, Union
 
 Rational = Fraction
@@ -199,26 +200,19 @@ X = Polynomial((0, 1))
 ONE = Polynomial((1,))
 
 
-def rising_factorial_eval(x: RationalLike, n: int) -> Fraction:
+def rising_factorial_eval(x: RationalLike, n: int) -> RationalLike:
     """(x)_n = x (x+1) ... (x+n-1); the empty product for n = 0."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    x = Fraction(x)
-    acc = Fraction(1)
-    for i in range(n):
-        acc *= x + i
-    return acc
+    # start at x**0 so the empty product has the type of x too
+    return prod((x + i for i in range(n)), start=x**0)
 
 
-def falling_factorial_eval(x: RationalLike, n: int) -> Fraction:
+def falling_factorial_eval(x: RationalLike, n: int) -> RationalLike:
     """[x]_n = x (x-1) ... (x-n+1)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    x = Fraction(x)
-    acc = Fraction(1)
-    for i in range(n):
-        acc *= x - i
-    return acc
+    return prod((x - i for i in range(n)), start=x**0)
 
 
 def falling_factorial_poly(c: RationalLike, n: int) -> Polynomial:
@@ -243,4 +237,4 @@ def binom_rat(x: RationalLike, k: int) -> Fraction:
     """binom(x, k) = [x]_k / k! for k >= 0; zero for negative k."""
     if k < 0:
         return Fraction(0)
-    return falling_factorial_eval(x, k) / factorial(k)
+    return Fraction(falling_factorial_eval(x, k), factorial(k))

@@ -9,6 +9,7 @@ import concurrent.futures
 import csv
 import io
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,16 +46,21 @@ class SweepConfig:
     def validate(self) -> None:
         if not self.identity_ids:
             raise ConfigError("no identities selected")
-        for name, (lo, hi) in (
-            ("n", self.n_range),
-            ("r", self.r_range),
-            ("s", self.s_range),
+        specs = [IDENTITIES[i] for i in self.identity_ids]
+        # a parameter no selected identity uses has no floor
+        r_floor = 1 if any(spec.uses_r for spec in specs) else None
+        s_floor = min((spec.s_min for spec in specs if spec.uses_s), default=None)
+        for name, (lo, hi), floor in (
+            ("n", self.n_range, 1),
+            ("r", self.r_range, r_floor),
+            ("s", self.s_range, s_floor),
         ):
             if lo > hi:
                 raise ConfigError(f"empty {name} range {lo}..{hi}")
-            floor = min(IDENTITIES[i].s_min for i in self.identity_ids) if name == "s" else 1
-            if lo < floor:
+            if floor is not None and lo < floor:
                 raise ConfigError(f"{name} range must start at {floor} or above")
+        if self.form is not None and not any(spec.has_forms for spec in specs):
+            raise ConfigError(f"form {self.form.value} given, but no selected identity has forms")
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
 
@@ -210,18 +216,19 @@ def run_sweep(config: SweepConfig) -> Report:
     config.validate()
     cases = expand_cases(config)
     partitions.warm_cache(range(config.n_range[0], config.n_range[1] + 1))
+    # never more processes than cases or CPUs: a fork start method creates
+    # every worker up front
+    workers = min(config.worker_count, len(cases), os.cpu_count() or 1)
     start = time.perf_counter()
-    if config.worker_count == 1 or len(cases) < 2:
+    if workers <= 1:
         results = [compare_case(c) for c in cases]
     else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.worker_count
-        ) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     compare_case,
                     cases,
-                    chunksize=max(1, len(cases) // (config.worker_count * 4)),
+                    chunksize=max(1, len(cases) // (workers * 4)),
                 )
             )
     total_ms = (time.perf_counter() - start) * 1000.0

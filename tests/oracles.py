@@ -1,6 +1,9 @@
 """Independent reference computations used to cross-check the library."""
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import factorial
 
 
 @lru_cache(maxsize=None)
@@ -50,3 +53,61 @@ def falling(x, n: int) -> Fraction:
     for i in range(n):
         acc *= Fraction(x) - i
     return acc
+
+
+def partitions(n: int, max_part=None):
+    """Partitions of n as tuples of weakly decreasing parts."""
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, max_part or n), 0, -1):
+        for rest in partitions(n - p, p):
+            yield (p,) + rest
+
+
+def z_value(parts) -> int:
+    """prod_i i^{m_i} m_i! over the multiplicities m_i of the parts."""
+    z = 1
+    for i, m in Counter(parts).items():
+        z *= i**m * factorial(m)
+    return z
+
+
+def covering_count(parts, r: int) -> int:
+    """<mu, r>: the r-subsets of the Ferrers diagram that meet every row."""
+    cells = [(row, col) for row, p in enumerate(parts) for col in range(p)]
+    return sum(
+        1
+        for subset in combinations(cells, r)
+        if len({row for row, _ in subset}) == len(parts)
+    )
+
+
+def partition_sum(n: int, weight, shift: int, sign_r=None) -> dict:
+    """{power: coefficient} of sum over all mu |- n of weight(mu)/z_mu X^(l(mu)-shift).
+
+    Term by term in Fractions; with ``sign_r`` each term carries
+    (-1)^(sign_r - l(mu)).
+    """
+    coeffs: dict = {}
+    for mu in partitions(n):
+        term = Fraction(weight(mu), z_value(mu))
+        if sign_r is not None and (sign_r - len(mu)) % 2 == 1:
+            term = -term
+        power = len(mu) - shift
+        coeffs[power] = coeffs.get(power, Fraction(0)) + term
+    return coeffs
+
+
+def length_r_sum(n: int, r: int, s: int) -> Fraction:
+    """(r-1)! sum over mu |- n, l(mu) = r of sum_i m_i (i)_s / prod_i m_i!."""
+    total = Fraction(0)
+    for mu in partitions(n):
+        if len(mu) != r:
+            continue
+        mults = Counter(mu)
+        denom = 1
+        for m in mults.values():
+            denom *= factorial(m)
+        total += sum(m * rising(i, s) for i, m in mults.items()) / denom
+    return factorial(r - 1) * total

@@ -140,3 +140,13 @@ def test_malformed_input_exits_2(capsys):
     # the sweep has no hidden test flags
     assert run(capsys, "sweep", "--ids", "CLASSICAL", "--n", "1", "--perturb")[0] == 2
     assert run(capsys, "unknown-subcommand")[0] == 2
+
+
+def test_sweep_validates_only_what_selected_ids_use(capsys):
+    # a form needs an identity that has forms
+    assert run(capsys, "sweep", "--ids", "CONJ3", "--n", "2", "--r", "2", "--s", "1",
+               "--form", "SIGNED")[0] == 2
+    # r and s floors apply only to identities that take r or s
+    assert run(capsys, "sweep", "--ids", "CLASSICAL", "--n", "1", "--s", "0")[0] == 0
+    assert run(capsys, "sweep", "--ids", "CONJ2", "--n", "1", "--r", "0")[0] == 0
+    assert run(capsys, "sweep", "--ids", "CONJ1", "--n", "1", "--s", "0")[0] == 2

@@ -21,6 +21,8 @@ from partition_identities.identities import (
 )
 from partition_identities.polynomials import Polynomial, X, binom_poly, binom_rat
 
+import oracles
+
 
 def test_classical_examples():
     lhs, rhs = classical_sides(2, Form.SIGNED)
@@ -73,6 +75,48 @@ def test_conj1_support_restriction():
         for r in range(1, n + 1):
             for mu in enumerate_partitions(n, r + 1, None):
                 assert gen_binom(mu, r) == 0
+
+
+def _nonzero(coeffs):
+    return {k: c for k, c in coeffs.items() if c != 0}
+
+
+def _lhs_terms(sides):
+    return _nonzero(dict(enumerate(sides[0].coeffs)))
+
+
+def test_class_sum_lhs_matches_term_by_term_reference():
+    # the reference sums over every mu |- n, so the l(mu) <= r cut is checked too
+    for form in Form:
+        signed = form is Form.SIGNED
+        for n in range(1, 11):
+            expected = oracles.partition_sum(n, lambda mu: 1, 0, n if signed else None)
+            assert _lhs_terms(classical_sides(n, form)) == _nonzero(expected)
+        for n in range(1, 10):
+            for s in range(1, 5):
+
+                def pochhammer(mu):
+                    return sum(oracles.rising(p, s) for p in mu)
+
+                expected = oracles.partition_sum(n, pochhammer, 1, n if signed else None)
+                assert _lhs_terms(conj2_sides(n, s, form)) == _nonzero(expected)
+                for r in range(1, n + 2):
+                    expected = oracles.partition_sum(
+                        n,
+                        lambda mu: oracles.covering_count(mu, r) * pochhammer(mu),
+                        1,
+                        r if signed else None,
+                    )
+                    assert _lhs_terms(conj1_sides(n, r, s, form)) == _nonzero(expected), (
+                        f"CONJ1 n={n} r={r} s={s} {form.value}"
+                    )
+
+
+def test_length_r_sum_matches_reference():
+    for n in range(1, 15):
+        for r in range(1, n + 1):
+            for s in range(0, 5):
+                assert conj3_sides(n, r, s)[0] == oracles.length_r_sum(n, r, s)
 
 
 def test_conj2_examples():

@@ -60,6 +60,15 @@ def test_rising_factorial_examples():
     assert rising_factorial_eval(-1, 3) == 0
 
 
+def test_factorial_eval_types():
+    # int arguments stay int; binom_rat must never fall back to float division
+    assert type(rising_factorial_eval(3, 2)) is int
+    assert type(falling_factorial_eval(5, 3)) is int
+    assert isinstance(rising_factorial_eval(Fraction(1, 2), 2), Fraction)
+    for x, k in ((5, 2), (-3, 2), (4, -1)):
+        assert type(binom_rat(x, k)) is Fraction
+
+
 def test_falling_factorial_poly_examples():
     assert falling_factorial_poly(0, 2) == X * X - X
     assert falling_factorial_poly(-1, 1) == X - 1

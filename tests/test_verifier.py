@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from partition_identities import verifier
 from partition_identities.identities import Form, IdentityCase, IdentityId
 from partition_identities.verifier import (
     STATUS_COUNTEREXAMPLE,
@@ -62,6 +63,40 @@ def test_config_validation():
         SweepConfig(
             identity_ids=(IdentityId.CONJ1,), n_range=(1, 2), worker_count=0
         ).validate()
+
+
+class _RecordingExecutor:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, [4]), (3, [3]), (None, [])])
+def test_worker_count_capped(monkeypatch, cpus, expected):
+    # four cases; a huge request must never reach the executor
+    monkeypatch.setattr(verifier.concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    config = SweepConfig(
+        identity_ids=(IdentityId.CLASSICAL,), n_range=(1, 2), worker_count=10**6
+    )
+    report = run_sweep(config)
+    assert len(report.results) == 4
+    assert _RecordingExecutor.sizes == expected
+    assert report.summary["verified"] == 4
+    assert report.to_dict()["config"]["worker_count"] == 10**6
 
 
 def test_grid_order_deterministic():
