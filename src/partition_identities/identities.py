@@ -9,16 +9,18 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .genbinom import gen_binom
 from .partitions import Partition, enumerate_partitions
 from .polynomials import (
     Polynomial,
+    _falling_coeffs,
     binom_poly,
     binom_rat,
     falling_factorial_eval,
+    falling_factorial_poly,
     rising_factorial_eval,
 )
 
@@ -154,11 +156,13 @@ def _conj1_prefactor(n: int, r: int, s: int) -> Fraction:
 
 
 def _conj1_rhs(r: int, s: int, form: Form, prefactor: Fraction) -> Polynomial:
-    if form is Form.SIGNED:
-        bracket = binom_poly(0, r) - binom_poly(-s, r)
-    else:
-        bracket = binom_poly(r + s - 1, r) - binom_poly(r - 1, r)
-    return bracket * prefactor
+    """prefactor * (binom(X+a, r) - binom(X+b, r)), as integers over r!."""
+    a, b = (0, -s) if form is Form.SIGNED else (r + s - 1, r - 1)
+    numer, denom = prefactor.numerator, factorial(r) * prefactor.denominator
+    return Polynomial(
+        Fraction((x - y) * numer, denom)
+        for x, y in zip(_falling_coeffs(a, r), _falling_coeffs(b, r))
+    )
 
 
 def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
@@ -252,15 +256,12 @@ def hockey_stick_sides(big_n: int, k: int) -> SidePair:
 
 def binomial_type_sides(n: int, s: int) -> SidePair:
     """[X+s]_n = sum_k C(n,k) [X]_{n-k} [s]_k, as polynomials in X."""
-    from .polynomials import falling_factorial_poly
-
-    lhs = falling_factorial_poly(s, n)
-    rhs = Polynomial()
+    coeffs = [0] * (n + 1)
     for k in range(n + 1):
-        rhs = rhs + falling_factorial_poly(0, n - k) * (
-            binom_rat(n, k) * falling_factorial_eval(s, k)
-        )
-    return lhs, rhs
+        weight = comb(n, k) * falling_factorial_eval(s, k)
+        for j, c in enumerate(_falling_coeffs(0, n - k)):
+            coeffs[j] += weight * c
+    return falling_factorial_poly(s, n), Polynomial(coeffs)
 
 
 def sign_flip_check(n: int, r: int, s: int) -> bool:

@@ -9,6 +9,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 #: textual form of the empty partition
 EMPTY_SYMBOL = "ε"
 
+#: the most partitions one enumeration may produce, so n <= 60 (p(60) = 966467);
+#: the memo keeps every tuple, so time and memory grow like p(n)
+MAX_PARTITIONS = 10**6
+
 
 class Partition:
     """A weakly decreasing sequence of positive integers.
@@ -95,9 +99,34 @@ class Partition:
         return len(self.parts)
 
 
+def partition_count(n: int) -> int:
+    """p(n) by Euler's pentagonal-number recurrence, without enumerating."""
+    counts = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * counts[m - g]
+            if g + k <= m:
+                total += sign * counts[m - g - k]
+            k += 1
+        counts.append(total)
+    return counts[n]
+
+
 @lru_cache(maxsize=None)
 def _partitions_of(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """All partitions of n in decreasing lexicographic order of parts."""
+    """All partitions of n in decreasing lexicographic order of parts.
+
+    Refuses, before generating anything, an n with more than
+    MAX_PARTITIONS partitions.
+    """
+    count = partition_count(n)
+    if count > MAX_PARTITIONS:
+        raise ValueError(
+            f"n={n} has {count} partitions, more than the {MAX_PARTITIONS} "
+            "one enumeration may produce"
+        )
 
     def gen(remaining: int, max_part: int) -> Iterator[Tuple[int, ...]]:
         if remaining == 0:
@@ -129,9 +158,3 @@ def enumerate_partitions(
             continue
         out.append(Partition(parts))
     return out
-
-
-def warm_cache(n_values) -> None:
-    """Pre-fill the partition memo before parallel fan-out."""
-    for n in n_values:
-        _partitions_of(n)

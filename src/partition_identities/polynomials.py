@@ -5,6 +5,13 @@ reduced, positive denominator.  Polynomials are dense coefficient lists in
 the indeterminate X, canonical (no trailing zeros), so equality is plain
 sequence equality.  Factorial evaluations stay in ``int`` for ``int``
 arguments and return a ``Fraction`` for ``Fraction`` arguments.
+
+``falling_factorial_poly(c, n)`` and ``binom_poly(c, r)`` are built from
+one coefficient list, with no ``Polynomial`` products.  For an ``int`` c
+the list holds ``int``s (shifted signed Stirling numbers of the first
+kind), so ``binom_poly`` is integer numerators over r!; for a ``Fraction``
+c it holds ``Fraction``s.  Both return a ``Polynomial`` and raise
+``ValueError`` for a negative degree.
 """
 from __future__ import annotations
 
@@ -215,22 +222,31 @@ def falling_factorial_eval(x: RationalLike, n: int) -> RationalLike:
     return prod((x - i for i in range(n)), start=x**0)
 
 
-def falling_factorial_poly(c: RationalLike, n: int) -> Polynomial:
-    """[X+c]_n = (X+c)(X+c-1)...(X+c-n+1) as a polynomial in X."""
+def _falling_coeffs(c: RationalLike, n: int) -> List[RationalLike]:
+    """Coefficients of [X+c]_n, constant term first, one factor at a time.
+
+    Multiplying by (X + c - i) maps old to new[k] = old[k-1] + (c-i) old[k].
+    Entries are ``int`` for ``int`` c (shifted signed Stirling numbers of
+    the first kind) and ``Fraction`` for ``Fraction`` c.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    c = Fraction(c)
-    acc = ONE
+    coeffs = [c**0]
     for i in range(n):
-        acc = acc * Polynomial((c - i, 1))
-    return acc
+        shift = c - i
+        coeffs = [a * shift + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def falling_factorial_poly(c: RationalLike, n: int) -> Polynomial:
+    """[X+c]_n = (X+c)(X+c-1)...(X+c-n+1) as a polynomial in X."""
+    return Polynomial(_falling_coeffs(c, n))
 
 
 def binom_poly(c: RationalLike, r: int) -> Polynomial:
     """binom(X+c, r) = [X+c]_r / r!."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    return falling_factorial_poly(c, r) * Fraction(1, factorial(r))
+    r_fact = factorial(r)
+    return Polynomial(Fraction(k, r_fact) for k in _falling_coeffs(c, r))
 
 
 def binom_rat(x: RationalLike, k: int) -> Fraction:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import partitions
 from .identities import IDENTITIES, Form, IdentityCase, IdentityId, SidePair, case_sides
 from .polynomials import Polynomial, format_rational
 
@@ -215,7 +214,6 @@ def run_sweep(config: SweepConfig) -> Report:
     """Evaluate every grid case exactly once and aggregate the report."""
     config.validate()
     cases = expand_cases(config)
-    partitions.warm_cache(range(config.n_range[0], config.n_range[1] + 1))
     # never more processes than cases or CPUs: a fork start method creates
     # every worker up front
     workers = min(config.worker_count, len(cases), os.cpu_count() or 1)

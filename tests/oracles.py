@@ -5,6 +5,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
+from partition_identities.polynomials import Polynomial
+
 
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
@@ -52,6 +54,14 @@ def falling(x, n: int) -> Fraction:
     acc = Fraction(1)
     for i in range(n):
         acc *= Fraction(x) - i
+    return acc
+
+
+def falling_poly_product(c, n: int) -> Polynomial:
+    """[X+c]_n as the literal product of the linear factors X + c - i."""
+    acc = Polynomial([1])
+    for i in range(n):
+        acc = acc * Polynomial((c - i, 1))
     return acc
 
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from partition_identities import partitions
 from partition_identities.cli import main
 from partition_identities.polynomials import Polynomial
 
@@ -150,3 +153,22 @@ def test_sweep_validates_only_what_selected_ids_use(capsys):
     assert run(capsys, "sweep", "--ids", "CLASSICAL", "--n", "1", "--s", "0")[0] == 0
     assert run(capsys, "sweep", "--ids", "CONJ2", "--n", "1", "--r", "0")[0] == 0
     assert run(capsys, "sweep", "--ids", "CONJ1", "--n", "1", "--s", "0")[0] == 2
+
+
+def test_enumeration_too_large_exits_2(capsys):
+    code, _, err = run(capsys, "partitions", "200")
+    assert code == 2 and "partitions" in err
+    assert run(capsys, "sweep", "--ids", "CONJ1", "--n", "61", "--r", "1",
+               "--s", "1", "--workers", "1")[0] == 2
+
+
+def test_sweep_enumerates_only_what_cases_use(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumerated the partitions of {n}")
+
+    monkeypatch.setattr(partitions, "_partitions_of", refuse)
+    # the spy is wired: a listing reaches it
+    with pytest.raises(AssertionError):
+        main(["partitions", "3"])
+    # HOCKEY_STICK is scalar binomials only; p(200) is never needed
+    assert run(capsys, "sweep", "--ids", "HOCKEY_STICK", "--n", "200", "--r", "2")[0] == 0

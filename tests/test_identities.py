@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from partition_identities.identities import (
+    IDENTITIES,
     Form,
     IdentityCase,
     IdentityId,
@@ -231,6 +233,38 @@ def test_binomial_type_sides():
         for s in range(1, 6):
             lhs, rhs = binomial_type_sides(n, s)
             assert lhs == rhs
+
+
+def test_case_sides_build_no_polynomial_products(monkeypatch):
+    # every side is built from integer coefficient lists, never by
+    # Polynomial arithmetic; a product or sum here is a regression
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        real = getattr(Polynomial, name)
+
+        def counted(self, other, real=real, name=name):
+            calls[name] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(Polynomial, name, counted)
+    cases = [
+        IdentityCase(
+            iid,
+            5,
+            3 if spec.uses_r else None,
+            2 if spec.uses_s else None,
+            form,
+        )
+        for iid, spec in IDENTITIES.items()
+        for form in (list(Form) if spec.has_forms else [None])
+    ]
+    assert len(cases) == 12
+    for case in cases:
+        for lhs, rhs in case_sides(case):
+            assert lhs == rhs
+    assert calls == Counter()
+    # the counters are live: an explicit product is seen
+    assert X * X == Polynomial([0, 0, 1]) and calls["__mul__"] == 1
 
 
 def test_sign_flip_examples():

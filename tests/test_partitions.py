@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from partition_identities.partitions import Partition, enumerate_partitions
+from partition_identities import partitions
+from partition_identities.partitions import (
+    MAX_PARTITIONS,
+    Partition,
+    enumerate_partitions,
+)
 
 from oracles import partition_count
 
@@ -33,6 +38,21 @@ def test_enumeration_order_is_decreasing_lex():
 def test_counts_match_pentagonal_recurrence():
     for n in range(0, 31):
         assert len(enumerate_partitions(n)) == partition_count(n)
+
+
+def test_library_partition_count():
+    for n in range(0, 31):
+        assert partitions.partition_count(n) == len(partitions._partitions_of(n))
+    for n in range(0, 101):
+        assert partitions.partition_count(n) == partition_count(n)
+
+
+def test_enumeration_refused_above_limit():
+    # n = 60 is the largest n accepted
+    assert partition_count(60) <= MAX_PARTITIONS < partition_count(61)
+    for n in (61, 200):
+        with pytest.raises(ValueError, match="partitions"):
+            enumerate_partitions(n)
 
 
 def test_length_filters():

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from partition_identities.polynomials import (
     NEG_INFINITY,
+    ONE,
     Polynomial,
+    _falling_coeffs,
     X,
     binom_poly,
     binom_rat,
@@ -18,7 +20,7 @@ from partition_identities.polynomials import (
     rising_factorial_eval,
 )
 
-from oracles import falling, rising
+from oracles import falling, falling_poly_product, rising
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -74,6 +76,34 @@ def test_falling_factorial_poly_examples():
     assert falling_factorial_poly(-1, 1) == X - 1
     assert falling_factorial_poly(2, 3)(0) == 0
     assert falling_factorial_poly(Fraction(1, 2), 0) == Polynomial([1])
+
+
+#: integer shifts plus non-integer ones, where the kernel works in Fractions
+KERNEL_SHIFTS = [*range(-8, 9), Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3)]
+
+
+def test_falling_factorial_poly_matches_product_oracle():
+    for c in KERNEL_SHIFTS:
+        for n in range(13):
+            assert falling_factorial_poly(c, n) == falling_poly_product(c, n)
+
+
+def test_binom_poly_matches_binom_rat_pointwise():
+    # degree r and equal at r + 1 points: the same polynomial
+    for c in KERNEL_SHIFTS:
+        for r in range(11):
+            p = binom_poly(c, r)
+            assert p.degree == r
+            for x in range(-3, r - 2):
+                assert p(x) == binom_rat(x + c, r)
+
+
+def test_falling_coeffs_type_contract():
+    for n in range(8):
+        assert all(type(k) is int for k in _falling_coeffs(-3, n))
+        assert all(type(k) is Fraction for k in _falling_coeffs(Fraction(7, 3), n))
+        assert all(type(k) is Fraction for k in _falling_coeffs(Fraction(4), n))
+    assert falling_factorial_poly(5, 0) == ONE
 
 
 def test_binom_poly_examples():
@@ -176,5 +206,7 @@ def test_negative_n_rejected():
         rising_factorial_eval(1, -1)
     with pytest.raises(ValueError):
         falling_factorial_poly(0, -2)
+    with pytest.raises(ValueError):
+        _falling_coeffs(3, -1)
     with pytest.raises(ValueError):
         binom_poly(0, -1)
