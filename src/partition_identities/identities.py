@@ -9,11 +9,11 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .genbinom import gen_binom
-from .partitions import Partition, enumerate_partitions
+from .partitions import CycleClass, cycle_classes
 from .polynomials import (
     Polynomial,
     _falling_coeffs,
@@ -116,13 +116,18 @@ class IdentityCase:
         return cls(identity_id, **kwargs)
 
 
-def _pochhammer_sum(mu: Partition, s: int) -> int:
-    """sum_i (mu_i)_s over the parts of mu."""
-    return sum(rising_factorial_eval(p, s) for p in mu.parts)
+def _rising_row(n: int, s: int) -> List[int]:
+    """R[i] = (i)_s for 0 <= i <= n, so sum_i (mu_i)_s = sum_i m_i R[i]."""
+    return [rising_factorial_eval(i, s) for i in range(n + 1)]
+
+
+def _pochhammer_sum(mults: Tuple[Tuple[int, int], ...], row: List[int]) -> int:
+    """sum_i (mu_i)_s over the parts of mu, from its multiplicities."""
+    return sum(m * row[i] for i, m in mults)
 
 
 def _class_sum(
-    n: int, r: int, shift: int, form: Form, weight: Callable[[Partition], int]
+    n: int, r: int, shift: int, form: Form, weight: Callable[[CycleClass], int]
 ) -> Polynomial:
     """sum over mu |- n with l(mu) <= r of weight(mu) X^(l(mu) - shift) / z_mu.
 
@@ -132,11 +137,11 @@ def _class_sum(
     """
     n_fact = factorial(n)
     coeffs = [0] * (n + 1)
-    for mu in enumerate_partitions(n, 0, r):
-        term = n_fact // mu.z_value() * weight(mu)
-        if form is Form.SIGNED and (r - mu.length) % 2 == 1:
-            term = -term
-        coeffs[mu.length] += term
+    for length in range(min(r, n) + 1):
+        total = sum(mu.class_size * weight(mu) for mu in cycle_classes(n, length))
+        if form is Form.SIGNED and (r - length) % 2 == 1:
+            total = -total
+        coeffs[length] = total
     return Polynomial(Fraction(c, n_fact) for c in coeffs[shift:])
 
 
@@ -168,15 +173,17 @@ def _conj1_rhs(r: int, s: int, form: Form, prefactor: Fraction) -> Polynomial:
 def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
     """Conjecture 1: degree r-1 polynomial identity; zero on both sides for r > n."""
     # terms with l(mu) > r vanish (row-covering coefficient is zero)
+    row = _rising_row(n, s)
     lhs = _class_sum(
-        n, r, 1, form, lambda mu: gen_binom(mu, r) * _pochhammer_sum(mu, s)
+        n, r, 1, form, lambda mu: gen_binom(mu, r) * _pochhammer_sum(mu.mults, row)
     )
     return lhs, _conj1_rhs(r, s, form, _conj1_prefactor(n, r, s))
 
 
 def conj2_sides(n: int, s: int, form: Form) -> SidePair:
     """Conjecture 2, the r = n specialization with the covering count gone."""
-    lhs = _class_sum(n, n, 1, form, lambda mu: _pochhammer_sum(mu, s))
+    row = _rising_row(n, s)
+    lhs = _class_sum(n, n, 1, form, lambda mu: _pochhammer_sum(mu.mults, row))
     return lhs, _conj1_rhs(n, s, form, Fraction(factorial(s - 1)))
 
 
@@ -187,11 +194,11 @@ def _length_r_sum(n: int, r: int, s: int) -> Fraction:
     over r.
     """
     r_fact = factorial(r)
-    total = 0
-    for mu in enumerate_partitions(n, r, r):
-        mults = mu.multiplicities()
-        numer = sum(m * rising_factorial_eval(i, s) for i, m in mults.items())
-        total += r_fact // prod(factorial(m) for m in mults.values()) * numer
+    row = _rising_row(n, s)
+    total = sum(
+        r_fact // mu.mult_factorial * _pochhammer_sum(mu.mults, row)
+        for mu in cycle_classes(n, r)
+    )
     return Fraction(total, r)
 
 
@@ -280,7 +287,8 @@ class IdentitySpec:
     """One identity's parameters, lowest s, forms, builder and skip rule.
 
     ``skip_r1`` cases are built at r = 1 but reported SKIPPED: a boundary
-    convention makes the identity fail there.
+    convention makes the identity fail there.  ``enumerates`` builders read
+    the partitions of n, so they are bound by the p(n) enumeration limit.
     """
 
     uses_r: bool
@@ -289,29 +297,30 @@ class IdentitySpec:
     build: Callable[[IdentityCase], List[SidePair]]
     s_min: int = 1
     skip_r1: bool = False
+    enumerates: bool = False
 
 
 #: the single registry of identities, one entry per IdentityId
 IDENTITIES: Dict[IdentityId, IdentitySpec] = {
     IdentityId.CLASSICAL: IdentitySpec(
-        uses_r=False, uses_s=False, has_forms=True,
+        uses_r=False, uses_s=False, has_forms=True, enumerates=True,
         build=lambda c: [classical_sides(c.n, c.form)],
     ),
     IdentityId.CONJ1: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=True,
+        uses_r=True, uses_s=True, has_forms=True, enumerates=True,
         build=lambda c: [conj1_sides(c.n, c.r, c.s, c.form)],
     ),
     IdentityId.CONJ2: IdentitySpec(
-        uses_r=False, uses_s=True, has_forms=True,
+        uses_r=False, uses_s=True, has_forms=True, enumerates=True,
         build=lambda c: [conj2_sides(c.n, c.s, c.form)],
     ),
     IdentityId.CONJ3: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=False, s_min=0,
+        uses_r=True, uses_s=True, has_forms=False, s_min=0, enumerates=True,
         build=lambda c: [conj3_sides(c.n, c.r, c.s)],
     ),
     # at r = 1 the resummed RHS has lower binomial index -1
     IdentityId.CONJ4: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=False, skip_r1=True,
+        uses_r=True, uses_s=True, has_forms=False, skip_r1=True, enumerates=True,
         build=lambda c: [conj4_sides(c.n, c.r, c.s)],
     ),
     IdentityId.CONST_TERM: IdentitySpec(

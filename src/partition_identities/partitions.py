@@ -1,16 +1,30 @@
-"""Integer partitions with length constraints and their statistics."""
+"""Integer partitions with length constraints and their statistics.
+
+The left-hand sides read partitions from one cycle-class table,
+``cycle_classes(n, length)``: the partitions mu |- n of one length, in
+decreasing lexicographic order, each with the statistics the class sums
+need (parts, multiplicities, prod_i m_i! and the class size n!/z_mu).  A
+bucket is built on first use from the memoized ``_partitions_of(n)``, so
+the p(n) limit applies to it, and a process builds only the lengths its
+cases read.  ``Partition`` with ``z_value`` and ``multiplicities``, and
+``enumerate_partitions``, are the public API and the slower reference the
+table is tested against.
+"""
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import groupby
+from math import factorial, prod
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 #: textual form of the empty partition
 EMPTY_SYMBOL = "ε"
 
-#: the most partitions one enumeration may produce, so n <= 60 (p(60) = 966467);
-#: the memo keeps every tuple, so time and memory grow like p(n)
+#: the most partitions one enumeration may produce, so n <= 60 (p(60) = 966467).
+#: ``_partitions_of`` keeps every tuple of each n it enumerated, and
+#: ``cycle_classes`` one record per partition of each (n, length) it built,
+#: so time and memory grow like p(n) times the number of n held
 MAX_PARTITIONS = 10**6
 
 
@@ -114,19 +128,25 @@ def partition_count(n: int) -> int:
     return counts[n]
 
 
-@lru_cache(maxsize=None)
-def _partitions_of(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """All partitions of n in decreasing lexicographic order of parts.
-
-    Refuses, before generating anything, an n with more than
-    MAX_PARTITIONS partitions.
-    """
+def check_enumerable(n: int) -> None:
+    """Raise ValueError if n has more than MAX_PARTITIONS partitions."""
     count = partition_count(n)
     if count > MAX_PARTITIONS:
         raise ValueError(
             f"n={n} has {count} partitions, more than the {MAX_PARTITIONS} "
             "one enumeration may produce"
         )
+
+
+# 64 keys hold every n <= 60 that check_enumerable accepts
+@lru_cache(maxsize=64)
+def _partitions_of(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """All partitions of n in decreasing lexicographic order of parts.
+
+    Refuses, before generating anything, an n with more than
+    MAX_PARTITIONS partitions.
+    """
+    check_enumerable(n)
 
     def gen(remaining: int, max_part: int) -> Iterator[Tuple[int, ...]]:
         if remaining == 0:
@@ -150,6 +170,8 @@ def enumerate_partitions(
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if min_len < 0 or (max_len is not None and max_len < 0):
+        raise ValueError("lengths must be non-negative")
     out = []
     for parts in _partitions_of(n):
         if len(parts) < min_len:
@@ -158,3 +180,44 @@ def enumerate_partitions(
             continue
         out.append(Partition(parts))
     return out
+
+
+class CycleClass(NamedTuple):
+    """The partition mu |- n as a cycle type of S_n, with its statistics.
+
+    ``parts`` is the same tuple ``Partition.parts`` holds, so ``gen_binom``
+    reads a class as it reads a partition.
+    """
+
+    parts: Tuple[int, ...]
+    #: (part, multiplicity) pairs, largest part first
+    mults: Tuple[Tuple[int, int], ...]
+    #: prod_i m_i!
+    mult_factorial: int
+    #: n!/z_mu, the number of permutations of cycle type mu
+    class_size: int
+
+
+# 128 buckets hold all n + 1 lengths of any n <= 60, so a sweep builds each
+# bucket once while it walks one n
+@lru_cache(maxsize=128)
+def cycle_classes(n: int, length: int) -> Tuple[CycleClass, ...]:
+    """The partitions of n with exactly ``length`` parts, decreasing lex."""
+    if n < 0 or length < 0:
+        raise ValueError("n and length must be non-negative")
+    n_fact = factorial(n)
+    # share one tuple per distinct (part, m) pair: the table holds one record
+    # per partition, and separate pair tuples would be most of its memory
+    pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    out = []
+    for parts in _partitions_of(n):
+        if len(parts) != length:
+            continue
+        mults = tuple(
+            pairs.setdefault(pair, pair)
+            for pair in ((i, len(list(run))) for i, run in groupby(parts))
+        )
+        mult_factorial = prod(factorial(m) for _, m in mults)
+        z = mult_factorial * prod(i**m for i, m in mults)
+        out.append(CycleClass(parts, mults, mult_factorial, n_fact // z))
+    return tuple(out)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .identities import IDENTITIES, Form, IdentityCase, IdentityId, SidePair, case_sides
+from .partitions import check_enumerable
 from .polynomials import Polynomial, format_rational
 
 EXIT_OK = 0
@@ -58,6 +59,11 @@ class SweepConfig:
                 raise ConfigError(f"empty {name} range {lo}..{hi}")
             if floor is not None and lo < floor:
                 raise ConfigError(f"{name} range must start at {floor} or above")
+        if any(spec.enumerates for spec in specs):
+            try:
+                check_enumerable(self.n_range[1])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.form is not None and not any(spec.has_forms for spec in specs):
             raise ConfigError(f"form {self.form.value} given, but no selected identity has forms")
         if self.worker_count < 1:

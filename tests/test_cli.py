@@ -172,3 +172,26 @@ def test_sweep_enumerates_only_what_cases_use(capsys, monkeypatch):
         main(["partitions", "3"])
     # HOCKEY_STICK is scalar binomials only; p(200) is never needed
     assert run(capsys, "sweep", "--ids", "HOCKEY_STICK", "--n", "200", "--r", "2")[0] == 0
+
+
+def test_negative_length_exits_2(capsys):
+    code, out, err = run(capsys, "partitions", "5", "--len", "-1")
+    assert code == 2 and "non-negative" in err
+    assert "total" not in out
+
+
+def test_sweep_refuses_enumeration_limit_before_any_case(capsys, monkeypatch):
+    from partition_identities.identities import IDENTITIES
+
+    def refuse(n):
+        raise AssertionError(f"enumerated the partitions of {n}")
+
+    monkeypatch.setattr(partitions, "_partitions_of", refuse)
+    for iid, spec in IDENTITIES.items():
+        code, _, err = run(capsys, "sweep", "--ids", iid.value, "--n", "59..61", "--r", "30")
+        if spec.enumerates:
+            # n = 59 and 60 are within the limit, but no case runs
+            assert code == 2 and "n=61" in err, iid
+        else:
+            # an identity that reads no partition is not bound by p(n)
+            assert code == 0, iid

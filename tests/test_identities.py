@@ -267,6 +267,49 @@ def test_case_sides_build_no_polynomial_products(monkeypatch):
     assert X * X == Polynomial([0, 0, 1]) and calls["__mul__"] == 1
 
 
+def test_left_hand_sides_read_the_class_table(monkeypatch):
+    # one row of (i)_s per case, and no Partition object on the hot path
+    from partition_identities import identities
+    from partition_identities.partitions import Partition
+
+    calls = []
+    real = identities.rising_factorial_eval
+
+    def counted(x, k):
+        calls.append((x, k))
+        return real(x, k)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder used a Partition object")
+
+    monkeypatch.setattr(identities, "rising_factorial_eval", counted)
+    for name in ("__init__", "z_value", "multiplicities"):
+        monkeypatch.setattr(Partition, name, refuse)
+    n, r, s = 9, 4, 3
+    for build, expected in (
+        (lambda: classical_sides(n, Form.SIGNED), 0),
+        (lambda: conj1_sides(n, r, s, Form.UNSIGNED), n + 1),
+        (lambda: conj2_sides(n, s, Form.SIGNED), n + 1),
+        (lambda: conj3_sides(n, r, s), n + 1),
+    ):
+        calls.clear()
+        lhs, rhs = build()
+        assert lhs == rhs
+        assert len(calls) == expected
+
+
+def test_rising_row_matches_rising_factorial():
+    from partition_identities.identities import _rising_row
+    from partition_identities.polynomials import rising_factorial_eval
+
+    for n in range(0, 15):
+        for s in range(0, 7):
+            row = _rising_row(n, s)
+            assert row == [rising_factorial_eval(i, s) for i in range(n + 1)]
+            assert row == [oracles.rising(i, s) for i in range(n + 1)]
+            assert all(type(v) is int for v in row)
+
+
 def test_sign_flip_examples():
     lhs, rhs = conj1_sides(2, 2, 1, Form.UNSIGNED)
     assert lhs == rhs == X + 1

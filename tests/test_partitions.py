@@ -1,15 +1,21 @@
+import importlib
+import pkgutil
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
+import partition_identities
 from partition_identities import partitions
 from partition_identities.partitions import (
     MAX_PARTITIONS,
     Partition,
+    cycle_classes,
     enumerate_partitions,
 )
 
-from oracles import partition_count
+from oracles import partition_count, z_value
 
 
 def test_enumerate_basic_counts():
@@ -131,3 +137,58 @@ def test_text_round_trip():
         Partition.parse("1+3")
     with pytest.raises(ValueError):
         Partition.parse("2+x")
+
+
+def test_negative_lengths_rejected():
+    for min_len, max_len in ((-1, -1), (0, -1), (-1, None)):
+        with pytest.raises(ValueError, match="non-negative"):
+            enumerate_partitions(5, min_len, max_len)
+    for n, length in ((5, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="non-negative"):
+            cycle_classes(n, length)
+
+
+def test_cycle_classes_match_enumeration():
+    for n in range(0, 15):
+        seen = 0
+        for length in range(0, n + 2):
+            bucket = cycle_classes(n, length)
+            assert [c.parts for c in bucket] == [
+                p.parts for p in enumerate_partitions(n, length, length)
+            ]
+            for c in bucket:
+                mults = Counter(c.parts)
+                assert c.mults == tuple(sorted(mults.items(), reverse=True))
+                assert c.mult_factorial == prod(factorial(m) for m in mults.values())
+                assert factorial(n) % z_value(c.parts) == 0
+                assert c.class_size == factorial(n) // z_value(c.parts)
+            seen += len(bucket)
+        assert seen == partition_count(n)
+    # the class sizes of S_n add up to n!
+    assert sum(c.class_size for k in range(0, 11) for c in cycle_classes(10, k)) == factorial(10)
+
+
+def test_cycle_classes_are_built_from_the_enumeration(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumerated the partitions of {n}")
+
+    cycle_classes.cache_clear()
+    monkeypatch.setattr(partitions, "_partitions_of", refuse)
+    with pytest.raises(AssertionError, match="partitions of 7"):
+        cycle_classes(7, 3)
+    monkeypatch.undo()
+    # the p(n) limit applies to the table too
+    with pytest.raises(ValueError, match="partitions"):
+        cycle_classes(61, 2)
+
+
+def test_every_memo_is_bounded():
+    memos = {}
+    for info in pkgutil.iter_modules(partition_identities.__path__):
+        module = importlib.import_module(f"partition_identities.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                memos[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert {"partitions._partitions_of", "partitions.cycle_classes",
+            "genbinom._row_coeffs"} <= set(memos)
+    assert all(size is not None for size in memos.values()), memos
