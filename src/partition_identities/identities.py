@@ -2,6 +2,16 @@
 
 Builders never compare: they return (lhs, rhs) value pairs so the sweep
 engine can show both sides verbatim when they disagree.
+
+The left-hand sides sum a class weight w(mu) times sum_i (mu_i)_s over
+mu |- n.  Since sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, such a sum is
+sum_i (i)_s M[i] with the moment vector M[i] = sum_mu w(mu) m_i(mu), which
+depends on neither s nor the form.  So the partitions of each (n, r) are
+walked once per process, into a bounded memo of integer moment vectors
+read from ``partitions.cycle_classes``: ``_class_moments`` per length for
+CLASSICAL, CONJ1 and CONJ2, and ``_length_moments`` for CONJ3 and CONJ4.
+Every case then takes one dot product per length with its row of (i)_s.
+The vectors are rearranged sums over the partitions, never closed forms.
 """
 from __future__ import annotations
 
@@ -9,7 +19,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .genbinom import gen_binom
@@ -121,24 +133,75 @@ def _rising_row(n: int, s: int) -> List[int]:
     return [rising_factorial_eval(i, s) for i in range(n + 1)]
 
 
-def _pochhammer_sum(mults: Tuple[Tuple[int, int], ...], row: List[int]) -> int:
-    """sum_i (mu_i)_s over the parts of mu, from its multiplicities."""
-    return sum(m * row[i] for i, m in mults)
+def _moments(
+    n: int, classes: Tuple[CycleClass, ...], weight: Callable[[CycleClass], int]
+) -> Tuple[int, ...]:
+    """M[i] = sum over the classes mu of weight(mu) m_i(mu), for 0 <= i <= n.
+
+    sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, so the weighted sum of
+    sum_i (mu_i)_s over the classes is M . R with R = _rising_row(n, s).
+    """
+    moments = [0] * (n + 1)
+    for mu in classes:
+        w = weight(mu)
+        for i, m in mu.mults:
+            moments[i] += w * m
+    return tuple(moments)
+
+
+# 128 entries hold every r <= 127 of one n, or all (n, r) of a grid with
+# n, r <= 10 plus its r = None rows, so a sweep builds each table once
+@lru_cache(maxsize=128)
+def _class_moments(n: int, r: Optional[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Moment vectors of (n!/z_mu) w(mu) for the lengths l = 1, 2, ...
+
+    w(mu) = <mu, r> over l(mu) <= min(r, n) (CONJ1, all zero for r > n), or
+    w = 1 over every length when r is None (CLASSICAL, CONJ2, which never
+    call gen_binom).  Both forms and every s read the same table.
+    """
+    if r is None:
+        top, weight = n, lambda mu: mu.class_size
+    else:
+        top, weight = min(r, n), lambda mu: mu.class_size * gen_binom(mu, r)
+    return tuple(
+        _moments(n, cycle_classes(n, length), weight) for length in range(1, top + 1)
+    )
+
+
+# 128 entries hold every r <= 127 of one n, or all (n, r) with n, r <= 10
+@lru_cache(maxsize=128)
+def _length_moments(n: int, r: int) -> Tuple[int, ...]:
+    """W_r[i] = sum over mu |- n with l(mu) = r of (r!/prod_j m_j!) m_i(mu).
+
+    Summed over the partitions, never from a closed form: the closed form
+    r binom(n-i-1, r-2) is the CONJ4 right-hand side.
+    """
+    r_fact = factorial(r)
+    return _moments(n, cycle_classes(n, r), lambda mu: r_fact // mu.mult_factorial)
 
 
 def _class_sum(
-    n: int, r: int, shift: int, form: Form, weight: Callable[[CycleClass], int]
+    n: int,
+    r: int,
+    shift: int,
+    form: Form,
+    moments: Tuple[Tuple[int, ...], ...],
+    row: Optional[List[int]],
 ) -> Polynomial:
-    """sum over mu |- n with l(mu) <= r of weight(mu) X^(l(mu) - shift) / z_mu.
+    """sum over mu |- n of w(mu) [sum_i (mu_i)_s] X^(l(mu) - shift) / z_mu.
 
+    ``moments`` is the ``_class_moments`` table that holds w(mu), and each
+    length's total is its vector dotted with ``row``, the case's
+    ``_rising_row(n, s)``.  With no row (CLASSICAL) the term is w(mu) alone:
+    sum_i m_i(mu) = l(mu), so the vector's sum over l is the total.
     n!/z_mu is the size of the conjugacy class of cycle type mu, so every
     term is an integer numerator over the single denominator n!.  In the
     SIGNED form a term carries (-1)^(r - l(mu)).
     """
     n_fact = factorial(n)
     coeffs = [0] * (n + 1)
-    for length in range(min(r, n) + 1):
-        total = sum(mu.class_size * weight(mu) for mu in cycle_classes(n, length))
+    for length, vector in enumerate(moments, start=1):
+        total = sum(vector) // length if row is None else sum(map(mul, vector, row))
         if form is Form.SIGNED and (r - length) % 2 == 1:
             total = -total
         coeffs[length] = total
@@ -147,7 +210,7 @@ def _class_sum(
 
 def classical_sides(n: int, form: Form) -> SidePair:
     """The classical expansion of binom(X, n) over partitions of n."""
-    lhs = _class_sum(n, n, 0, form, lambda mu: 1)
+    lhs = _class_sum(n, n, 0, form, _class_moments(n, None), None)
     if form is Form.SIGNED:
         rhs = binom_poly(0, n)
     else:
@@ -173,33 +236,24 @@ def _conj1_rhs(r: int, s: int, form: Form, prefactor: Fraction) -> Polynomial:
 def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
     """Conjecture 1: degree r-1 polynomial identity; zero on both sides for r > n."""
     # terms with l(mu) > r vanish (row-covering coefficient is zero)
-    row = _rising_row(n, s)
-    lhs = _class_sum(
-        n, r, 1, form, lambda mu: gen_binom(mu, r) * _pochhammer_sum(mu.mults, row)
-    )
+    lhs = _class_sum(n, r, 1, form, _class_moments(n, r), _rising_row(n, s))
     return lhs, _conj1_rhs(r, s, form, _conj1_prefactor(n, r, s))
 
 
 def conj2_sides(n: int, s: int, form: Form) -> SidePair:
     """Conjecture 2, the r = n specialization with the covering count gone."""
-    row = _rising_row(n, s)
-    lhs = _class_sum(n, n, 1, form, lambda mu: _pochhammer_sum(mu.mults, row))
+    lhs = _class_sum(n, n, 1, form, _class_moments(n, None), _rising_row(n, s))
     return lhs, _conj1_rhs(n, s, form, Fraction(factorial(s - 1)))
 
 
 def _length_r_sum(n: int, r: int, s: int) -> Fraction:
     """(r-1)! sum over |mu|=n, l(mu)=r of [sum_i m_i (i)_s] / [prod_i m_i!].
 
-    r!/prod_i m_i! is a multinomial coefficient, so the sum is an integer
-    over r.
+    r!/prod_i m_i! is a multinomial coefficient, so the sum is the integer
+    W_r . R over r, with W_r = _length_moments(n, r) and R = _rising_row(n, s).
     """
-    r_fact = factorial(r)
     row = _rising_row(n, s)
-    total = sum(
-        r_fact // mu.mult_factorial * _pochhammer_sum(mu.mults, row)
-        for mu in cycle_classes(n, r)
-    )
-    return Fraction(total, r)
+    return Fraction(sum(map(mul, _length_moments(n, r), row)), r)
 
 
 def conj3_sides(n: int, r: int, s: int) -> SidePair:
@@ -212,14 +266,13 @@ def conj3_sides(n: int, r: int, s: int) -> SidePair:
 def conj4_sides(n: int, r: int, s: int) -> SidePair:
     """Conjecture 4: same LHS, with the RHS resummed over first parts."""
     lhs = _length_r_sum(n, r, s)
+    # for r >= 2 every upper index n-i-1 is >= r-2 >= 0; at r = 1 the lower
+    # index is -1 and every term is zero
     rhs = sum(
-        (
-            binom_rat(n - i - 1, r - 2) * rising_factorial_eval(i, s)
-            for i in range(1, n - r + 2)
-        ),
-        Fraction(0),
+        (comb(n - i - 1, r - 2) if r >= 2 else 0) * rising_factorial_eval(i, s)
+        for i in range(1, n - r + 2)
     )
-    return lhs, rhs
+    return lhs, Fraction(rhs)
 
 
 def const_term_sides(n: int, r: int, s: int) -> SidePair:

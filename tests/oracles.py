@@ -109,6 +109,19 @@ def partition_sum(n: int, weight, shift: int, sign_r=None) -> dict:
     return coeffs
 
 
+def moments(n: int, length: int, weight) -> list:
+    """[sum over mu |- n with length parts of weight(mu) m_i(mu), 0 <= i <= n].
+
+    Adds weight(mu) once for every part of every such mu.
+    """
+    out = [0] * (n + 1)
+    for mu in partitions(n):
+        if len(mu) == length:
+            for part in mu:
+                out[part] += weight(mu)
+    return out
+
+
 def length_r_sum(n: int, r: int, s: int) -> Fraction:
     """(r-1)! sum over mu |- n, l(mu) = r of sum_i m_i (i)_s / prod_i m_i!."""
     total = Fraction(0)

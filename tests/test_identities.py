@@ -121,6 +121,139 @@ def test_length_r_sum_matches_reference():
                 assert conj3_sides(n, r, s)[0] == oracles.length_r_sum(n, r, s)
 
 
+def _clear_moment_caches():
+    # every memo the builders read: the moment tables and the class table
+    from partition_identities import identities
+
+    for value in vars(identities).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_moment_tables_match_bruteforce_oracle():
+    from partition_identities.identities import _class_moments, _length_moments
+
+    for n in range(1, 13):
+
+        def class_size(mu):
+            return factorial(n) // oracles.z_value(mu)
+
+        for r in [None, *range(1, n + 3)]:
+            table = _class_moments(n, r)
+            assert len(table) == (n if r is None else min(r, n))
+            for length, vector in enumerate(table, start=1):
+                if r is None:
+                    expected = oracles.moments(n, length, class_size)
+                else:
+                    expected = oracles.moments(
+                        n, length, lambda mu: class_size(mu) * oracles.covering_count(mu, r)
+                    )
+                assert list(vector) == expected, f"n={n} r={r} length={length}"
+                if r is not None and r > n:
+                    assert not any(vector)
+        for r in range(1, n + 2):
+
+            def multinomial(mu):
+                denom = 1
+                for m in Counter(mu).values():
+                    denom *= factorial(m)
+                return factorial(r) // denom
+
+            assert list(_length_moments(n, r)) == oracles.moments(n, r, multinomial)
+
+
+def test_each_moment_table_is_built_once(monkeypatch):
+    # every s and both forms of one (n, r) share a table: the partitions are
+    # walked once per (n, r), not once per case
+    from partition_identities import identities
+
+    _clear_moment_caches()
+    calls = []
+    real_gen_binom = identities.gen_binom
+
+    def counted_gen_binom(mu, r):
+        calls.append(r)
+        return real_gen_binom(mu, r)
+
+    monkeypatch.setattr(identities, "gen_binom", counted_gen_binom)
+    n = 9
+    for r in range(1, n + 1):
+        for s in range(1, 5):
+            for form in Form:
+                conj1_sides(n, r, s, form)
+    assert len(calls) == sum(
+        1 for r in range(1, n + 1) for mu in oracles.partitions(n) if len(mu) <= r
+    )
+
+    _clear_moment_caches()
+    reads = Counter()
+    real_cycle_classes = identities.cycle_classes
+
+    def counted_cycle_classes(n, length):
+        reads[n, length] += 1
+        return real_cycle_classes(n, length)
+
+    monkeypatch.setattr(identities, "cycle_classes", counted_cycle_classes)
+    n = 12
+    for iid in (IdentityId.CONJ3, IdentityId.CONJ4):
+        for r in range(1, n + 1):
+            for s in range(IDENTITIES[iid].s_min, 6):
+                case_sides(IdentityCase(iid, n, r, s))
+    assert reads == Counter({(n, r): 1 for r in range(1, n + 1)})
+
+
+def _enumerating_cases(forms):
+    return [
+        IdentityCase(iid, n, r, s, form)
+        for iid, spec in IDENTITIES.items()
+        if spec.enumerates
+        for n in range(1, 7)
+        for r in (range(1, n + 2) if spec.uses_r else [None])
+        for s in (range(spec.s_min, 4) if spec.uses_s else [None])
+        for form in (forms if spec.has_forms else [None])
+    ]
+
+
+def _reference_lhs(case):
+    n, r, s = case.n, case.r, case.s
+    if case.identity_id in (IdentityId.CONJ3, IdentityId.CONJ4):
+        return oracles.length_r_sum(n, r, s)
+
+    def pochhammer(mu):
+        return sum(oracles.rising(p, s) for p in mu)
+
+    def covering_pochhammer(mu):
+        return oracles.covering_count(mu, r) * pochhammer(mu)
+
+    weight, shift, sign_r = {
+        IdentityId.CLASSICAL: (lambda mu: 1, 0, n),
+        IdentityId.CONJ1: (covering_pochhammer, 1, r),
+        IdentityId.CONJ2: (pochhammer, 1, n),
+    }[case.identity_id]
+    if case.form is Form.UNSIGNED:
+        sign_r = None
+    return _nonzero(oracles.partition_sum(n, weight, shift, sign_r))
+
+
+def test_left_hand_sides_do_not_depend_on_cache_order():
+    # both forms and every s read one cached table, so a table filled by an
+    # earlier case must give what a cold table gives, checked against the
+    # term-by-term references rather than against another cached read
+    cases = _enumerating_cases(list(Form))
+    expected = {case: _reference_lhs(case) for case in cases}
+
+    def lhs(case):
+        value = case_sides(case)[0][0]
+        return _nonzero(dict(enumerate(value.coeffs))) if case.form else value
+
+    for case in cases:
+        _clear_moment_caches()
+        assert lhs(case) == expected[case], str(case)
+    _clear_moment_caches()
+    for case in reversed(_enumerating_cases(list(reversed(Form)))):
+        assert lhs(case) == expected[case], str(case)
+
+
 def test_conj2_examples():
     lhs, rhs = conj2_sides(2, 2, Form.SIGNED)
     assert lhs == rhs == 2 * X - 3
