@@ -3,26 +3,23 @@
 ``gen_binom(lam, r)`` counts the r-subsets of the Ferrers diagram of
 ``lam`` that contain at least one cell in every row.  The fast path
 multiplies out ``prod_i ((1+t)^{lam_i} - 1)`` one row at a time; the
-coefficient of t^r is the answer.  ``gen_binom`` and ``row_gen_poly`` read
-only ``lam.parts``, so a ``CycleClass`` from the partition table serves as
-well as a ``Partition``.
+coefficient of t^r is the answer.  ``_row_coeffs`` keeps no memo: the
+CONJ1 table of ``identities.py`` takes each partition's whole row once and
+reads every r from it.
 A literal subset-counting oracle is kept alongside for validation.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Tuple, Union
+from typing import Tuple
 
-from .partitions import CycleClass, Partition
+from .partitions import Partition
 
 #: default cap on |lambda| for the brute-force oracle
 DEFAULT_ORACLE_LIMIT = 16
 
 
-# 2**16 keys hold every partition of any n <= 43 (p(43) = 63261)
-@lru_cache(maxsize=2**16)
 def _row_coeffs(parts: Tuple[int, ...]) -> Tuple[int, ...]:
     acc = [1]
     for a in parts:
@@ -37,12 +34,12 @@ def _row_coeffs(parts: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(acc)
 
 
-def row_gen_poly(lam: Union[Partition, CycleClass]) -> Tuple[int, ...]:
+def row_gen_poly(lam: Partition) -> Tuple[int, ...]:
     """Coefficient vector (⟨λ,0⟩, ⟨λ,1⟩, ..., ⟨λ,|λ|⟩)."""
     return _row_coeffs(lam.parts)
 
 
-def gen_binom(lam: Union[Partition, CycleClass], r: int) -> int:
+def gen_binom(lam: Partition, r: int) -> int:
     """Number of r-subsets of the diagram covering every row; 0 out of range."""
     if r < 0:
         raise ValueError("r must be non-negative")

@@ -6,10 +6,11 @@ engine can show both sides verbatim when they disagree.
 The left-hand sides sum a class weight w(mu) times sum_i (mu_i)_s over
 mu |- n.  Since sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, such a sum is
 sum_i (i)_s M[i] with the moment vector M[i] = sum_mu w(mu) m_i(mu), which
-depends on neither s nor the form.  So the partitions of each (n, r) are
-walked once per process, into a bounded memo of integer moment vectors
-read from ``partitions.cycle_classes``: ``_class_moments`` per length for
-CLASSICAL, CONJ1 and CONJ2, and ``_length_moments`` for CONJ3 and CONJ4.
+depends on neither s nor the form.  Each table is filled in one streamed
+walk over the partitions of n, which stores no partition, and is keyed by
+n alone: ``_class_tables(n)`` holds the per-length vectors of CLASSICAL,
+CONJ2, CONJ3 and CONJ4, and ``_covering_table(n)`` those of CONJ1 for
+every r <= n.  A case with a single (n, r) still pays for the whole n.
 Every case then takes one dot product per length with its row of (i)_s.
 The vectors are rearranged sums over the partitions, never closed forms.
 """
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import mul
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from .genbinom import gen_binom
-from .partitions import CycleClass, cycle_classes
+from . import partitions
+from .genbinom import _row_coeffs
 from .polynomials import (
     Polynomial,
     _falling_coeffs,
@@ -133,51 +134,61 @@ def _rising_row(n: int, s: int) -> List[int]:
     return [rising_factorial_eval(i, s) for i in range(n + 1)]
 
 
-def _moments(
-    n: int, classes: Tuple[CycleClass, ...], weight: Callable[[CycleClass], int]
-) -> Tuple[int, ...]:
-    """M[i] = sum over the classes mu of weight(mu) m_i(mu), for 0 <= i <= n.
+#: one integer vector indexed by part i <= n per length l = 1, 2, ...
+Moments = Tuple[Tuple[int, ...], ...]
 
-    sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, so the weighted sum of
-    sum_i (mu_i)_s over the classes is M . R with R = _rising_row(n, s).
+
+def _cycle_types(n: int) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[int, int]], int, int]]:
+    """Each mu |- n once, streamed: (parts, (part, m) pairs, prod m_i!, n!/z_mu).
+
+    n!/z_mu is the number of permutations of cycle type mu in S_n.
     """
-    moments = [0] * (n + 1)
-    for mu in classes:
-        w = weight(mu)
-        for i, m in mu.mults:
-            moments[i] += w * m
-    return tuple(moments)
+    n_fact = factorial(n)
+    for parts in partitions._partitions_of(n):
+        mults = [(i, parts.count(i)) for i in dict.fromkeys(parts)]
+        mult_factorial = prod(factorial(m) for _, m in mults)
+        # z_mu = prod_i i^m_i m_i!, and prod_i i^m_i is the product of the parts
+        yield parts, mults, mult_factorial, n_fact // (mult_factorial * prod(parts))
 
 
-# 128 entries hold every r <= 127 of one n, or all (n, r) of a grid with
-# n, r <= 10 plus its r = None rows, so a sweep builds each table once
-@lru_cache(maxsize=128)
-def _class_moments(n: int, r: Optional[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Moment vectors of (n!/z_mu) w(mu) for the lengths l = 1, 2, ...
+# 64 keys hold every n <= 60 that check_enumerable accepts
+@lru_cache(maxsize=64)
+def _class_tables(n: int) -> Tuple[Moments, Moments]:
+    """(M, W) for l = 1..n: sums over mu |- n with l(mu) = l of w(mu) m_i(mu).
 
-    w(mu) = <mu, r> over l(mu) <= min(r, n) (CONJ1, all zero for r > n), or
-    w = 1 over every length when r is None (CLASSICAL, CONJ2, which never
-    call gen_binom).  Both forms and every s read the same table.
+    M_l has w = n!/z_mu (CLASSICAL, CONJ2) and W_l has w = l!/prod_j m_j!
+    (CONJ3, CONJ4).  Neither reads <mu, r>, so CONJ2 never calls gen_binom,
+    and W_l is summed over the partitions, never from its closed form
+    l binom(n-i-1, l-2), which is the CONJ4 right-hand side.
     """
-    if r is None:
-        top, weight = n, lambda mu: mu.class_size
-    else:
-        top, weight = min(r, n), lambda mu: mu.class_size * gen_binom(mu, r)
-    return tuple(
-        _moments(n, cycle_classes(n, length), weight) for length in range(1, top + 1)
-    )
+    classes = [[0] * (n + 1) for _ in range(n)]
+    lengths = [[0] * (n + 1) for _ in range(n)]
+    for parts, mults, mult_factorial, class_size in _cycle_types(n):
+        multinomial = factorial(len(parts)) // mult_factorial
+        c, w = classes[len(parts) - 1], lengths[len(parts) - 1]
+        for i, m in mults:
+            c[i] += class_size * m
+            w[i] += multinomial * m
+    return tuple(map(tuple, classes)), tuple(map(tuple, lengths))
 
 
-# 128 entries hold every r <= 127 of one n, or all (n, r) with n, r <= 10
-@lru_cache(maxsize=128)
-def _length_moments(n: int, r: int) -> Tuple[int, ...]:
-    """W_r[i] = sum over mu |- n with l(mu) = r of (r!/prod_j m_j!) m_i(mu).
+# 64 keys hold every n <= 60 that check_enumerable accepts
+@lru_cache(maxsize=64)
+def _covering_table(n: int) -> Tuple[Moments, ...]:
+    """[r-1][l-1][i] = sum over l(mu) = l of (n!/z_mu) <mu, r> m_i(mu), r <= n.
 
-    Summed over the partitions, never from a closed form: the closed form
-    r binom(n-i-1, r-2) is the CONJ4 right-hand side.
+    <mu, r> is zero for l(mu) > r, so row r holds the lengths l <= r.  Each
+    mu's whole row polynomial is multiplied out once and read at every r.
     """
-    r_fact = factorial(r)
-    return _moments(n, cycle_classes(n, r), lambda mu: r_fact // mu.mult_factorial)
+    table = [[[0] * (n + 1) for _ in range(r)] for r in range(1, n + 1)]
+    for parts, mults, _, class_size in _cycle_types(n):
+        row = _row_coeffs(parts)
+        for r in range(len(parts), n + 1):
+            weight = class_size * row[r]
+            vector = table[r - 1][len(parts) - 1]
+            for i, m in mults:
+                vector[i] += weight * m
+    return tuple(tuple(map(tuple, lengths)) for lengths in table)
 
 
 def _class_sum(
@@ -185,13 +196,13 @@ def _class_sum(
     r: int,
     shift: int,
     form: Form,
-    moments: Tuple[Tuple[int, ...], ...],
+    moments: Moments,
     row: Optional[List[int]],
 ) -> Polynomial:
     """sum over mu |- n of w(mu) [sum_i (mu_i)_s] X^(l(mu) - shift) / z_mu.
 
-    ``moments`` is the ``_class_moments`` table that holds w(mu), and each
-    length's total is its vector dotted with ``row``, the case's
+    ``moments`` holds (n!/z_mu) w(mu) m_i(mu) per length, and each length's
+    total is its vector dotted with ``row``, the case's
     ``_rising_row(n, s)``.  With no row (CLASSICAL) the term is w(mu) alone:
     sum_i m_i(mu) = l(mu), so the vector's sum over l is the total.
     n!/z_mu is the size of the conjugacy class of cycle type mu, so every
@@ -210,7 +221,7 @@ def _class_sum(
 
 def classical_sides(n: int, form: Form) -> SidePair:
     """The classical expansion of binom(X, n) over partitions of n."""
-    lhs = _class_sum(n, n, 0, form, _class_moments(n, None), None)
+    lhs = _class_sum(n, n, 0, form, _class_tables(n)[0], None)
     if form is Form.SIGNED:
         rhs = binom_poly(0, n)
     else:
@@ -224,7 +235,12 @@ def _conj1_prefactor(n: int, r: int, s: int) -> Fraction:
 
 
 def _conj1_rhs(r: int, s: int, form: Form, prefactor: Fraction) -> Polynomial:
-    """prefactor * (binom(X+a, r) - binom(X+b, r)), as integers over r!."""
+    """prefactor * (binom(X+a, r) - binom(X+b, r)), as integers over r!.
+
+    A zero prefactor (r > n) gives zero without building either bracket.
+    """
+    if not prefactor:
+        return Polynomial()
     a, b = (0, -s) if form is Form.SIGNED else (r + s - 1, r - 1)
     numer, denom = prefactor.numerator, factorial(r) * prefactor.denominator
     return Polynomial(
@@ -235,41 +251,46 @@ def _conj1_rhs(r: int, s: int, form: Form, prefactor: Fraction) -> Polynomial:
 
 def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
     """Conjecture 1: degree r-1 polynomial identity; zero on both sides for r > n."""
-    # terms with l(mu) > r vanish (row-covering coefficient is zero)
-    lhs = _class_sum(n, r, 1, form, _class_moments(n, r), _rising_row(n, s))
+    # terms with l(mu) > r vanish (row-covering coefficient is zero), and
+    # so does every term when r > n
+    moments = _covering_table(n)[r - 1] if r <= n else ()
+    lhs = _class_sum(n, r, 1, form, moments, _rising_row(n, s))
     return lhs, _conj1_rhs(r, s, form, _conj1_prefactor(n, r, s))
 
 
 def conj2_sides(n: int, s: int, form: Form) -> SidePair:
     """Conjecture 2, the r = n specialization with the covering count gone."""
-    lhs = _class_sum(n, n, 1, form, _class_moments(n, None), _rising_row(n, s))
+    lhs = _class_sum(n, n, 1, form, _class_tables(n)[0], _rising_row(n, s))
     return lhs, _conj1_rhs(n, s, form, Fraction(factorial(s - 1)))
 
 
-def _length_r_sum(n: int, r: int, s: int) -> Fraction:
+def _length_r_sum(n: int, r: int, row: List[int]) -> Fraction:
     """(r-1)! sum over |mu|=n, l(mu)=r of [sum_i m_i (i)_s] / [prod_i m_i!].
 
     r!/prod_i m_i! is a multinomial coefficient, so the sum is the integer
-    W_r . R over r, with W_r = _length_moments(n, r) and R = _rising_row(n, s).
+    W_r . R over r, with W_r from ``_class_tables(n)`` and R = row =
+    _rising_row(n, s); no partition of n has r > n parts.
     """
-    row = _rising_row(n, s)
-    return Fraction(sum(map(mul, _length_moments(n, r), row)), r)
+    if r > n:
+        return Fraction(0)
+    return Fraction(sum(map(mul, _class_tables(n)[1][r - 1], row)), r)
 
 
 def conj3_sides(n: int, r: int, s: int) -> SidePair:
     """Conjecture 3: the X^{r-1} coefficient identity, as exact rationals."""
-    lhs = _length_r_sum(n, r, s)
+    lhs = _length_r_sum(n, r, _rising_row(n, s))
     rhs = factorial(s) * binom_rat(n + s - 1, n - r)
     return lhs, rhs
 
 
 def conj4_sides(n: int, r: int, s: int) -> SidePair:
     """Conjecture 4: same LHS, with the RHS resummed over first parts."""
-    lhs = _length_r_sum(n, r, s)
+    row = _rising_row(n, s)
+    lhs = _length_r_sum(n, r, row)
     # for r >= 2 every upper index n-i-1 is >= r-2 >= 0; at r = 1 the lower
     # index is -1 and every term is zero
     rhs = sum(
-        (comb(n - i - 1, r - 2) if r >= 2 else 0) * rising_factorial_eval(i, s)
+        (comb(n - i - 1, r - 2) if r >= 2 else 0) * row[i]
         for i in range(1, n - r + 2)
     )
     return lhs, Fraction(rhs)

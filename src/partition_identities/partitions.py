@@ -1,30 +1,24 @@
 """Integer partitions with length constraints and their statistics.
 
-The left-hand sides read partitions from one cycle-class table,
-``cycle_classes(n, length)``: the partitions mu |- n of one length, in
-decreasing lexicographic order, each with the statistics the class sums
-need (parts, multiplicities, prod_i m_i! and the class size n!/z_mu).  A
-bucket is built on first use from the memoized ``_partitions_of(n)``, so
-the p(n) limit applies to it, and a process builds only the lengths its
-cases read.  ``Partition`` with ``z_value`` and ``multiplicities``, and
-``enumerate_partitions``, are the public API and the slower reference the
-table is tested against.
+``_partitions_of(n)`` streams the partitions of n in decreasing
+lexicographic order and keeps none of them; the p(n) limit is checked
+when it is called, before anything is generated.  The left-hand sides of
+``identities.py`` walk it once per n into their moment tables.
+``Partition`` with ``z_value`` and ``multiplicities``, and
+``enumerate_partitions``, are the public API and the slower reference
+those tables are tested against.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from itertools import groupby
-from math import factorial, prod
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from math import factorial
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: textual form of the empty partition
 EMPTY_SYMBOL = "ε"
 
 #: the most partitions one enumeration may produce, so n <= 60 (p(60) = 966467).
-#: ``_partitions_of`` keeps every tuple of each n it enumerated, and
-#: ``cycle_classes`` one record per partition of each (n, length) it built,
-#: so time and memory grow like p(n) times the number of n held
+#: The walk stores no partition, so this bounds time rather than memory
 MAX_PARTITIONS = 10**6
 
 
@@ -138,25 +132,42 @@ def check_enumerable(n: int) -> None:
         )
 
 
-# 64 keys hold every n <= 60 that check_enumerable accepts
-@lru_cache(maxsize=64)
-def _partitions_of(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """All partitions of n in decreasing lexicographic order of parts.
+def _partitions_of(n: int) -> Iterator[Tuple[int, ...]]:
+    """The partitions of n in decreasing lexicographic order of parts, lazily.
 
-    Refuses, before generating anything, an n with more than
-    MAX_PARTITIONS partitions.
+    Refuses, when called and before generating anything, an n with more
+    than MAX_PARTITIONS partitions.  The walk is Zoghbi and Stojmenovic's
+    ZS1: x[:m] is the partition and x[h] its last part above 1.
     """
     check_enumerable(n)
 
-    def gen(remaining: int, max_part: int) -> Iterator[Tuple[int, ...]]:
-        if remaining == 0:
+    def gen() -> Iterator[Tuple[int, ...]]:
+        if n == 0:
             yield ()
             return
-        for p in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - p, p):
-                yield (p,) + rest
+        x = [1] * n
+        x[0], m, h = n, 1, 0
+        yield (n,)
+        while x[0] != 1:
+            if x[h] == 2:
+                # (..., 2, 1, ..., 1) -> (..., 1, 1, 1, ..., 1)
+                x[h], m, h = 1, m + 1, h - 1
+            else:
+                # lower x[h] to r and refill the freed t = 1 + (m-h-1 ones)
+                # with copies of r, then the remainder
+                r, t = x[h] - 1, m - h
+                x[h] = r
+                while t >= r:
+                    h += 1
+                    x[h] = r
+                    t -= r
+                m = h + 1 if t == 0 else h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+            yield tuple(x[:m])
 
-    return tuple(gen(n, n))
+    return gen()
 
 
 def enumerate_partitions(
@@ -181,43 +192,3 @@ def enumerate_partitions(
         out.append(Partition(parts))
     return out
 
-
-class CycleClass(NamedTuple):
-    """The partition mu |- n as a cycle type of S_n, with its statistics.
-
-    ``parts`` is the same tuple ``Partition.parts`` holds, so ``gen_binom``
-    reads a class as it reads a partition.
-    """
-
-    parts: Tuple[int, ...]
-    #: (part, multiplicity) pairs, largest part first
-    mults: Tuple[Tuple[int, int], ...]
-    #: prod_i m_i!
-    mult_factorial: int
-    #: n!/z_mu, the number of permutations of cycle type mu
-    class_size: int
-
-
-# 128 buckets hold all n + 1 lengths of any n <= 60, so a sweep builds each
-# bucket once while it walks one n
-@lru_cache(maxsize=128)
-def cycle_classes(n: int, length: int) -> Tuple[CycleClass, ...]:
-    """The partitions of n with exactly ``length`` parts, decreasing lex."""
-    if n < 0 or length < 0:
-        raise ValueError("n and length must be non-negative")
-    n_fact = factorial(n)
-    # share one tuple per distinct (part, m) pair: the table holds one record
-    # per partition, and separate pair tuples would be most of its memory
-    pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    out = []
-    for parts in _partitions_of(n):
-        if len(parts) != length:
-            continue
-        mults = tuple(
-            pairs.setdefault(pair, pair)
-            for pair in ((i, len(list(run))) for i, run in groupby(parts))
-        )
-        mult_factorial = prod(factorial(m) for _, m in mults)
-        z = mult_factorial * prod(i**m for i, m in mults)
-        out.append(CycleClass(parts, mults, mult_factorial, n_fact // z))
-    return tuple(out)

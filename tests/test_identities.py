@@ -122,7 +122,7 @@ def test_length_r_sum_matches_reference():
 
 
 def _clear_moment_caches():
-    # every memo the builders read: the moment tables and the class table
+    # every memo the builders read: the two moment tables
     from partition_identities import identities
 
     for value in vars(identities).values():
@@ -131,75 +131,105 @@ def _clear_moment_caches():
 
 
 def test_moment_tables_match_bruteforce_oracle():
-    from partition_identities.identities import _class_moments, _length_moments
+    from partition_identities.identities import _class_tables, _covering_table
 
     for n in range(1, 13):
 
         def class_size(mu):
             return factorial(n) // oracles.z_value(mu)
 
-        for r in [None, *range(1, n + 3)]:
-            table = _class_moments(n, r)
-            assert len(table) == (n if r is None else min(r, n))
+        def multinomial(mu):
+            denom = 1
+            for m in Counter(mu).values():
+                denom *= factorial(m)
+            return factorial(len(mu)) // denom
+
+        classes, lengths = _class_tables(n)
+        assert len(classes) == len(lengths) == n
+        for length in range(1, n + 1):
+            assert list(classes[length - 1]) == oracles.moments(n, length, class_size)
+            assert list(lengths[length - 1]) == oracles.moments(n, length, multinomial)
+        # sum_i m_i(mu) = l(mu), so this adds up the class sizes of S_n
+        assert sum(sum(v) // l for l, v in enumerate(classes, start=1)) == factorial(n)
+
+        covering = _covering_table(n)
+        assert len(covering) == n
+        for r in range(1, n + 3):
+            if r > n:
+                # no row of the table: both sums are zero
+                for form in Form:
+                    assert conj1_sides(n, r, 1, form)[0] == Polynomial()
+                assert conj3_sides(n, r, 1)[0] == 0
+                continue
+            table = covering[r - 1]
+            assert len(table) == r
             for length, vector in enumerate(table, start=1):
-                if r is None:
-                    expected = oracles.moments(n, length, class_size)
-                else:
-                    expected = oracles.moments(
-                        n, length, lambda mu: class_size(mu) * oracles.covering_count(mu, r)
-                    )
+                expected = oracles.moments(
+                    n, length, lambda mu: class_size(mu) * oracles.covering_count(mu, r)
+                )
                 assert list(vector) == expected, f"n={n} r={r} length={length}"
-                if r is not None and r > n:
-                    assert not any(vector)
-        for r in range(1, n + 2):
-
-            def multinomial(mu):
-                denom = 1
-                for m in Counter(mu).values():
-                    denom *= factorial(m)
-                return factorial(r) // denom
-
-            assert list(_length_moments(n, r)) == oracles.moments(n, r, multinomial)
 
 
 def test_each_moment_table_is_built_once(monkeypatch):
-    # every s and both forms of one (n, r) share a table: the partitions are
-    # walked once per (n, r), not once per case
-    from partition_identities import identities
+    # every r, s and form of one n reads one table: the partitions of n are
+    # walked once per table, and CONJ1 multiplies out each row once
+    from partition_identities import identities, partitions
 
     _clear_moment_caches()
-    calls = []
-    real_gen_binom = identities.gen_binom
+    walks = Counter()
+    rows = []
+    real_partitions_of = partitions._partitions_of
+    real_row_coeffs = identities._row_coeffs
 
-    def counted_gen_binom(mu, r):
-        calls.append(r)
-        return real_gen_binom(mu, r)
+    def counted_partitions_of(n):
+        walks[n] += 1
+        return real_partitions_of(n)
 
-    monkeypatch.setattr(identities, "gen_binom", counted_gen_binom)
+    def counted_row_coeffs(parts):
+        rows.append(parts)
+        return real_row_coeffs(parts)
+
+    monkeypatch.setattr(partitions, "_partitions_of", counted_partitions_of)
+    monkeypatch.setattr(identities, "_row_coeffs", counted_row_coeffs)
     n = 9
     for r in range(1, n + 1):
         for s in range(1, 5):
             for form in Form:
                 conj1_sides(n, r, s, form)
-    assert len(calls) == sum(
-        1 for r in range(1, n + 1) for mu in oracles.partitions(n) if len(mu) <= r
-    )
+    assert len(rows) == oracles.partition_count(n) == 30
+    assert sorted(rows) == sorted(oracles.partitions(n))
+    assert walks == Counter({n: 1})
 
     _clear_moment_caches()
-    reads = Counter()
-    real_cycle_classes = identities.cycle_classes
-
-    def counted_cycle_classes(n, length):
-        reads[n, length] += 1
-        return real_cycle_classes(n, length)
-
-    monkeypatch.setattr(identities, "cycle_classes", counted_cycle_classes)
+    walks.clear()
     n = 12
-    for iid in (IdentityId.CONJ3, IdentityId.CONJ4):
-        for r in range(1, n + 1):
-            for s in range(IDENTITIES[iid].s_min, 6):
-                case_sides(IdentityCase(iid, n, r, s))
-    assert reads == Counter({(n, r): 1 for r in range(1, n + 1)})
+    for iid in (IdentityId.CLASSICAL, IdentityId.CONJ2, IdentityId.CONJ3, IdentityId.CONJ4):
+        spec = IDENTITIES[iid]
+        for r in range(1, n + 2) if spec.uses_r else [None]:
+            for s in range(spec.s_min, 6) if spec.uses_s else [None]:
+                for form in list(Form) if spec.has_forms else [None]:
+                    case_sides(IdentityCase(iid, n, r, s, form))
+    assert len(rows) == 30
+    assert walks == Counter({n: 1})
+
+
+def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
+    from partition_identities import identities, partitions
+
+    def refuse(n):
+        raise AssertionError(f"enumerated the partitions of {n}")
+
+    _clear_moment_caches()
+    monkeypatch.setattr(partitions, "_partitions_of", refuse)
+    tables = (identities._class_tables, identities._covering_table)
+    for table in tables:
+        with pytest.raises(AssertionError, match="partitions of 7"):
+            table(7)
+    monkeypatch.undo()
+    # the p(n) limit applies to both tables
+    for table in tables:
+        with pytest.raises(ValueError, match="partitions"):
+            table(61)
 
 
 def _enumerating_cases(forms):
@@ -424,6 +454,7 @@ def test_left_hand_sides_read_the_class_table(monkeypatch):
         (lambda: conj1_sides(n, r, s, Form.UNSIGNED), n + 1),
         (lambda: conj2_sides(n, s, Form.SIGNED), n + 1),
         (lambda: conj3_sides(n, r, s), n + 1),
+        (lambda: conj4_sides(n, r, s), n + 1),
     ):
         calls.clear()
         lhs, rhs = build()
@@ -449,6 +480,38 @@ def test_sign_flip_examples():
     assert sign_flip_check(2, 2, 1)
     assert sign_flip_check(2, 1, 1)
     assert sign_flip_check(3, 5, 1)  # vacuous: both forms zero
+
+
+def test_sign_flip_against_oracle():
+    # criterion 10's grid, with the UNSIGNED side summed term by term by the
+    # reference instead of read from the table both builder forms share
+    for n in range(1, 8):
+        for r in range(1, 8):
+            for s in range(1, 9):
+
+                def weight(mu):
+                    return oracles.covering_count(mu, r) * sum(oracles.rising(p, s) for p in mu)
+
+                unsigned = oracles.partition_sum(n, weight, 1)
+                flipped = {k: c * (-1) ** k for k, c in unsigned.items()}
+                signed = conj1_sides(n, r, s, Form.SIGNED)[0]
+                expected = {k: c * (-1) ** (r - 1) for k, c in enumerate(signed.coeffs)}
+                assert _nonzero(flipped) == _nonzero(expected), f"({n},{r},{s})"
+
+
+def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
+    # r > n makes the prefactor binom(n+s-1, n-r) zero, so neither side
+    # builds anything of degree r
+    from partition_identities import identities
+
+    def refuse(c, n):
+        raise AssertionError(f"built [X+{c}]_{n}")
+
+    monkeypatch.setattr(identities, "_falling_coeffs", refuse)
+    for s in range(1, 4):
+        for form in Form:
+            assert conj1_sides(5, 5000, s, form) == (Polynomial(), Polynomial())
+        assert all(a == b == 0 for a, b in top_coeff_checks(5, 5000, s))
 
 
 def test_coefficient_bridge_top():

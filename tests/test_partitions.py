@@ -11,10 +11,10 @@ from partition_identities import partitions
 from partition_identities.partitions import (
     MAX_PARTITIONS,
     Partition,
-    cycle_classes,
     enumerate_partitions,
 )
 
+import oracles
 from oracles import partition_count, z_value
 
 
@@ -39,6 +39,8 @@ def test_enumeration_order_is_decreasing_lex():
         (1, 1, 1, 1, 1),
     ]
     assert got == sorted(got, reverse=True)
+    for n in range(0, 21):
+        assert list(partitions._partitions_of(n)) == list(oracles.partitions(n))
 
 
 def test_counts_match_pentagonal_recurrence():
@@ -48,7 +50,7 @@ def test_counts_match_pentagonal_recurrence():
 
 def test_library_partition_count():
     for n in range(0, 31):
-        assert partitions.partition_count(n) == len(partitions._partitions_of(n))
+        assert partitions.partition_count(n) == sum(1 for _ in partitions._partitions_of(n))
     for n in range(0, 101):
         assert partitions.partition_count(n) == partition_count(n)
 
@@ -143,43 +145,26 @@ def test_negative_lengths_rejected():
     for min_len, max_len in ((-1, -1), (0, -1), (-1, None)):
         with pytest.raises(ValueError, match="non-negative"):
             enumerate_partitions(5, min_len, max_len)
-    for n, length in ((5, -1), (-1, 0)):
-        with pytest.raises(ValueError, match="non-negative"):
-            cycle_classes(n, length)
 
 
 def test_cycle_classes_match_enumeration():
+    # the per-mu stream the moment tables are filled from
+    from partition_identities.identities import _cycle_types
+
     for n in range(0, 15):
-        seen = 0
-        for length in range(0, n + 2):
-            bucket = cycle_classes(n, length)
-            assert [c.parts for c in bucket] == [
-                p.parts for p in enumerate_partitions(n, length, length)
-            ]
-            for c in bucket:
-                mults = Counter(c.parts)
-                assert c.mults == tuple(sorted(mults.items(), reverse=True))
-                assert c.mult_factorial == prod(factorial(m) for m in mults.values())
-                assert factorial(n) % z_value(c.parts) == 0
-                assert c.class_size == factorial(n) // z_value(c.parts)
-            seen += len(bucket)
-        assert seen == partition_count(n)
+        classes = list(_cycle_types(n))
+        assert [parts for parts, *_ in classes] == [
+            p.parts for p in enumerate_partitions(n)
+        ]
+        for parts, mults, mult_factorial, class_size in classes:
+            counts = Counter(parts)
+            assert mults == sorted(counts.items(), reverse=True)
+            assert mult_factorial == prod(factorial(m) for m in counts.values())
+            assert factorial(n) % z_value(parts) == 0
+            assert class_size == factorial(n) // z_value(parts)
+        assert len(classes) == partition_count(n)
     # the class sizes of S_n add up to n!
-    assert sum(c.class_size for k in range(0, 11) for c in cycle_classes(10, k)) == factorial(10)
-
-
-def test_cycle_classes_are_built_from_the_enumeration(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"enumerated the partitions of {n}")
-
-    cycle_classes.cache_clear()
-    monkeypatch.setattr(partitions, "_partitions_of", refuse)
-    with pytest.raises(AssertionError, match="partitions of 7"):
-        cycle_classes(7, 3)
-    monkeypatch.undo()
-    # the p(n) limit applies to the table too
-    with pytest.raises(ValueError, match="partitions"):
-        cycle_classes(61, 2)
+    assert sum(size for *_, size in _cycle_types(10)) == factorial(10)
 
 
 def test_every_memo_is_bounded():
@@ -189,6 +174,5 @@ def test_every_memo_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 memos[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert {"partitions._partitions_of", "partitions.cycle_classes",
-            "genbinom._row_coeffs"} <= set(memos)
+    assert {"identities._class_tables", "identities._covering_table"} <= set(memos)
     assert all(size is not None for size in memos.values()), memos
