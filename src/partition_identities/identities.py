@@ -31,7 +31,6 @@ from .polynomials import (
     Polynomial,
     _falling_coeffs,
     binom_poly,
-    binom_rat,
     falling_factorial_eval,
     falling_factorial_poly,
     rising_factorial_eval,
@@ -216,7 +215,7 @@ def _class_sum(
         if form is Form.SIGNED and (r - length) % 2 == 1:
             total = -total
         coeffs[length] = total
-    return Polynomial(Fraction(c, n_fact) for c in coeffs[shift:])
+    return Polynomial.over(coeffs[shift:], n_fact)
 
 
 def classical_sides(n: int, form: Form) -> SidePair:
@@ -229,12 +228,15 @@ def classical_sides(n: int, form: Form) -> SidePair:
     return lhs, rhs
 
 
-def _conj1_prefactor(n: int, r: int, s: int) -> Fraction:
-    """(s-1)! binom(n+s-1, n-r), the scalar in front of the conjecture-1 RHS."""
-    return factorial(s - 1) * binom_rat(n + s - 1, n - r)
+def _conj1_prefactor(n: int, r: int, s: int) -> int:
+    """(s-1)! binom(n+s-1, n-r), the integer in front of the conjecture-1 RHS.
+
+    It is zero exactly when r > n, and then so is every side that carries it.
+    """
+    return factorial(s - 1) * comb(n + s - 1, n - r) if r <= n else 0
 
 
-def _conj1_rhs(r: int, s: int, form: Form, prefactor: Fraction) -> Polynomial:
+def _conj1_rhs(r: int, s: int, form: Form, prefactor: int) -> Polynomial:
     """prefactor * (binom(X+a, r) - binom(X+b, r)), as integers over r!.
 
     A zero prefactor (r > n) gives zero without building either bracket.
@@ -242,11 +244,8 @@ def _conj1_rhs(r: int, s: int, form: Form, prefactor: Fraction) -> Polynomial:
     if not prefactor:
         return Polynomial()
     a, b = (0, -s) if form is Form.SIGNED else (r + s - 1, r - 1)
-    numer, denom = prefactor.numerator, factorial(r) * prefactor.denominator
-    return Polynomial(
-        Fraction((x - y) * numer, denom)
-        for x, y in zip(_falling_coeffs(a, r), _falling_coeffs(b, r))
-    )
+    brackets = zip(_falling_coeffs(a, r), _falling_coeffs(b, r))
+    return Polynomial.over(((x - y) * prefactor for x, y in brackets), factorial(r))
 
 
 def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
@@ -261,7 +260,7 @@ def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
 def conj2_sides(n: int, s: int, form: Form) -> SidePair:
     """Conjecture 2, the r = n specialization with the covering count gone."""
     lhs = _class_sum(n, n, 1, form, _class_tables(n)[0], _rising_row(n, s))
-    return lhs, _conj1_rhs(n, s, form, Fraction(factorial(s - 1)))
+    return lhs, _conj1_rhs(n, s, form, factorial(s - 1))
 
 
 def _length_r_sum(n: int, r: int, row: List[int]) -> Fraction:
@@ -279,8 +278,8 @@ def _length_r_sum(n: int, r: int, row: List[int]) -> Fraction:
 def conj3_sides(n: int, r: int, s: int) -> SidePair:
     """Conjecture 3: the X^{r-1} coefficient identity, as exact rationals."""
     lhs = _length_r_sum(n, r, _rising_row(n, s))
-    rhs = factorial(s) * binom_rat(n + s - 1, n - r)
-    return lhs, rhs
+    rhs = factorial(s) * comb(n + s - 1, n - r) if r <= n else 0
+    return lhs, Fraction(rhs)
 
 
 def conj4_sides(n: int, r: int, s: int) -> SidePair:
@@ -297,28 +296,34 @@ def conj4_sides(n: int, r: int, s: int) -> SidePair:
 
 
 def const_term_sides(n: int, r: int, s: int) -> SidePair:
-    """Constant-term identity: only mu = (n) contributes at X^0."""
+    """Constant-term identity: only mu = (n) contributes at X^0.
+
+    LHS (-1)^r binom(n, r) (n)_s / n, RHS prefactor * binom(-s, r), where
+    binom(-s, r) = (-1)^r binom(r+s-1, r).  Both are zero for r > n.
+    """
+    prefactor = _conj1_prefactor(n, r, s)
+    if not prefactor:
+        return Fraction(0), Fraction(0)
     sign = -1 if r % 2 == 1 else 1
-    lhs = sign * Fraction(binom_rat(n, r), n) * rising_factorial_eval(n, s)
-    rhs = _conj1_prefactor(n, r, s) * binom_rat(-s, r)
-    return lhs, rhs
+    lhs = Fraction(sign * comb(n, r) * rising_factorial_eval(n, s), n)
+    return lhs, Fraction(sign * prefactor * comb(r + s - 1, r))
 
 
 def top_coeff_checks(n: int, r: int, s: int) -> List[SidePair]:
     """Leading coefficients of the conjecture-1 RHS against closed forms.
 
     Returns (extracted, closed-form) pairs for X^{r-1} and, when r >= 2,
-    X^{r-2}.  Both carry the full (s-1)! binom(n+s-1, n-r) prefactor.
+    X^{r-2}.  Both carry the full (s-1)! binom(n+s-1, n-r) prefactor, so
+    every pair is zero for r > n.
     """
     prefactor = _conj1_prefactor(n, r, s)
+    if not prefactor:
+        return [(Fraction(0), Fraction(0))] * min(r, 2)
     rhs = _conj1_rhs(r, s, Form.SIGNED, prefactor)
-    pairs = [
-        (rhs.coefficient(r - 1), prefactor * Fraction(r * s, factorial(r)))
-    ]
+    r_fact = factorial(r)
+    pairs = [(rhs.coefficient(r - 1), Fraction(prefactor * r * s, r_fact))]
     if r >= 2:
-        closed = prefactor * Fraction(
-            -r * (r - 1) * s * (r + s - 1), 2 * factorial(r)
-        )
+        closed = Fraction(-prefactor * r * (r - 1) * s * (r + s - 1), 2 * r_fact)
         pairs.append((rhs.coefficient(r - 2), closed))
     return pairs
 
@@ -328,11 +333,8 @@ def hockey_stick_sides(big_n: int, k: int) -> SidePair:
 
     Fails at k = 1 under the usual conventions; meaningful for k >= 2.
     """
-    lhs = binom_rat(big_n, k)
-    rhs = sum(
-        (binom_rat(i, k - 1) for i in range(1, big_n)), Fraction(0)
-    )
-    return lhs, rhs
+    rhs = sum(comb(i, k - 1) for i in range(1, big_n))
+    return Fraction(comb(big_n, k)), Fraction(rhs)
 
 
 def binomial_type_sides(n: int, s: int) -> SidePair:
@@ -342,7 +344,7 @@ def binomial_type_sides(n: int, s: int) -> SidePair:
         weight = comb(n, k) * falling_factorial_eval(s, k)
         for j, c in enumerate(_falling_coeffs(0, n - k)):
             coeffs[j] += weight * c
-    return falling_factorial_poly(s, n), Polynomial(coeffs)
+    return falling_factorial_poly(s, n), Polynomial.over(coeffs, 1)
 
 
 def sign_flip_check(n: int, r: int, s: int) -> bool:

@@ -1,10 +1,21 @@
 """Exact rational scalars and dense univariate polynomials over Q.
 
 Rationals are ``fractions.Fraction`` values: arbitrary precision, always
-reduced, positive denominator.  Polynomials are dense coefficient lists in
-the indeterminate X, canonical (no trailing zeros), so equality is plain
-sequence equality.  Factorial evaluations stay in ``int`` for ``int``
-arguments and return a ``Fraction`` for ``Fraction`` arguments.
+reduced, positive denominator.  A ``Polynomial`` stores integer numerators
+over one denominator, (nums, den) with the coefficient of X^k equal to
+nums[k] / den.  The form is canonical: no trailing zero numerator,
+den > 0, gcd(den, *nums) = 1, and the zero polynomial is ((), 1).  So
+equality is tuple equality, and serializing a coefficient takes one
+``math.gcd``.  Builders that know their denominator (n! for a class sum,
+r! for a binomial) construct through ``Polynomial.over(nums, den)`` and
+never touch a ``Fraction``; ``Polynomial(iterable of rationals)`` and the
+``coeffs`` tuple of ``Fraction``s are the public view.
+
+Factorial evaluations stay in ``int`` for ``int`` arguments and return a
+``Fraction`` for ``Fraction`` arguments.  At integer arguments they are
+``math`` kernels: (x)_n = perm(x+n-1, n) for x >= 1, [x]_n = perm(x, n)
+for x >= 0, and binom(x, k) = comb(x, k), or (-1)^k comb(k-x-1, k) for
+x < 0.  Every other argument takes the product loop.
 
 ``falling_factorial_poly(c, n)`` and ``binom_poly(c, r)`` are built from
 one coefficient list, with no ``Polynomial`` products.  For an ``int`` c
@@ -17,8 +28,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, prod
-from typing import Iterable, List, Sequence, Union
+from itertools import zip_longest
+from math import comb, factorial, gcd, lcm, perm, prod
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
@@ -29,7 +41,6 @@ NEG_INFINITY = float("-inf")
 
 def format_rational(x: RationalLike) -> str:
     """Render a rational as "p/q", or just "p" when the denominator is 1."""
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -42,58 +53,75 @@ def parse_rational(text: str) -> Fraction:
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    ``coeffs[k]`` is the coefficient of X^k.  The zero polynomial has an
-    empty coefficient tuple.
+    Stored as integer numerators ``nums`` over one denominator ``den``: the
+    coefficient of X^k is nums[k] / den.  ``coeffs`` is the same polynomial
+    as a tuple of ``Fraction``s.  The zero polynomial is ((), 1).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coefficients]
+        den = lcm(*(c.denominator for c in coeffs))
+        self.nums, self.den = _canonical(
+            [c.numerator * (den // c.denominator) for c in coeffs], den
+        )
+
+    @classmethod
+    def over(cls, nums: Iterable[int], den: int) -> "Polynomial":
+        """sum_k nums[k] X^k / den, for integer numerators and den != 0."""
+        poly = cls.__new__(cls)
+        poly.nums, poly.den = _canonical(list(nums), den)
+        return poly
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """``coeffs[k]`` is the coefficient of X^k, a reduced ``Fraction``."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> float:
         """Degree, or NEG_INFINITY for the zero polynomial."""
-        if not self.coeffs:
+        if not self.nums:
             return NEG_INFINITY
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of X^k (zero outside the stored range)."""
-        if k < 0 or k >= len(self.coeffs):
+        if k < 0 or k >= len(self.nums):
             return Fraction(0)
-        return self.coeffs[k]
+        return Fraction(self.nums[k], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self == Polynomial([other])
+            return len(self.nums) <= 1 and self.coefficient(0) == other
         return NotImplemented
 
     def __hash__(self) -> int:
         # constants hash as the scalar they compare equal to
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
+        if len(self.nums) <= 1:
+            return hash(self.coefficient(0))
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
+        return Polynomial.over(
+            (
+                a * other.den + b * self.den
+                for a, b in zip_longest(self.nums, other.nums, fillvalue=0)
+            ),
+            self.den * other.den,
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial.over((-c for c in self.nums), self.den)
 
     def __sub__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         return self + (-_coerce(other))
@@ -103,18 +131,17 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
+            return Polynomial.over(
+                (c * other.numerator for c in self.nums),
+                self.den * other.denominator,
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(other.nums):
                 out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial.over(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -122,19 +149,24 @@ class Polynomial:
         """Exact evaluation at x (Horner)."""
         x = Fraction(x)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             acc = acc * x + c
-        return acc
+        return acc / self.den
 
     def substitute_neg_x(self) -> "Polynomial":
         """Return p(-X)."""
-        return Polynomial(
-            c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)
+        return Polynomial.over(
+            (c if k % 2 == 0 else -c for k, c in enumerate(self.nums)), self.den
         )
 
     def to_strings(self) -> List[str]:
         """Serialized form: coefficient strings, constant term first."""
-        return [format_rational(c) for c in self.coeffs]
+        den = self.den
+        out = []
+        for c in self.nums:
+            g = gcd(c, den)
+            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return out
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "Polynomial":
@@ -195,6 +227,21 @@ class Polynomial:
         return f"Polynomial({self.render()!r})"
 
 
+def _canonical(nums: List[int], den: int) -> Tuple[Tuple[int, ...], int]:
+    """Strip trailing zeros, then divide out gcd(den, *nums) with den's sign."""
+    if not den:
+        raise ZeroDivisionError("polynomial denominator is zero")
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return tuple(nums), den
+
+
 def _coerce(value: "Polynomial | RationalLike") -> Polynomial:
     if isinstance(value, Polynomial):
         return value
@@ -211,6 +258,8 @@ def rising_factorial_eval(x: RationalLike, n: int) -> RationalLike:
     """(x)_n = x (x+1) ... (x+n-1); the empty product for n = 0."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if isinstance(x, int) and x >= 1:
+        return perm(x + n - 1, n)
     # start at x**0 so the empty product has the type of x too
     return prod((x + i for i in range(n)), start=x**0)
 
@@ -219,6 +268,8 @@ def falling_factorial_eval(x: RationalLike, n: int) -> RationalLike:
     """[x]_n = x (x-1) ... (x-n+1)."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if isinstance(x, int) and x >= 0:
+        return perm(x, n)
     return prod((x - i for i in range(n)), start=x**0)
 
 
@@ -245,12 +296,15 @@ def falling_factorial_poly(c: RationalLike, n: int) -> Polynomial:
 
 def binom_poly(c: RationalLike, r: int) -> Polynomial:
     """binom(X+c, r) = [X+c]_r / r!."""
-    r_fact = factorial(r)
-    return Polynomial(Fraction(k, r_fact) for k in _falling_coeffs(c, r))
+    falling = falling_factorial_poly(c, r)
+    return Polynomial.over(falling.nums, falling.den * factorial(r))
 
 
 def binom_rat(x: RationalLike, k: int) -> Fraction:
     """binom(x, k) = [x]_k / k! for k >= 0; zero for negative k."""
     if k < 0:
         return Fraction(0)
+    if isinstance(x, int):
+        # upper negation: binom(x, k) = (-1)^k binom(k-x-1, k)
+        return Fraction(comb(x, k) if x >= 0 else (-1) ** k * comb(k - x - 1, k))
     return Fraction(falling_factorial_eval(x, k), factorial(k))

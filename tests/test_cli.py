@@ -60,6 +60,44 @@ def test_identity_json_matches_verifier_schema(capsys):
     assert data["lhs"] == data["rhs"] == "3"
 
 
+#: one case per id with its JSON status and sides, as pinned before sides
+#: moved to integer numerators; fractional and SKIPPED cases included
+IDENTITY_JSON = {
+    "CLASSICAL(n=4,form=UNSIGNED)": (
+        "VERIFIED", ["0", "1/4", "11/24", "1/4", "1/24"], ["0", "1/4", "11/24", "1/4", "1/24"]
+    ),
+    "CONJ1(n=6,r=4,s=1,form=UNSIGNED)": (
+        "VERIFIED", ["15", "55/2", "15", "5/2"], ["15", "55/2", "15", "5/2"]
+    ),
+    "CONJ2(n=4,s=2,form=UNSIGNED)": (
+        "VERIFIED", ["5", "37/6", "5/2", "1/3"], ["5", "37/6", "5/2", "1/3"]
+    ),
+    "CONJ3(n=6,r=4,s=0)": ("VERIFIED", "10", "10"),
+    "CONJ4(n=5,r=1,s=2)": ("SKIPPED", "30", "0"),
+    "CONST_TERM(n=5,r=3,s=2)": ("VERIFIED", "-60", "-60"),
+    "TOP_COEFF(n=5,r=4,s=1)": ("VERIFIED", ["5/6", "-5"], ["5/6", "-5"]),
+    "BINOMIAL_TYPE(n=3,s=2)": ("VERIFIED", ["0", "2", "3", "1"], ["0", "2", "3", "1"]),
+    "HOCKEY_STICK(n=5,r=1)": ("SKIPPED", "5", "4"),
+}
+
+
+def test_identity_sides_keep_their_types_and_json(capsys):
+    # integer prefactors and kernels must not leak a bare int into a side
+    from fractions import Fraction
+
+    from partition_identities.identities import IdentityCase, IdentityId, case_sides
+
+    assert {IdentityCase.parse(c).identity_id for c in IDENTITY_JSON} == set(IdentityId)
+    for text, (status, lhs, rhs) in IDENTITY_JSON.items():
+        for side in (v for pair in case_sides(IdentityCase.parse(text)) for v in pair):
+            assert type(side) in (Polynomial, Fraction), (text, side)
+        code, out, _ = run(capsys, "identity", text, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        del data["elapsed_ms"]
+        assert data == {"case": text, "status": status, "lhs": lhs, "rhs": rhs}
+
+
 def test_sweep_to_file(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = run(

@@ -514,6 +514,31 @@ def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
         assert all(a == b == 0 for a, b in top_coeff_checks(5, 5000, s))
 
 
+def test_scalar_ids_above_n_build_no_factorial(monkeypatch):
+    # r > n makes the prefactor binom(n+s-1, n-r) zero, so CONST_TERM and
+    # TOP_COEFF are zero without building r! or a product of r factors
+    from partition_identities import identities, polynomials
+
+    n = 5
+    for r in (n + 1, 200000):
+        real = factorial
+
+        def capped(k, r=r):
+            if k >= r:
+                raise AssertionError(f"built {k}!")
+            return real(k)
+
+        monkeypatch.setattr(identities, "factorial", capped)
+        monkeypatch.setattr(polynomials, "factorial", capped)
+        for s in range(1, 4):
+            const_term = case_sides(IdentityCase(IdentityId.CONST_TERM, n, r, s))
+            top_coeff = case_sides(IdentityCase(IdentityId.TOP_COEFF, n, r, s))
+            assert const_term == [(0, 0)]
+            assert top_coeff == [(0, 0), (0, 0)]
+            for lhs, rhs in const_term + top_coeff:
+                assert type(lhs) is type(rhs) is Fraction
+
+
 def test_coefficient_bridge_top():
     # (r-1)! times the X^{r-1} coefficient of the UNSIGNED LHS equals
     # the length-r scalar sum

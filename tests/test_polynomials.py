@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +166,60 @@ def test_binom_rat_matches_pascal():
 def test_factorial_evals_match_oracle(x, n):
     assert rising_factorial_eval(x, n) == rising(x, n)
     assert falling_factorial_eval(x, n) == falling(x, n)
+
+
+@given(
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12),
+)
+@settings(max_examples=300)
+def test_integer_kernels_match_oracle(x, n, k):
+    # int arguments take the math.perm/comb paths, on both sides of zero
+    assert rising_factorial_eval(x, n) == rising(x, n)
+    assert falling_factorial_eval(x, n) == falling(x, n)
+    assert binom_rat(x, k) == Fraction(falling(x, k), factorial(k))
+
+
+def test_binom_rat_integer_examples():
+    # upper negation, and k above a non-negative x
+    assert binom_rat(-1, 5) == -1
+    assert binom_rat(-3, 2) == 6
+    assert binom_rat(-3, 0) == 1
+    assert binom_rat(2, 5) == 0
+
+
+numerator_lists = st.lists(
+    st.integers(min_value=-10**6, max_value=10**6), max_size=6
+).flatmap(lambda nums: st.integers(0, 2).map(lambda zeros: nums + [0] * zeros))
+denominators = st.integers(min_value=-720, max_value=720).filter(bool)
+
+
+@given(numerator_lists, denominators)
+@settings(max_examples=200)
+def test_over_matches_fraction_constructor(nums, den):
+    p = Polynomial.over(nums, den)
+    q = Polynomial(Fraction(c, den) for c in nums)
+    assert p == q and hash(p) == hash(q)
+    assert p.coeffs == q.coeffs
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.to_strings() == [format_rational(c) for c in p.coeffs]
+    # canonical form: no trailing zero, den > 0, nothing left to cancel
+    assert not p.nums or p.nums[-1] != 0
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert all(p.coefficient(k) == Fraction(c, den) for k, c in enumerate(nums))
+
+
+def test_over_canonical_examples():
+    assert (Polynomial.over([0, 0], -7).nums, Polynomial.over([0, 0], -7).den) == ((), 1)
+    p = Polynomial.over([4, -6, 0], -8)
+    assert (p.nums, p.den) == ((-2, 3), 4)
+    assert p.coeffs == (Fraction(-1, 2), Fraction(3, 4))
+    p = Polynomial.over([3, -2], -1)
+    assert (p.nums, p.den) == ((-3, 2), 1)
+    assert Polynomial.over([6], 3) == 2 and hash(Polynomial.over([6], 3)) == hash(2)
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.over([1], 0)
 
 
 def test_rational_serialization_round_trip():
