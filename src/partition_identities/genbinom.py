@@ -2,17 +2,18 @@
 
 ``gen_binom(lam, r)`` counts the r-subsets of the Ferrers diagram of
 ``lam`` that contain at least one cell in every row.  The fast path
-multiplies out ``prod_i ((1+t)^{lam_i} - 1)`` one row at a time; the
-coefficient of t^r is the answer.  ``_row_coeffs`` keeps no memo: the
-CONJ1 table of ``identities.py`` takes each partition's whole row once and
-reads every r from it.
+multiplies out ``prod_i ((1+t)^{lam_i} - 1)`` one row at a time, keeping
+only the terms of degree <= r; the coefficient of t^r is the answer.  It
+is zero, with no product, unless l(lam) <= r <= |lam|.  ``row_gen_poly``
+is the whole row.  ``_row_coeffs`` keeps no memo; the CONJ1 table of
+``identities.py`` does not call it, and multiplies packed rows instead.
 A literal subset-counting oracle is kept alongside for validation.
 """
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .partitions import Partition
 
@@ -20,15 +21,19 @@ from .partitions import Partition
 DEFAULT_ORACLE_LIMIT = 16
 
 
-def _row_coeffs(parts: Tuple[int, ...]) -> Tuple[int, ...]:
+def _row_coeffs(parts: Tuple[int, ...], top: Optional[int] = None) -> Tuple[int, ...]:
+    """Coefficients of prod_i ((1+t)^{parts_i} - 1) up to t^top (all by default)."""
     acc = [1]
     for a in parts:
-        row = [0] + [comb(a, k) for k in range(1, a + 1)]  # (1+t)^a - 1
-        out = [0] * (len(acc) + a)
+        degree = len(acc) - 1 + a
+        if top is not None:
+            degree = min(degree, top)
+        row = [0] + [comb(a, k) for k in range(1, min(a, degree) + 1)]  # (1+t)^a - 1
+        out = [0] * (degree + 1)
         for i, x in enumerate(acc):
             if x == 0:
                 continue
-            for j, y in enumerate(row):
+            for j, y in enumerate(row[:degree - i + 1]):
                 out[i + j] += x * y
         acc = out
     return tuple(acc)
@@ -43,10 +48,9 @@ def gen_binom(lam: Partition, r: int) -> int:
     """Number of r-subsets of the diagram covering every row; 0 out of range."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    coeffs = row_gen_poly(lam)
-    if r >= len(coeffs):
+    if not lam.length <= r <= lam.weight:
         return 0
-    return coeffs[r]
+    return _row_coeffs(lam.parts, r)[r]
 
 
 def gen_binom_bruteforce(

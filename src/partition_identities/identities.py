@@ -10,7 +10,9 @@ depends on neither s nor the form.  Each table is filled in one streamed
 walk over the partitions of n, which stores no partition, and is keyed by
 n alone: ``_class_tables(n)`` holds the per-length vectors of CLASSICAL,
 CONJ2, CONJ3 and CONJ4, and ``_covering_table(n)`` those of CONJ1 for
-every r <= n.  A case with a single (n, r) still pays for the whole n.
+every r <= n.  The CONJ1 table carries every r at once in polynomials in
+t packed into single ints, with a slot width from ``_slot_bits(n)``.  A
+case with a single (n, r) still pays for the whole n.
 Every case then takes one dot product per length with its row of (i)_s.
 The vectors are rearranged sums over the partitions, never closed forms.
 """
@@ -26,7 +28,6 @@ from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from . import partitions
-from .genbinom import _row_coeffs
 from .polynomials import (
     Polynomial,
     _falling_coeffs,
@@ -160,6 +161,7 @@ def _class_tables(n: int) -> Tuple[Moments, Moments]:
     and W_l is summed over the partitions, never from its closed form
     l binom(n-i-1, l-2), which is the CONJ4 right-hand side.
     """
+    partitions.check_enumerable(n)  # before the O(n^2) vectors are allocated
     classes = [[0] * (n + 1) for _ in range(n)]
     lengths = [[0] * (n + 1) for _ in range(n)]
     for parts, mults, mult_factorial, class_size in _cycle_types(n):
@@ -171,23 +173,61 @@ def _class_tables(n: int) -> Tuple[Moments, Moments]:
     return tuple(map(tuple, classes)), tuple(map(tuple, lengths))
 
 
+def _slot_bits(n: int) -> int:
+    """Bits per coefficient of the packed CONJ1 table at n, in whole bytes.
+
+    An entry sum over mu of (n!/z_mu) <mu, r> m_i(mu) is at most n! 2^n n:
+    the class sizes add up to n!, <mu, r> <= prod_i (2^mu_i - 1) < 2^n and
+    m_i <= n.  Every term is >= 0, so each slot, and each partial sum in
+    it, stays below 2^width and never carries into the next one.
+    """
+    return -(-(factorial(n) * n << n).bit_length() // 8) * 8
+
+
 # 64 keys hold every n <= 60 that check_enumerable accepts
 @lru_cache(maxsize=64)
 def _covering_table(n: int) -> Tuple[Moments, ...]:
     """[r-1][l-1][i] = sum over l(mu) = l of (n!/z_mu) <mu, r> m_i(mu), r <= n.
 
-    <mu, r> is zero for l(mu) > r, so row r holds the lengths l <= r.  Each
-    mu's whole row polynomial is multiplied out once and read at every r.
+    <mu, r> is zero for l(mu) > r, so row r holds the lengths l <= r.  A
+    polynomial in t with nonnegative coefficients below 2^width is packed
+    into one int, its value at t = 2^width (Kronecker substitution), so C
+    bigint arithmetic adds and multiplies it without a carry between slots.
+    mu's row prod_i ((1+t)^mu_i - 1) is a product of packed factors; a part
+    1 contributes t, a shift.  Consecutive partitions of the walk share a
+    prefix of parts, and so their partial products.  One packed sum per
+    (l, i) takes (n!/z_mu) m_i(mu) times the row, for every r at once, and
+    is unpacked once at the end.
     """
-    table = [[[0] * (n + 1) for _ in range(r)] for r in range(1, n + 1)]
+    partitions.check_enumerable(n)  # before n + 1 factors of up to n * width bits
+    width = _slot_bits(n)
+    factors = [((1 << width) + 1) ** a - 1 for a in range(n + 1)]
+    sums = [[0] * (n + 1) for _ in range(n)]
+    # products[k] is the product over the first k parts > 1 of ``prefix``
+    prefix: Tuple[int, ...] = ()
+    products = [1]
     for parts, mults, _, class_size in _cycle_types(n):
-        row = _row_coeffs(parts)
-        for r in range(len(parts), n + 1):
-            weight = class_size * row[r]
-            vector = table[r - 1][len(parts) - 1]
-            for i, m in mults:
-                vector[i] += weight * m
-    return tuple(tuple(map(tuple, lengths)) for lengths in table)
+        ones = parts.count(1)
+        head = parts[:len(parts) - ones]
+        shared = 0
+        while shared < min(len(head), len(prefix)) and head[shared] == prefix[shared]:
+            shared += 1
+        del products[shared + 1:]
+        for a in head[shared:]:
+            products.append(products[-1] * factors[a])
+        prefix = head
+        weighted = class_size * products[-1] << width * ones
+        vector = sums[len(parts) - 1]
+        for i, m in mults:
+            vector[i] += weighted * m
+    mask = (1 << width) - 1
+    shifts = range(0, (n + 1) * width, width)
+    # by_length[l-1][r] is the length-l vector of row r: slot r of each sum
+    by_length = [
+        list(zip(*[[packed >> k & mask for k in shifts] for packed in vector]))
+        for vector in sums
+    ]
+    return tuple(tuple(by_length[l][r] for l in range(r)) for r in range(1, n + 1))
 
 
 def _class_sum(

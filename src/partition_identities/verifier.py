@@ -149,7 +149,8 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
+        # no indent: json.dumps then runs its C encoder
+        return json.dumps(self.to_dict(), ensure_ascii=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -5,6 +5,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
+from partition_identities.genbinom import row_gen_poly
+from partition_identities.partitions import Partition
 from partition_identities.polynomials import Polynomial
 
 
@@ -91,6 +93,24 @@ def covering_count(parts, r: int) -> int:
         for subset in combinations(cells, r)
         if len({row for row, _ in subset}) == len(parts)
     )
+
+
+def covering_table(n: int) -> tuple:
+    """The CONJ1 table [r-1][l-1][i], one mu at a time with unpacked rows.
+
+    Each mu's whole row polynomial prod_i ((1+t)^mu_i - 1) is multiplied out
+    as a coefficient list and (n!/z_mu) <mu, r> m_i(mu) is added entry by
+    entry for every l(mu) <= r <= n.
+    """
+    table = [[[0] * (n + 1) for _ in range(r)] for r in range(1, n + 1)]
+    for mu in partitions(n):
+        row = row_gen_poly(Partition(mu))
+        class_size = factorial(n) // z_value(mu)
+        for r in range(len(mu), n + 1):
+            vector = table[r - 1][len(mu) - 1]
+            for i, m in Counter(mu).items():
+                vector[i] += class_size * row[r] * m
+    return tuple(tuple(map(tuple, lengths)) for lengths in table)
 
 
 def partition_sum(n: int, weight, shift: int, sign_r=None) -> dict:

@@ -94,3 +94,18 @@ def test_negative_r_rejected():
         gen_binom(Partition([2]), -1)
     with pytest.raises(ValueError):
         gen_binom_bruteforce(Partition([2]), -1)
+
+
+def test_gen_binom_truncates_at_r():
+    # only terms of degree <= r are built: a single row of 30000 cells at
+    # r = 3 is comb(30000, 3), and out-of-range r builds no product at all
+    assert gen_binom(Partition([30000]), 3) == comb(30000, 3)
+    assert gen_binom(Partition([30000, 2]), 3) == 30000 + 2 * comb(30000, 2)
+    assert gen_binom(Partition([30000] * 4), 3) == 0
+    assert gen_binom(Partition([2, 1]), 4) == 0
+    assert gen_binom(Partition(), 0) == 1
+    for n in range(0, 13):
+        for lam in enumerate_partitions(n):
+            full = row_gen_poly(lam)
+            for r in range(0, n + 3):
+                assert gen_binom(lam, r) == (full[r] if r <= n else 0)

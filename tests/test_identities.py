@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -172,25 +173,31 @@ def test_moment_tables_match_bruteforce_oracle():
 
 def test_each_moment_table_is_built_once(monkeypatch):
     # every r, s and form of one n reads one table: the partitions of n are
-    # walked once per table, and CONJ1 multiplies out each row once
-    from partition_identities import identities, partitions
+    # walked once per table, and each mu enters the CONJ1 table once
+    from partition_identities import genbinom, identities, partitions
 
     _clear_moment_caches()
     walks = Counter()
     rows = []
     real_partitions_of = partitions._partitions_of
-    real_row_coeffs = identities._row_coeffs
+    real_cycle_types = identities._cycle_types
 
     def counted_partitions_of(n):
         walks[n] += 1
         return real_partitions_of(n)
 
-    def counted_row_coeffs(parts):
-        rows.append(parts)
-        return real_row_coeffs(parts)
+    def counted_cycle_types(n):
+        for entry in real_cycle_types(n):
+            rows.append(entry[0])
+            yield entry
 
+    def refuse_row_coeffs(*args):
+        raise AssertionError("the CONJ1 table called _row_coeffs")
+
+    assert not hasattr(identities, "_row_coeffs")
     monkeypatch.setattr(partitions, "_partitions_of", counted_partitions_of)
-    monkeypatch.setattr(identities, "_row_coeffs", counted_row_coeffs)
+    monkeypatch.setattr(identities, "_cycle_types", counted_cycle_types)
+    monkeypatch.setattr(genbinom, "_row_coeffs", refuse_row_coeffs)
     n = 9
     for r in range(1, n + 1):
         for s in range(1, 5):
@@ -202,6 +209,7 @@ def test_each_moment_table_is_built_once(monkeypatch):
 
     _clear_moment_caches()
     walks.clear()
+    rows.clear()
     n = 12
     for iid in (IdentityId.CLASSICAL, IdentityId.CONJ2, IdentityId.CONJ3, IdentityId.CONJ4):
         spec = IDENTITIES[iid]
@@ -209,8 +217,28 @@ def test_each_moment_table_is_built_once(monkeypatch):
             for s in range(spec.s_min, 6) if spec.uses_s else [None]:
                 for form in list(Form) if spec.has_forms else [None]:
                     case_sides(IdentityCase(iid, n, r, s, form))
-    assert len(rows) == 30
+    # one walk, for the class tables; the CONJ1 table is never built
+    assert sorted(rows) == sorted(oracles.partitions(n))
     assert walks == Counter({n: 1})
+    assert identities._covering_table.cache_info().currsize == 0
+
+
+def test_packed_covering_table_matches_unpacked_oracle():
+    from partition_identities.identities import _covering_table
+
+    for n in range(1, 21):
+        assert _covering_table(n) == oracles.covering_table(n), f"n={n}"
+
+
+def test_packed_slots_are_wide_enough():
+    from partition_identities.identities import _covering_table, _slot_bits
+
+    for n in range(1, 21):
+        width = _slot_bits(n)
+        assert width % 8 == 0
+        assert max(max(v) for lengths in _covering_table(n) for v in lengths) < 1 << width
+    # the stated bound n! n 2^n at the largest n the enumeration accepts
+    assert factorial(60) * 60 * 2**60 < 1 << _slot_bits(60)
 
 
 def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
@@ -226,10 +254,19 @@ def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
         with pytest.raises(AssertionError, match="partitions of 7"):
             table(7)
     monkeypatch.undo()
-    # the p(n) limit applies to both tables
+    # the p(n) limit applies to both tables, before either allocates its
+    # O(n^2) vectors or packed factors
     for table in tables:
         with pytest.raises(ValueError, match="partitions"):
             table(61)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="partitions"):
+                table(400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{table.__name__}(400) allocated {peak} bytes"
 
 
 def _enumerating_cases(forms):

@@ -201,6 +201,15 @@ def test_report_json_schema():
         assert isinstance(res["lhs"], list)  # polynomial sides
 
 
+def test_report_json_is_one_line_of_the_report_dict():
+    report = run_sweep(
+        SweepConfig(identity_ids=(IdentityId.CONJ1,), n_range=(1, 3), r_range=(1, 3))
+    )
+    text = report.to_json()
+    assert "\n" not in text
+    assert json.loads(text) == report.to_dict()
+
+
 def test_report_csv():
     report = run_sweep(
         SweepConfig(identity_ids=(IdentityId.CONJ3,), n_range=(2, 3), r_range=(1, 2))
