@@ -9,7 +9,6 @@ from .identities import Form, IdentityCase, IdentityId
 from .partitions import Partition, enumerate_partitions
 from .polynomials import (
     Polynomial,
-    Rational,
     binom_poly,
     binom_rat,
     falling_factorial_poly,
@@ -23,7 +22,6 @@ __all__ = [
     "IdentityId",
     "Partition",
     "Polynomial",
-    "Rational",
     "Report",
     "SweepConfig",
     "binom_poly",

@@ -98,7 +98,6 @@ def _cmd_sweep(args) -> int:
         form=form,
         worker_count=args.workers,
     )
-    config.validate()
     report = run_sweep(config)
     _emit_report(report, args)
     return report.exit_code

@@ -12,7 +12,9 @@ n alone: ``_class_tables(n)`` holds the per-length vectors of CLASSICAL,
 CONJ2, CONJ3 and CONJ4, and ``_covering_table(n)`` those of CONJ1 for
 every r <= n.  The CONJ1 table carries every r at once in polynomials in
 t packed into single ints, with a slot width from ``_slot_bits(n)``.  A
-case with a single (n, r) still pays for the whole n.
+case with a single (n, r) still pays for the whole n.  Both tables refuse
+n > ``partitions.MAX_N`` before they allocate, and each memo has room for
+every n they accept.
 Every case then takes one dot product per length with its row of (i)_s.
 The vectors are rearranged sums over the partitions, never closed forms.
 """
@@ -151,8 +153,7 @@ def _cycle_types(n: int) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[int, int]
         yield parts, mults, mult_factorial, n_fact // (mult_factorial * prod(parts))
 
 
-# 64 keys hold every n <= 60 that check_enumerable accepts
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=partitions.MAX_N + 1)
 def _class_tables(n: int) -> Tuple[Moments, Moments]:
     """(M, W) for l = 1..n: sums over mu |- n with l(mu) = l of w(mu) m_i(mu).
 
@@ -184,8 +185,7 @@ def _slot_bits(n: int) -> int:
     return -(-(factorial(n) * n << n).bit_length() // 8) * 8
 
 
-# 64 keys hold every n <= 60 that check_enumerable accepts
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=partitions.MAX_N + 1)
 def _covering_table(n: int) -> Tuple[Moments, ...]:
     """[r-1][l-1][i] = sum over l(mu) = l of (n!/z_mu) <mu, r> m_i(mu), r <= n.
 
@@ -416,7 +416,7 @@ class IdentitySpec:
     enumerates: bool = False
 
 
-#: the single registry of identities, one entry per IdentityId
+#: the single registry of identities, one entry per IdentityId in its order
 IDENTITIES: Dict[IdentityId, IdentitySpec] = {
     IdentityId.CLASSICAL: IdentitySpec(
         uses_r=False, uses_s=False, has_forms=True, enumerates=True,

@@ -1,24 +1,26 @@
 """Integer partitions with length constraints and their statistics.
 
 ``_partitions_of(n)`` streams the partitions of n in decreasing
-lexicographic order and keeps none of them; the p(n) limit is checked
-when it is called, before anything is generated.  The left-hand sides of
-``identities.py`` walk it once per n into their moment tables.
-``Partition`` with ``z_value`` and ``multiplicities``, and
-``enumerate_partitions``, are the public API and the slower reference
-those tables are tested against.
+lexicographic order and keeps none of them; it refuses n > ``MAX_N``
+before it yields anything.  ``MAX_N`` is derived once, at import, from
+the same pentagonal recurrence as ``partition_count``, so the refusal is
+one comparison.  The left-hand sides of ``identities.py`` walk the
+partitions once per n into their moment tables.  ``Partition`` with
+``z_value`` and ``multiplicities``, and ``enumerate_partitions``, are
+the public API and the slower reference those tables are tested against.
 """
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count, islice
 from math import factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: textual form of the empty partition
 EMPTY_SYMBOL = "ε"
 
-#: the most partitions one enumeration may produce, so n <= 60 (p(60) = 966467).
-#: The walk stores no partition, so this bounds time rather than memory
+#: the most partitions one enumeration may produce.  The walk stores no
+#: partition, so this bounds time rather than memory
 MAX_PARTITIONS = 10**6
 
 
@@ -66,13 +68,6 @@ class Partition:
                 yield (i, j)
 
     @classmethod
-    def from_multiplicities(cls, mult: Dict[int, int]) -> "Partition":
-        parts: List[int] = []
-        for value in sorted(mult, reverse=True):
-            parts.extend([value] * mult[value])
-        return cls(parts)
-
-    @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse "3+1+1"; "ε" or the empty string is the empty partition."""
         text = text.strip()
@@ -107,10 +102,11 @@ class Partition:
         return len(self.parts)
 
 
-def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence, without enumerating."""
+def _partition_counts() -> Iterator[int]:
+    """p(0), p(1), p(2), ... by Euler's pentagonal-number recurrence."""
     counts = [1]
-    for m in range(1, n + 1):
+    yield 1
+    for m in count(1):
         total, k = 0, 1
         while (g := k * (3 * k - 1) // 2) <= m:
             sign = 1 if k % 2 else -1
@@ -119,55 +115,59 @@ def partition_count(n: int) -> int:
                 total += sign * counts[m - g - k]
             k += 1
         counts.append(total)
-    return counts[n]
+        yield total
+
+
+def partition_count(n: int) -> int:
+    """p(n) by Euler's pentagonal-number recurrence, without enumerating."""
+    return next(islice(_partition_counts(), n, None))
+
+
+#: the largest n with p(n) <= MAX_PARTITIONS; p is increasing, so the
+#: recurrence stops at the first n past it
+MAX_N = next(n for n, p in enumerate(_partition_counts()) if p > MAX_PARTITIONS) - 1
 
 
 def check_enumerable(n: int) -> None:
     """Raise ValueError if n has more than MAX_PARTITIONS partitions."""
-    count = partition_count(n)
-    if count > MAX_PARTITIONS:
+    if n > MAX_N:
         raise ValueError(
-            f"n={n} has {count} partitions, more than the {MAX_PARTITIONS} "
-            "one enumeration may produce"
+            f"n={n} has more than {MAX_PARTITIONS} partitions; "
+            f"enumeration stops at n={MAX_N}"
         )
 
 
 def _partitions_of(n: int) -> Iterator[Tuple[int, ...]]:
     """The partitions of n in decreasing lexicographic order of parts, lazily.
 
-    Refuses, when called and before generating anything, an n with more
-    than MAX_PARTITIONS partitions.  The walk is Zoghbi and Stojmenovic's
-    ZS1: x[:m] is the partition and x[h] its last part above 1.
+    Refuses n > MAX_N before it yields anything.  The walk is Zoghbi and
+    Stojmenovic's ZS1: x[:m] is the partition and x[h] its last part above 1.
     """
     check_enumerable(n)
-
-    def gen() -> Iterator[Tuple[int, ...]]:
-        if n == 0:
-            yield ()
-            return
-        x = [1] * n
-        x[0], m, h = n, 1, 0
-        yield (n,)
-        while x[0] != 1:
-            if x[h] == 2:
-                # (..., 2, 1, ..., 1) -> (..., 1, 1, 1, ..., 1)
-                x[h], m, h = 1, m + 1, h - 1
-            else:
-                # lower x[h] to r and refill the freed t = 1 + (m-h-1 ones)
-                # with copies of r, then the remainder
-                r, t = x[h] - 1, m - h
+    if n == 0:
+        yield ()
+        return
+    x = [1] * n
+    x[0], m, h = n, 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            # (..., 2, 1, ..., 1) -> (..., 1, 1, 1, ..., 1)
+            x[h], m, h = 1, m + 1, h - 1
+        else:
+            # lower x[h] to r and refill the freed t = 1 + (m-h-1 ones)
+            # with copies of r, then the remainder
+            r, t = x[h] - 1, m - h
+            x[h] = r
+            while t >= r:
+                h += 1
                 x[h] = r
-                while t >= r:
-                    h += 1
-                    x[h] = r
-                    t -= r
-                m = h + 1 if t == 0 else h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-            yield tuple(x[:m])
-
-    return gen()
+                t -= r
+            m = h + 1 if t == 0 else h + 2
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield tuple(x[:m])
 
 
 def enumerate_partitions(
@@ -183,12 +183,7 @@ def enumerate_partitions(
         raise ValueError("n must be non-negative")
     if min_len < 0 or (max_len is not None and max_len < 0):
         raise ValueError("lengths must be non-negative")
-    out = []
-    for parts in _partitions_of(n):
-        if len(parts) < min_len:
-            continue
-        if max_len is not None and len(parts) > max_len:
-            continue
-        out.append(Partition(parts))
-    return out
+    # no partition of n has more than n parts
+    max_len = n if max_len is None else max_len
+    return [Partition(parts) for parts in _partitions_of(n) if min_len <= len(parts) <= max_len]
 

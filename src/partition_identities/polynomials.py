@@ -30,9 +30,8 @@ import re
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm, perm, prod
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 #: degree of the zero polynomial
@@ -44,10 +43,6 @@ def format_rational(x: RationalLike) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 class Polynomial:
@@ -167,10 +162,6 @@ class Polynomial:
             g = gcd(c, den)
             out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
         return out
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls(parse_rational(s) for s in items)
 
     def render(self) -> str:
         """Human form, descending powers, e.g. "1/2·X^2 - 1/2·X"."""

@@ -13,7 +13,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import product
+from math import prod
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .identities import IDENTITIES, Form, IdentityCase, IdentityId, SidePair, case_sides
 from .partitions import check_enumerable
@@ -28,6 +30,10 @@ STATUS_COUNTEREXAMPLE = "COUNTEREXAMPLE"
 STATUS_SKIPPED = "SKIPPED"
 
 SerializedSide = Union[str, List[str]]
+
+#: the most cases one sweep may expand, the same one-million policy as
+#: ``partitions.MAX_PARTITIONS``
+MAX_CASES = 10**6
 
 
 class ConfigError(ValueError):
@@ -64,6 +70,12 @@ class SweepConfig:
                 check_enumerable(self.n_range[1])
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+        try:
+            too_many = sum(prod(map(len, axes)) for _, axes in _grid_axes(self)) > MAX_CASES
+        except OverflowError:  # an axis longer than sys.maxsize
+            too_many = True
+        if too_many:
+            raise ConfigError(f"grid has more than {MAX_CASES} cases, the most one sweep may run")
         if self.form is not None and not any(spec.has_forms for spec in specs):
             raise ConfigError(f"form {self.form.value} given, but no selected identity has forms")
         if self.worker_count < 1:
@@ -199,22 +211,34 @@ def compare_case(case: IdentityCase) -> CaseResult:
     return CaseResult.judge(case, case_sides(case), start)
 
 
+def _grid_axes(config: SweepConfig) -> List[Tuple[IdentityId, Tuple[Sequence, ...]]]:
+    """Each selected identity, in registry (= IdentityId) order, with its axes.
+
+    The axes are n, r, s and form.  One the identity does not take is
+    (None,), and s starts at the identity's own floor.  The grid is the
+    union of the axes' products, so their lengths multiply to its size.
+    """
+    (n_lo, n_hi), (r_lo, r_hi), (s_lo, s_hi) = config.n_range, config.r_range, config.s_range
+    forms = (config.form,) if config.form else tuple(Form)
+    return [
+        (iid, (
+            range(n_lo, n_hi + 1),
+            range(r_lo, r_hi + 1) if spec.uses_r else (None,),
+            range(max(s_lo, spec.s_min), s_hi + 1) if spec.uses_s else (None,),
+            forms if spec.has_forms else (None,),
+        ))
+        for iid, spec in IDENTITIES.items()
+        if iid in config.identity_ids
+    ]
+
+
 def expand_cases(config: SweepConfig) -> List[IdentityCase]:
     """Grid cases in deterministic (identity_id, n, r, s, form) order."""
-    cases: List[IdentityCase] = []
-    ids = sorted(set(config.identity_ids), key=lambda i: list(IdentityId).index(i))
-    n_lo, n_hi = config.n_range
-    r_lo, r_hi = config.r_range
-    s_lo, s_hi = config.s_range
-    forms = [config.form] if config.form else list(Form)
-    for iid in ids:
-        spec = IDENTITIES[iid]
-        for n in range(n_lo, n_hi + 1):
-            for r in range(r_lo, r_hi + 1) if spec.uses_r else [None]:
-                for s in range(max(s_lo, spec.s_min), s_hi + 1) if spec.uses_s else [None]:
-                    for fm in forms if spec.has_forms else [None]:
-                        cases.append(IdentityCase(iid, n, r, s, fm))
-    return cases
+    return [
+        IdentityCase(iid, *params)
+        for iid, axes in _grid_axes(config)
+        for params in product(*axes)
+    ]
 
 
 def run_sweep(config: SweepConfig) -> Report:

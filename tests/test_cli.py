@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -198,6 +199,21 @@ def test_enumeration_too_large_exits_2(capsys):
     assert code == 2 and "partitions" in err
     assert run(capsys, "sweep", "--ids", "CONJ1", "--n", "61", "--r", "1",
                "--s", "1", "--workers", "1")[0] == 2
+
+
+def test_far_too_large_input_exits_2_fast(capsys):
+    # the p(n) limit and the grid bound are comparisons, not computations
+    for argv in (
+        ("identity", "CLASSICAL(n=100000,form=SIGNED)"),
+        ("partitions", "100000"),
+        ("sweep", "--ids", "CONJ1", "--n", "1..100000"),
+        ("sweep", "--ids", "HOCKEY_STICK", "--n", "1..100000", "--r", "1..100000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and err.startswith("error: ") and not out, argv
+        assert len(err) < 200, argv
 
 
 def test_sweep_enumerates_only_what_cases_use(capsys, monkeypatch):

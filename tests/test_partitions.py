@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import time
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -9,8 +10,10 @@ import pytest
 import partition_identities
 from partition_identities import partitions
 from partition_identities.partitions import (
+    MAX_N,
     MAX_PARTITIONS,
     Partition,
+    check_enumerable,
     enumerate_partitions,
 )
 
@@ -57,10 +60,29 @@ def test_library_partition_count():
 
 def test_enumeration_refused_above_limit():
     # n = 60 is the largest n accepted
+    assert MAX_N == 60
     assert partition_count(60) <= MAX_PARTITIONS < partition_count(61)
+    assert (
+        partitions.partition_count(MAX_N)
+        <= MAX_PARTITIONS
+        < partitions.partition_count(MAX_N + 1)
+    )
+    check_enumerable(MAX_N)
     for n in (61, 200):
         with pytest.raises(ValueError, match="partitions"):
             enumerate_partitions(n)
+
+
+def test_refusal_is_a_comparison():
+    # no p(n) is computed for a refused n, and the message stays short
+    for n in (10**5, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            check_enumerable(n)
+        assert time.perf_counter() - start < 0.01
+        message = str(info.value)
+        assert len(message) < 200
+        assert f"n={n}" in message and "60" in message
 
 
 def test_length_filters():
@@ -106,7 +128,9 @@ def test_multiplicity_sums():
 def test_multiplicity_round_trip():
     for n in range(0, 15):
         for lam in enumerate_partitions(n):
-            assert Partition.from_multiplicities(lam.multiplicities()) == lam
+            mult = lam.multiplicities()
+            parts = [i for i in sorted(mult, reverse=True) for _ in range(mult[i])]
+            assert Partition(parts) == lam
 
 
 def test_z_value_examples():
@@ -176,3 +200,6 @@ def test_every_memo_is_bounded():
                 memos[f"{info.name}.{name}"] = value.cache_info().maxsize
     assert {"identities._class_tables", "identities._covering_table"} <= set(memos)
     assert all(size is not None for size in memos.values()), memos
+    # one slot for every n the tables accept
+    assert memos["identities._class_tables"] == MAX_N + 1
+    assert memos["identities._covering_table"] == MAX_N + 1

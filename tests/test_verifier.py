@@ -1,5 +1,7 @@
 import json
+import time
 from collections import Counter
+from math import prod
 
 import pytest
 
@@ -107,7 +109,9 @@ def test_grid_order_deterministic():
         s_range=(1, 2),
     )
     cases = expand_cases(config)
-    # identities come back in enum order regardless of input order
+    # identities come back in enum order regardless of input order; the
+    # grid walks the registry, which lists them in that order
+    assert list(verifier.IDENTITIES) == list(IdentityId)
     assert cases[0].identity_id is IdentityId.CONJ1
     keys = [
         (list(IdentityId).index(c.identity_id), c.n, c.r or 0, c.s or 0)
@@ -250,9 +254,42 @@ def test_registry_regression_all_identities():
         "BINOMIAL_TYPE": 6,
     }
     assert len(cases) == 150
+    assert _grid_size(config) == 150
     report = run_sweep(config)
     skipped = {str(r.case) for r in report.results if r.status == STATUS_SKIPPED}
     expected = {f"CONJ4(n={n},r=1,s={s})" for n in (1, 2, 3) for s in (1, 2)}
     expected |= {f"HOCKEY_STICK(n={n},r=1)" for n in (1, 2, 3)}
     assert skipped == expected
     assert report.summary == {"verified": 141, "counterexamples": 0, "skipped": 9}
+
+
+def _grid_size(config):
+    """The grid's size from its axes, without expanding it."""
+    return sum(prod(map(len, axes)) for _, axes in verifier._grid_axes(config))
+
+
+def test_grid_size_from_axes_matches_expansion():
+    configs = [
+        # grid-all: every id and skip rule, 5160 cases
+        SweepConfig(tuple(IdentityId), (1, 10), (1, 10), (1, 8), worker_count=2),
+        SweepConfig((IdentityId.CONJ3, IdentityId.CONJ1), (2, 4), (1, 3), (0, 2), Form.SIGNED),
+        # CONJ1's s axis is empty below its floor
+        SweepConfig((IdentityId.CONJ1, IdentityId.CONJ3), (1, 2), (1, 2), (0, 0)),
+    ]
+    for config in configs:
+        config.validate()
+        assert _grid_size(config) == len(expand_cases(config)), config
+    assert _grid_size(configs[0]) == 5160
+
+
+def test_grid_bound_refused_before_expansion():
+    at_bound = SweepConfig((IdentityId.HOCKEY_STICK,), (1, 1000), (1, 1000))
+    at_bound.validate()
+    for n_hi, r_hi in ((1001, 1000), (100000, 100000), (10**30, 2)):
+        config = SweepConfig((IdentityId.HOCKEY_STICK,), (1, n_hi), (1, r_hi))
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=str(verifier.MAX_CASES)):
+            config.validate()
+        assert time.perf_counter() - start < 0.01
+    with pytest.raises(ConfigError):
+        run_sweep(SweepConfig((IdentityId.HOCKEY_STICK,), (1, 100000), (1, 100000)))
