@@ -39,6 +39,10 @@ from .polynomials import (
     rising_factorial_eval,
 )
 
+#: the largest s a case takes.  The row (i)_s, i <= n, grows with s: at
+#: n = 60 and s = 10**4 it takes about 0.3 s on a 2-core Xeon
+MAX_S = 10**4
+
 SideValue = Union[Polynomial, Fraction]
 SidePair = Tuple[SideValue, SideValue]
 
@@ -73,8 +77,8 @@ class IdentityCase:
     def __post_init__(self) -> None:
         spec = IDENTITIES[self.identity_id]
         name = self.identity_id.value
-        if self.n < 1:
-            raise ValueError(f"{name}: n must be >= 1")
+        if not 1 <= self.n <= spec.max_n:
+            raise ValueError(f"{name}: n must be in 1..{spec.max_n}")
         for label, wanted, given in (
             ("parameter r", spec.uses_r, self.r),
             ("parameter s", spec.uses_s, self.s),
@@ -84,8 +88,8 @@ class IdentityCase:
                 raise ValueError(f"{name}: {label} {'required' if wanted else 'not applicable'}")
         if self.r is not None and self.r < 1:
             raise ValueError(f"{name}: r must be >= 1")
-        if self.s is not None and self.s < spec.s_min:
-            raise ValueError(f"{name}: s must be >= {spec.s_min}")
+        if self.s is not None and not spec.s_min <= self.s <= MAX_S:
+            raise ValueError(f"{name}: s must be in {spec.s_min}..{MAX_S}")
 
     @property
     def skipped(self) -> bool:
@@ -128,6 +132,8 @@ class IdentityCase:
                 kwargs["form"] = Form(value)
             else:
                 raise ValueError(f"unknown parameter {key!r}")
+        if "n" not in kwargs:
+            raise ValueError(f"{identity_id.value}: parameter n required")
         return cls(identity_id, **kwargs)
 
 
@@ -400,11 +406,16 @@ def sign_flip_check(n: int, r: int, s: int) -> bool:
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """One identity's parameters, lowest s, forms, builder and skip rule.
+    """One identity's parameters, lowest s, largest n, forms, builder and skip rule.
 
     ``skip_r1`` cases are built at r = 1 but reported SKIPPED: a boundary
-    convention makes the identity fail there.  ``enumerates`` builders read
-    the partitions of n, so they are bound by the p(n) enumeration limit.
+    convention makes the identity fail there.  ``max_n`` is the largest n a
+    case takes, checked by ``IdentityCase`` and ``SweepConfig.validate``
+    alike: the p(n) enumeration limit for builders that read the partitions
+    of n, and for the others the n at which one case, at its worst r and
+    s <= ``MAX_S``, takes about a second on a 2-core Xeon.  r needs no
+    bound: every builder gives zero for r > n without building anything of
+    size r.
     """
 
     uses_r: bool
@@ -413,47 +424,47 @@ class IdentitySpec:
     build: Callable[[IdentityCase], List[SidePair]]
     s_min: int = 1
     skip_r1: bool = False
-    enumerates: bool = False
+    max_n: int = partitions.MAX_N
 
 
 #: the single registry of identities, one entry per IdentityId in its order
 IDENTITIES: Dict[IdentityId, IdentitySpec] = {
     IdentityId.CLASSICAL: IdentitySpec(
-        uses_r=False, uses_s=False, has_forms=True, enumerates=True,
+        uses_r=False, uses_s=False, has_forms=True,
         build=lambda c: [classical_sides(c.n, c.form)],
     ),
     IdentityId.CONJ1: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=True, enumerates=True,
+        uses_r=True, uses_s=True, has_forms=True,
         build=lambda c: [conj1_sides(c.n, c.r, c.s, c.form)],
     ),
     IdentityId.CONJ2: IdentitySpec(
-        uses_r=False, uses_s=True, has_forms=True, enumerates=True,
+        uses_r=False, uses_s=True, has_forms=True,
         build=lambda c: [conj2_sides(c.n, c.s, c.form)],
     ),
     IdentityId.CONJ3: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=False, s_min=0, enumerates=True,
+        uses_r=True, uses_s=True, has_forms=False, s_min=0,
         build=lambda c: [conj3_sides(c.n, c.r, c.s)],
     ),
     # at r = 1 the resummed RHS has lower binomial index -1
     IdentityId.CONJ4: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=False, skip_r1=True, enumerates=True,
+        uses_r=True, uses_s=True, has_forms=False, skip_r1=True,
         build=lambda c: [conj4_sides(c.n, c.r, c.s)],
     ),
     IdentityId.CONST_TERM: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=False,
+        uses_r=True, uses_s=True, has_forms=False, max_n=10**5,
         build=lambda c: [const_term_sides(c.n, c.r, c.s)],
     ),
     IdentityId.TOP_COEFF: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=False,
+        uses_r=True, uses_s=True, has_forms=False, max_n=400,
         build=lambda c: top_coeff_checks(c.n, c.r, c.s),
     ),
     IdentityId.BINOMIAL_TYPE: IdentitySpec(
-        uses_r=False, uses_s=True, has_forms=False,
+        uses_r=False, uses_s=True, has_forms=False, max_n=300,
         build=lambda c: [binomial_type_sides(c.n, c.s)],
     ),
     # (n, r) plays the role of (N, k); the identity fails at k = 1
     IdentityId.HOCKEY_STICK: IdentitySpec(
-        uses_r=True, uses_s=False, has_forms=False, skip_r1=True,
+        uses_r=True, uses_s=False, has_forms=False, skip_r1=True, max_n=4000,
         build=lambda c: [hockey_stick_sides(c.n, c.r)],
     ),
 }

@@ -17,8 +17,7 @@ from itertools import product
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .identities import IDENTITIES, Form, IdentityCase, IdentityId, SidePair, case_sides
-from .partitions import check_enumerable
+from .identities import IDENTITIES, MAX_S, Form, IdentityCase, IdentityId, SidePair, case_sides
 from .polynomials import Polynomial, format_rational
 
 EXIT_OK = 0
@@ -53,23 +52,20 @@ class SweepConfig:
         if not self.identity_ids:
             raise ConfigError("no identities selected")
         specs = [IDENTITIES[i] for i in self.identity_ids]
-        # a parameter no selected identity uses has no floor
-        r_floor = 1 if any(spec.uses_r for spec in specs) else None
-        s_floor = min((spec.s_min for spec in specs if spec.uses_s), default=None)
-        for name, (lo, hi), floor in (
-            ("n", self.n_range, 1),
-            ("r", self.r_range, r_floor),
-            ("s", self.s_range, s_floor),
+        # a parameter no selected identity uses has no floor and no ceiling;
+        # r has no ceiling, since every builder gives zero for r > n
+        s_mins = [spec.s_min for spec in specs if spec.uses_s]
+        for name, (lo, hi), floor, ceiling in (
+            ("n", self.n_range, 1, min(spec.max_n for spec in specs)),
+            ("r", self.r_range, 1 if any(spec.uses_r for spec in specs) else None, None),
+            ("s", self.s_range, min(s_mins, default=None), MAX_S if s_mins else None),
         ):
             if lo > hi:
                 raise ConfigError(f"empty {name} range {lo}..{hi}")
             if floor is not None and lo < floor:
                 raise ConfigError(f"{name} range must start at {floor} or above")
-        if any(spec.enumerates for spec in specs):
-            try:
-                check_enumerable(self.n_range[1])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            if ceiling is not None and hi > ceiling:
+                raise ConfigError(f"{name}={max(lo, ceiling + 1)} is above its limit {ceiling}")
         try:
             too_many = sum(prod(map(len, axes)) for _, axes in _grid_axes(self)) > MAX_CASES
         except OverflowError:  # an axis longer than sys.maxsize

@@ -1,10 +1,14 @@
 import json
 import time
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partition_identities import partitions
-from partition_identities.cli import main
+from partition_identities import partitions, verifier
+from partition_identities.cli import _parse_range, main
+from partition_identities.identities import IDENTITIES, MAX_S, IdentityCase, IdentityId
 from partition_identities.polynomials import Polynomial
 
 
@@ -177,6 +181,7 @@ def test_malformed_input_exits_2(capsys):
     assert run(capsys, "zvalue", "1+3")[0] == 2
     assert run(capsys, "identity", "BOGUS(n=1)")[0] == 2
     assert run(capsys, "identity", "CONJ3(n=3,n=4,r=2,s=1)")[0] == 2
+    assert run(capsys, "identity", "CLASSICAL(form=SIGNED)")[0] == 2
     assert run(capsys, "sweep", "--ids", "CONJ1", "--n", "3..1")[0] == 2
     assert run(capsys, "sweep", "--ids", "NOPE", "--n", "1..2")[0] == 2
     # the sweep has no hidden test flags
@@ -202,9 +207,13 @@ def test_enumeration_too_large_exits_2(capsys):
 
 
 def test_far_too_large_input_exits_2_fast(capsys):
-    # the p(n) limit and the grid bound are comparisons, not computations
+    # the p(n) limit, each identity's bounds on n and s and the grid bound
+    # are comparisons, not computations
     for argv in (
         ("identity", "CLASSICAL(n=100000,form=SIGNED)"),
+        ("identity", "HOCKEY_STICK(n=1000000000,r=2)"),
+        ("identity", "BINOMIAL_TYPE(n=5000,s=3)"),
+        ("identity", "CONJ3(n=5,r=2,s=1000000)"),
         ("partitions", "100000"),
         ("sweep", "--ids", "CONJ1", "--n", "1..100000"),
         ("sweep", "--ids", "HOCKEY_STICK", "--n", "1..100000", "--r", "1..100000"),
@@ -216,7 +225,7 @@ def test_far_too_large_input_exits_2_fast(capsys):
         assert len(err) < 200, argv
 
 
-def test_sweep_enumerates_only_what_cases_use(capsys, monkeypatch):
+def test_sweep_walks_only_what_cases_use(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"enumerated the partitions of {n}")
 
@@ -235,17 +244,98 @@ def test_negative_length_exits_2(capsys):
 
 
 def test_sweep_refuses_enumeration_limit_before_any_case(capsys, monkeypatch):
-    from partition_identities.identities import IDENTITIES
-
     def refuse(n):
         raise AssertionError(f"enumerated the partitions of {n}")
 
+    def evaluate(case):
+        raise AssertionError(f"evaluated {case}")
+
     monkeypatch.setattr(partitions, "_partitions_of", refuse)
+    monkeypatch.setattr(verifier, "case_sides", evaluate)
+    # the spy is wired: a case within the limits reaches it
+    with pytest.raises(AssertionError, match="evaluated"):
+        main(["sweep", "--ids", "HOCKEY_STICK", "--n", "2", "--r", "2"])
     for iid, spec in IDENTITIES.items():
-        code, _, err = run(capsys, "sweep", "--ids", iid.value, "--n", "59..61", "--r", "30")
-        if spec.enumerates:
-            # n = 59 and 60 are within the limit, but no case runs
-            assert code == 2 and "n=61" in err, iid
-        else:
-            # an identity that reads no partition is not bound by p(n)
-            assert code == 0, iid
+        n_range = f"{spec.max_n - 1}..{spec.max_n + 1}"
+        code, _, err = run(capsys, "sweep", "--ids", iid.value, "--n", n_range, "--r", "30")
+        # the first two n are within the limit, but no case runs
+        assert code == 2 and f"n={spec.max_n + 1}" in err, iid
+        if spec.uses_s:
+            s_range = f"{MAX_S - 1}..{MAX_S + 1}"
+            code, _, err = run(capsys, "sweep", "--ids", iid.value, "--n", "2", "--s", s_range)
+            assert code == 2 and f"s={MAX_S + 1}" in err, iid
+
+
+#: every bound in the registry, so that draws land on both sides of each
+_BOUNDS = sorted({0, 1, MAX_S} | {spec.max_n for spec in IDENTITIES.values()})
+int_texts = st.one_of(
+    st.integers(-3, 70).map(str),
+    st.sampled_from(_BOUNDS).flatmap(lambda v: st.integers(v - 2, v + 2)).map(str),
+    st.integers(-10**30, 10**30).map(str),
+    # past the 4300-digit limit of int(str) in recent CPython releases
+    st.tuples(st.sampled_from(["", "-"]), st.integers(4301, 4400)).map(
+        lambda sign_digits: sign_digits[0] + "9" * sign_digits[1]
+    ),
+)
+
+
+@st.composite
+def case_texts(draw):
+    iid = draw(st.sampled_from(list(IdentityId)))
+    spec = IDENTITIES[iid]
+    # mostly the parameters the identity takes, else any of them
+    wanted = ["n"] + ["r"] * spec.uses_r + ["s"] * spec.uses_s + ["form"] * spec.has_forms
+    keys = draw(st.just(wanted) | st.lists(st.sampled_from(["n", "r", "s", "form"]), unique=True))
+    values = {"form": st.sampled_from(["SIGNED", "UNSIGNED", "BOTH"])}
+    fields = [f"{key}={draw(values.get(key, int_texts))}" for key in keys]
+    return f"{iid.value}({','.join(fields)})"
+
+
+def _assert_in_domain(case):
+    spec = IDENTITIES[case.identity_id]
+    assert 1 <= case.n <= spec.max_n, case
+    assert (case.r is not None) == spec.uses_r and (case.r is None or case.r >= 1), case
+    assert (case.s is not None) == spec.uses_s, case
+    assert case.s is None or spec.s_min <= case.s <= MAX_S, case
+    assert (case.form is not None) == spec.has_forms, case
+
+
+@given(case_texts() | st.text(max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_case_parse_fuzz_stays_in_domain(text):
+    # a parsed case is only built here, never evaluated
+    try:
+        case = IdentityCase.parse(text)
+    except ValueError:
+        return
+    _assert_in_domain(case)
+
+
+#: "a..b" with both ends near one bound, so that a short range straddles it
+near_bound_ranges = st.sampled_from(_BOUNDS).flatmap(
+    lambda v: st.tuples(st.integers(v - 2, v + 2), st.integers(v - 2, v + 2))
+).map(lambda ends: f"{ends[0]}..{ends[1]}")
+range_texts = st.one_of(
+    int_texts, st.tuples(int_texts, int_texts).map("..".join), near_bound_ranges, st.text(max_size=20)
+)
+
+
+@given(
+    st.lists(st.sampled_from(list(IdentityId)), min_size=1, unique=True),
+    range_texts,
+    range_texts,
+    range_texts,
+)
+@settings(max_examples=300, deadline=None)
+def test_range_parse_fuzz_stays_in_domain(ids, n_text, r_text, s_text):
+    try:
+        config = verifier.SweepConfig(tuple(ids), *map(_parse_range, (n_text, r_text, s_text)))
+        config.validate()
+    except ValueError:  # ConfigError is a ValueError
+        return
+    # every case of an accepted grid is built without error, since its
+    # corners are; none is evaluated
+    for iid, axes in verifier._grid_axes(config):
+        if all(axes):
+            for params in product(*[(axis[0], axis[-1]) for axis in axes]):
+                _assert_in_domain(IdentityCase(iid, *params))

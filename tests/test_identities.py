@@ -7,6 +7,7 @@ import pytest
 
 from partition_identities.identities import (
     IDENTITIES,
+    MAX_S,
     Form,
     IdentityCase,
     IdentityId,
@@ -269,11 +270,17 @@ def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
         assert peak < 1 << 20, f"{table.__name__}(400) allocated {peak} bytes"
 
 
+#: the identities whose left-hand sides read the partitions of n
+TABLE_IDS = (
+    IdentityId.CLASSICAL, IdentityId.CONJ1, IdentityId.CONJ2, IdentityId.CONJ3, IdentityId.CONJ4
+)
+
+
 def _enumerating_cases(forms):
     return [
         IdentityCase(iid, n, r, s, form)
         for iid, spec in IDENTITIES.items()
-        if spec.enumerates
+        if iid in TABLE_IDS
         for n in range(1, 7)
         for r in (range(1, n + 2) if spec.uses_r else [None])
         for s in (range(spec.s_min, 4) if spec.uses_s else [None])
@@ -601,6 +608,18 @@ def test_coefficient_bridge_next_order():
                 assert rhs.coefficient(r - 2) == prefactor * bracket_coeff
 
 
+def _case_at(iid, n=1, s=None):
+    """A case of ``iid`` at n and s (default its lowest), r = 1 and SIGNED where taken."""
+    spec = IDENTITIES[iid]
+    return IdentityCase(
+        iid,
+        n,
+        1 if spec.uses_r else None,
+        (spec.s_min if s is None else s) if spec.uses_s else None,
+        Form.SIGNED if spec.has_forms else None,
+    )
+
+
 def test_case_validation():
     with pytest.raises(ValueError):
         IdentityCase(IdentityId.CONJ2, n=2, r=3, s=1, form=Form.SIGNED)
@@ -617,6 +636,16 @@ def test_case_validation():
         IdentityCase.parse("CONJ3(n=3,n=4,r=2,s=1)")
     with pytest.raises(ValueError):
         IdentityCase.parse("CONJ1(n=3,r=2,s=1,form=SIGNED,form=UNSIGNED)")
+    # each identity takes n up to its own max_n and s up to MAX_S; these
+    # cases are built, never evaluated
+    for iid, spec in IDENTITIES.items():
+        _case_at(iid, n=spec.max_n)
+        with pytest.raises(ValueError, match=f"n must be in 1..{spec.max_n}"):
+            _case_at(iid, n=spec.max_n + 1)
+        if spec.uses_s:
+            _case_at(iid, s=MAX_S)
+            with pytest.raises(ValueError, match=f"s must be in {spec.s_min}..{MAX_S}"):
+                _case_at(iid, s=MAX_S + 1)
 
 
 def test_case_text_round_trip():

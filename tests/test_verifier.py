@@ -285,10 +285,19 @@ def test_grid_size_from_axes_matches_expansion():
 def test_grid_bound_refused_before_expansion():
     at_bound = SweepConfig((IdentityId.HOCKEY_STICK,), (1, 1000), (1, 1000))
     at_bound.validate()
-    for n_hi, r_hi in ((1001, 1000), (100000, 100000), (10**30, 2)):
+    # r has no ceiling, so only the grid bound refuses a long r axis; an n
+    # past HOCKEY_STICK's own limit is refused by that limit, as fast
+    too_many = str(verifier.MAX_CASES)
+    past_n = f"n={verifier.IDENTITIES[IdentityId.HOCKEY_STICK].max_n + 1}"
+    for n_hi, r_hi, message in (
+        (1001, 1000, too_many),
+        (1000, 10**30, too_many),
+        (100000, 100000, past_n),
+        (10**30, 2, past_n),
+    ):
         config = SweepConfig((IdentityId.HOCKEY_STICK,), (1, n_hi), (1, r_hi))
         start = time.perf_counter()
-        with pytest.raises(ConfigError, match=str(verifier.MAX_CASES)):
+        with pytest.raises(ConfigError, match=message):
             config.validate()
         assert time.perf_counter() - start < 0.01
     with pytest.raises(ConfigError):
