@@ -10,7 +10,7 @@ from typing import Optional, Sequence, Tuple
 from .genbinom import gen_binom
 from .identities import Form, IdentityCase, IdentityId, case_sides
 from .partitions import Partition, enumerate_partitions
-from .polynomials import Polynomial, format_rational
+from .polynomials import Polynomial, format_rational, int_str
 from .verifier import (
     EXIT_CONFIG_ERROR,
     EXIT_COUNTEREXAMPLE,
@@ -60,12 +60,12 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_zvalue(args) -> int:
-    print(Partition.parse(args.partition).z_value())
+    print(int_str(Partition.parse(args.partition).z_value()))
     return EXIT_OK
 
 
 def _cmd_genbinom(args) -> int:
-    print(gen_binom(Partition.parse(args.partition), args.r))
+    print(int_str(gen_binom(Partition.parse(args.partition), args.r)))
     return EXIT_OK
 
 

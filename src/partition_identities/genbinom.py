@@ -4,9 +4,10 @@
 ``lam`` that contain at least one cell in every row.  The fast path
 multiplies out ``prod_i ((1+t)^{lam_i} - 1)`` one row at a time, keeping
 only the terms of degree <= r; the coefficient of t^r is the answer.  It
-is zero, with no product, unless l(lam) <= r <= |lam|.  ``row_gen_poly``
-is the whole row.  ``_row_coeffs`` keeps no memo; the CONJ1 table of
-``identities.py`` does not call it, and multiplies packed rows instead.
+is zero, with no product, unless l(lam) <= r <= |lam|, and refused when
+|lam| r is above ``MAX_WORK``.  ``row_gen_poly`` is the whole row.
+``_row_coeffs`` keeps no memo; the CONJ1 table of ``identities.py`` does
+not call it, and multiplies packed rows instead.
 A literal subset-counting oracle is kept alongside for validation.
 """
 from __future__ import annotations
@@ -19,6 +20,12 @@ from .partitions import Partition
 
 #: default cap on |lambda| for the brute-force oracle
 DEFAULT_ORACLE_LIMIT = 16
+
+#: the largest |lambda| r ``gen_binom`` takes.  The product makes at most
+#: |lambda| r term products, of at most |lambda| bits each.  At this bound
+#: one call takes up to about a second on a 2-core Xeon (eight rows adding
+#: up to 2500, r = 800); 2000+2000 at r = 2000 took 10 s
+MAX_WORK = 2 * 10**6
 
 
 def _row_coeffs(parts: Tuple[int, ...], top: Optional[int] = None) -> Tuple[int, ...]:
@@ -50,6 +57,8 @@ def gen_binom(lam: Partition, r: int) -> int:
         raise ValueError("r must be non-negative")
     if not lam.length <= r <= lam.weight:
         return 0
+    if lam.weight * r > MAX_WORK:
+        raise ValueError(f"|lambda| r = {lam.weight} * {r} is above its limit {MAX_WORK}")
     return _row_coeffs(lam.parts, r)[r]
 
 

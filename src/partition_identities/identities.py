@@ -6,11 +6,13 @@ engine can show both sides verbatim when they disagree.
 The left-hand sides sum a class weight w(mu) times sum_i (mu_i)_s over
 mu |- n.  Since sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, such a sum is
 sum_i (i)_s M[i] with the moment vector M[i] = sum_mu w(mu) m_i(mu), which
-depends on neither s nor the form.  Each table is filled in one streamed
-walk over the partitions of n, which stores no partition, and is keyed by
-n alone: ``_class_tables(n)`` holds the per-length vectors of CLASSICAL,
-CONJ2, CONJ3 and CONJ4, and ``_covering_table(n)`` those of CONJ1 for
-every r <= n.  The CONJ1 table carries every r at once in polynomials in
+depends on neither s nor the form.  Each table is filled in one walk over
+the partitions of n, which stores no partition.  ``partitions._partitions_of``
+hands over each mu with z_mu, prod m_i! and l(mu) built up one
+multiplicity block at a time, so no mu's parts are recounted.  Each table
+is keyed by n alone: ``_class_tables(n)`` holds the per-length vectors of
+CLASSICAL, CONJ2, CONJ3 and CONJ4, and ``_covering_table(n)`` those of
+CONJ1 for every r <= n.  The CONJ1 table carries every r at once in polynomials in
 t packed into single ints, with a slot width from ``_slot_bits(n)``.  A
 case with a single (n, r) still pays for the whole n.  Both tables refuse
 n > ``partitions.MAX_N`` before they allocate, and each memo has room for
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial
 from operator import mul
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import partitions
 from .polynomials import (
@@ -146,19 +148,6 @@ def _rising_row(n: int, s: int) -> List[int]:
 Moments = Tuple[Tuple[int, ...], ...]
 
 
-def _cycle_types(n: int) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[int, int]], int, int]]:
-    """Each mu |- n once, streamed: (parts, (part, m) pairs, prod m_i!, n!/z_mu).
-
-    n!/z_mu is the number of permutations of cycle type mu in S_n.
-    """
-    n_fact = factorial(n)
-    for parts in partitions._partitions_of(n):
-        mults = [(i, parts.count(i)) for i in dict.fromkeys(parts)]
-        mult_factorial = prod(factorial(m) for _, m in mults)
-        # z_mu = prod_i i^m_i m_i!, and prod_i i^m_i is the product of the parts
-        yield parts, mults, mult_factorial, n_fact // (mult_factorial * prod(parts))
-
-
 @lru_cache(maxsize=partitions.MAX_N + 1)
 def _class_tables(n: int) -> Tuple[Moments, Moments]:
     """(M, W) for l = 1..n: sums over mu |- n with l(mu) = l of w(mu) m_i(mu).
@@ -169,14 +158,20 @@ def _class_tables(n: int) -> Tuple[Moments, Moments]:
     l binom(n-i-1, l-2), which is the CONJ4 right-hand side.
     """
     partitions.check_enumerable(n)  # before the O(n^2) vectors are allocated
+    n_fact = factorial(n)
     classes = [[0] * (n + 1) for _ in range(n)]
     lengths = [[0] * (n + 1) for _ in range(n)]
-    for parts, mults, mult_factorial, class_size in _cycle_types(n):
-        multinomial = factorial(len(parts)) // mult_factorial
-        c, w = classes[len(parts) - 1], lengths[len(parts) - 1]
-        for i, m in mults:
+
+    def add(blocks: List[Tuple[int, int]], length: int, z: int, mult_factorial: int, _: int) -> None:
+        # n!/z_mu is the number of permutations of cycle type mu in S_n
+        class_size = n_fact // z
+        multinomial = factorial(length) // mult_factorial
+        c, w = classes[length - 1], lengths[length - 1]
+        for i, m in blocks:
             c[i] += class_size * m
             w[i] += multinomial * m
+
+    partitions._partitions_of(n, add)
     return tuple(map(tuple, classes)), tuple(map(tuple, lengths))
 
 
@@ -199,33 +194,30 @@ def _covering_table(n: int) -> Tuple[Moments, ...]:
     polynomial in t with nonnegative coefficients below 2^width is packed
     into one int, its value at t = 2^width (Kronecker substitution), so C
     bigint arithmetic adds and multiplies it without a carry between slots.
-    mu's row prod_i ((1+t)^mu_i - 1) is a product of packed factors; a part
-    1 contributes t, a shift.  Consecutive partitions of the walk share a
-    prefix of parts, and so their partial products.  One packed sum per
-    (l, i) takes (n!/z_mu) m_i(mu) times the row, for every r at once, and
-    is unpacked once at the end.
+    mu's row prod_i ((1+t)^mu_i - 1) is a product of packed factors, which
+    the partition walk multiplies in one multiplicity block at a time; a
+    part 1 contributes t, a shift.  One packed sum per (l, i) takes
+    (n!/z_mu) m_i(mu) times the row, for every r at once, and is unpacked
+    once at the end.
     """
     partitions.check_enumerable(n)  # before n + 1 factors of up to n * width bits
     width = _slot_bits(n)
+    n_fact = factorial(n)
     factors = [((1 << width) + 1) ** a - 1 for a in range(n + 1)]
     sums = [[0] * (n + 1) for _ in range(n)]
-    # products[k] is the product over the first k parts > 1 of ``prefix``
-    prefix: Tuple[int, ...] = ()
-    products = [1]
-    for parts, mults, _, class_size in _cycle_types(n):
-        ones = parts.count(1)
-        head = parts[:len(parts) - ones]
-        shared = 0
-        while shared < min(len(head), len(prefix)) and head[shared] == prefix[shared]:
-            shared += 1
-        del products[shared + 1:]
-        for a in head[shared:]:
-            products.append(products[-1] * factors[a])
-        prefix = head
-        weighted = class_size * products[-1] << width * ones
-        vector = sums[len(parts) - 1]
-        for i, m in mults:
+
+    def add(blocks: List[Tuple[int, int]], length: int, z: int, _: int, row: int) -> None:
+        # row is the product of the factors of mu's parts above 1; ones,
+        # the last block, are a shift
+        weighted = n_fact // z * row
+        part, ones = blocks[-1]
+        if part == 1:
+            weighted <<= width * ones
+        vector = sums[length - 1]
+        for i, m in blocks:
             vector[i] += weighted * m
+
+    partitions._partitions_of(n, add, factors)
     mask = (1 << width) - 1
     shifts = range(0, (n + 1) * width, width)
     # by_length[l-1][r] is the length-l vector of row r: slot r of each sum

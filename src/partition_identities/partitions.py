@@ -1,20 +1,24 @@
 """Integer partitions with length constraints and their statistics.
 
-``_partitions_of(n)`` streams the partitions of n in decreasing
-lexicographic order and keeps none of them; it refuses n > ``MAX_N``
-before it yields anything.  ``MAX_N`` is derived once, at import, from
-the same pentagonal recurrence as ``partition_count``, so the refusal is
-one comparison.  The left-hand sides of ``identities.py`` walk the
-partitions once per n into their moment tables.  ``Partition`` with
-``z_value`` and ``multiplicities``, and ``enumerate_partitions``, are
-the public API and the slower reference those tables are tested against.
+``_partitions_of(n, leaf)`` walks the partitions of n in decreasing
+lexicographic order and keeps none of them.  It goes depth first over
+multiplicity blocks (part i, multiplicity m), so each tree edge extends
+z_mu, prod m_i!, l(mu) and an optional product of per-part factors by one
+block, and a leaf gets them without recounting its parts (Knuth, TAOCP
+4A, 7.2.1.4, generates partitions in this multiplicity form).  It refuses
+n > ``MAX_N`` before its first leaf.  ``MAX_N`` is derived once, at
+import, from the same pentagonal recurrence as ``partition_count``, so
+the refusal is one comparison.  The moment tables of ``identities.py``
+and ``enumerate_partitions`` are its only callers.  ``Partition``, whose
+``z_value`` and ``multiplicities`` recount a partition's parts, and
+``enumerate_partitions`` are the public API.
 """
 from __future__ import annotations
 
 from collections import Counter
 from itertools import count, islice
 from math import factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: textual form of the empty partition
 EMPTY_SYMBOL = "ε"
@@ -137,37 +141,54 @@ def check_enumerable(n: int) -> None:
         )
 
 
-def _partitions_of(n: int) -> Iterator[Tuple[int, ...]]:
-    """The partitions of n in decreasing lexicographic order of parts, lazily.
+#: ``leaf(blocks, length, z, mult_factorial, row)``, called once per partition
+Leaf = Callable[[List[Tuple[int, int]], int, int, int, int], None]
 
-    Refuses n > MAX_N before it yields anything.  The walk is Zoghbi and
-    Stojmenovic's ZS1: x[:m] is the partition and x[h] its last part above 1.
+
+def _partitions_of(n: int, leaf: Leaf, factors: Optional[Sequence[int]] = None) -> None:
+    """Call ``leaf`` once for each partition of n, in decreasing lexicographic order.
+
+    Refuses n > MAX_N before the first call.  The walk is depth first over
+    multiplicity blocks (i, m), i decreasing along a path, so a partition
+    shares the state of every block it has in common with the one before.
+    ``blocks`` is the partition's (i, m) list, largest part first; it is the
+    walk's own list and changes once ``leaf`` returns.  Each tree edge (i, m)
+    multiplies z = prod i^m m! by i^m m!, ``mult_factorial`` = prod m! by m!,
+    adds m to ``length`` and multiplies ``row`` by ``factors[i]`` m times;
+    with no factors ``row`` is 1.  A block of ones is always the last, and
+    leaves ``row`` alone: ``row`` is the product over the parts above 1.
     """
     check_enumerable(n)
+    if factors is None:
+        factors = [1] * (n + 1)
+    blocks: List[Tuple[int, int]] = []
+
+    def grow(rest: int, top: int, length: int, z: int, mult_factorial: int, row: int) -> None:
+        # the parts still to place add up to rest > 0, and none is above top
+        for i in range(min(rest, top), 1, -1):
+            # the states after the edges (i, 1), (i, 2), ..., each one step
+            # from the last, are built upwards and visited downwards
+            states = []
+            edge_z, edge_mf, edge_row = z, mult_factorial, row
+            for m in range(1, rest // i + 1):
+                edge_z, edge_mf, edge_row = edge_z * i * m, edge_mf * m, edge_row * factors[i]
+                states.append((m, edge_z, edge_mf, edge_row))
+            for m, edge_z, edge_mf, edge_row in reversed(states):
+                blocks.append((i, m))
+                if rest > i * m:
+                    grow(rest - i * m, i - 1, length + m, edge_z, edge_mf, edge_row)
+                else:
+                    leaf(blocks, length + m, edge_z, edge_mf, edge_row)
+                blocks.pop()
+        ones = factorial(rest)
+        blocks.append((1, rest))
+        leaf(blocks, length + rest, z * ones, mult_factorial * ones, row)
+        blocks.pop()
+
     if n == 0:
-        yield ()
-        return
-    x = [1] * n
-    x[0], m, h = n, 1, 0
-    yield (n,)
-    while x[0] != 1:
-        if x[h] == 2:
-            # (..., 2, 1, ..., 1) -> (..., 1, 1, 1, ..., 1)
-            x[h], m, h = 1, m + 1, h - 1
-        else:
-            # lower x[h] to r and refill the freed t = 1 + (m-h-1 ones)
-            # with copies of r, then the remainder
-            r, t = x[h] - 1, m - h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            m = h + 1 if t == 0 else h + 2
-            if t > 1:
-                h += 1
-                x[h] = t
-        yield tuple(x[:m])
+        leaf(blocks, 0, 1, 1, 1)
+    else:
+        grow(n, n, 0, 1, 1, 1)
 
 
 def enumerate_partitions(
@@ -185,5 +206,12 @@ def enumerate_partitions(
         raise ValueError("lengths must be non-negative")
     # no partition of n has more than n parts
     max_len = n if max_len is None else max_len
-    return [Partition(parts) for parts in _partitions_of(n) if min_len <= len(parts) <= max_len]
+    found: List[Partition] = []
+
+    def keep(blocks: List[Tuple[int, int]], length: int, *_: int) -> None:
+        if min_len <= length <= max_len:
+            found.append(Partition([i for i, m in blocks for _ in range(m)]))
+
+    _partitions_of(n, keep)
+    return found
 

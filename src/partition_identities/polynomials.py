@@ -9,7 +9,8 @@ equality is tuple equality, and serializing a coefficient takes one
 ``math.gcd``.  Builders that know their denominator (n! for a class sum,
 r! for a binomial) construct through ``Polynomial.over(nums, den)`` and
 never touch a ``Fraction``; ``Polynomial(iterable of rationals)`` and the
-``coeffs`` tuple of ``Fraction``s are the public view.
+``coeffs`` tuple of ``Fraction``s are the public view.  Serialization
+writes every integer through ``int_str``, which has no digit limit.
 
 Factorial evaluations stay in ``int`` for ``int`` arguments and return a
 ``Fraction`` for ``Fraction`` arguments.  At integer arguments they are
@@ -38,11 +39,33 @@ RationalLike = Union[Fraction, int]
 NEG_INFINITY = float("-inf")
 
 
+#: the most bits one ``str`` call converts: an int of 2000 bits has at
+#: most 603 decimal digits, below 640, the lowest int-to-str digit limit
+#: CPython (3.11, and 3.10 since 3.10.7) can be set to
+_STR_BITS = 2000
+
+
+def int_str(x: int) -> str:
+    """str(x) for an int of any size, whatever the interpreter's digit limit.
+
+    A longer x is split at 10^k, about half its digits, and each part
+    converted on its own; the lower one is padded with zeros to k digits.
+    """
+    if x < 0:
+        return "-" + int_str(-x)
+    if x.bit_length() <= _STR_BITS:
+        return str(x)
+    # 10^k < 2^(bits / 2) <= x, as log2(10) < 10/3, so both parts are shorter
+    k = x.bit_length() * 3 // 20
+    high, low = divmod(x, 10**k)
+    return int_str(high) + int_str(low).rjust(k, "0")
+
+
 def format_rational(x: RationalLike) -> str:
     """Render a rational as "p/q", or just "p" when the denominator is 1."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return int_str(x.numerator)
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
 class Polynomial:
@@ -160,7 +183,7 @@ class Polynomial:
         out = []
         for c in self.nums:
             g = gcd(c, den)
-            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+            out.append(int_str(c // g) if g == den else f"{int_str(c // g)}/{int_str(den // g)}")
         return out
 
     def render(self) -> str:

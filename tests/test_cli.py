@@ -214,6 +214,7 @@ def test_far_too_large_input_exits_2_fast(capsys):
         ("identity", "HOCKEY_STICK(n=1000000000,r=2)"),
         ("identity", "BINOMIAL_TYPE(n=5000,s=3)"),
         ("identity", "CONJ3(n=5,r=2,s=1000000)"),
+        ("genbinom", "2000+2000", "2000"),
         ("partitions", "100000"),
         ("sweep", "--ids", "CONJ1", "--n", "1..100000"),
         ("sweep", "--ids", "HOCKEY_STICK", "--n", "1..100000", "--r", "1..100000"),
@@ -225,8 +226,29 @@ def test_far_too_large_input_exits_2_fast(capsys):
         assert len(err) < 200, argv
 
 
+def test_sides_past_the_int_to_str_limit_print(capsys):
+    # CPython's str() refuses an int of more than 4300 digits by default;
+    # these sides have up to 80 000, and print in full
+    for case in (
+        "CONJ3(n=20,r=10,s=10000)",
+        "TOP_COEFF(n=400,r=400,s=10000)",
+        "CONST_TERM(n=100000,r=45000,s=10000)",
+    ):
+        code, out, err = run(capsys, "identity", case)
+        assert code == 0 and not err, case
+        *sides, status = out.splitlines()
+        assert status == "VERIFIED"
+        assert min(map(len, sides)) > 4300
+        for lhs, rhs in zip(sides[::2], sides[1::2]):
+            assert lhs.removeprefix("LHS = ") == rhs.removeprefix("RHS = ")
+    code, out, _ = run(capsys, "sweep", "--ids", "CONJ3", "--n", "20", "--r", "10", "--s", "10000")
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert result["status"] == "VERIFIED" and len(result["lhs"]) > 4300
+
+
 def test_sweep_walks_only_what_cases_use(capsys, monkeypatch):
-    def refuse(n):
+    def refuse(n, *_):
         raise AssertionError(f"enumerated the partitions of {n}")
 
     monkeypatch.setattr(partitions, "_partitions_of", refuse)
@@ -244,7 +266,7 @@ def test_negative_length_exits_2(capsys):
 
 
 def test_sweep_refuses_enumeration_limit_before_any_case(capsys, monkeypatch):
-    def refuse(n):
+    def refuse(n, *_):
         raise AssertionError(f"enumerated the partitions of {n}")
 
     def evaluate(case):

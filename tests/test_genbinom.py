@@ -1,8 +1,10 @@
+import time
 from math import comb
 
 import pytest
 
 from partition_identities.genbinom import (
+    MAX_WORK,
     gen_binom,
     gen_binom_bruteforce,
     row_gen_poly,
@@ -109,3 +111,19 @@ def test_gen_binom_truncates_at_r():
             full = row_gen_poly(lam)
             for r in range(0, n + 3):
                 assert gen_binom(lam, r) == (full[r] if r <= n else 0)
+
+
+def test_work_bound_is_a_comparison():
+    # |lambda| r above MAX_WORK is refused before any product; r outside
+    # l(lambda)..|lambda| is zero whatever its size
+    assert gen_binom(Partition([2000]), MAX_WORK // 2000) == comb(2000, 1000)
+    assert gen_binom(Partition([2000, 2000]), 10**30) == 0
+    for lam, r in (
+        (Partition([2000]), MAX_WORK // 2000 + 1),
+        (Partition([2000, 2000]), 2000),
+        (Partition([10**30]), 1),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limit"):
+            gen_binom(lam, r)
+        assert time.perf_counter() - start < 0.01

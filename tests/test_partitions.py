@@ -43,7 +43,7 @@ def test_enumeration_order_is_decreasing_lex():
     ]
     assert got == sorted(got, reverse=True)
     for n in range(0, 21):
-        assert list(partitions._partitions_of(n)) == list(oracles.partitions(n))
+        assert [p.parts for p in enumerate_partitions(n)] == list(oracles.partitions(n))
 
 
 def test_counts_match_pentagonal_recurrence():
@@ -53,7 +53,7 @@ def test_counts_match_pentagonal_recurrence():
 
 def test_library_partition_count():
     for n in range(0, 31):
-        assert partitions.partition_count(n) == sum(1 for _ in partitions._partitions_of(n))
+        assert partitions.partition_count(n) == len(_walk(n))
     for n in range(0, 101):
         assert partitions.partition_count(n) == partition_count(n)
 
@@ -171,24 +171,40 @@ def test_negative_lengths_rejected():
             enumerate_partitions(5, min_len, max_len)
 
 
-def test_cycle_classes_match_enumeration():
-    # the per-mu stream the moment tables are filled from
-    from partition_identities.identities import _cycle_types
+PRIMES = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
 
-    for n in range(0, 15):
-        classes = list(_cycle_types(n))
-        assert [parts for parts, *_ in classes] == [
-            p.parts for p in enumerate_partitions(n)
-        ]
-        for parts, mults, mult_factorial, class_size in classes:
-            counts = Counter(parts)
-            assert mults == sorted(counts.items(), reverse=True)
-            assert mult_factorial == prod(factorial(m) for m in counts.values())
-            assert factorial(n) % z_value(parts) == 0
-            assert class_size == factorial(n) // z_value(parts)
-        assert len(classes) == partition_count(n)
+
+def _walk(n, factors=None):
+    """What the walk hands each leaf, as (parts, length, z, prod m_i!, row)."""
+    leaves = []
+
+    def record(blocks, length, z, mult_factorial, row):
+        parts = tuple(i for i, m in blocks for _ in range(m))
+        leaves.append((parts, length, z, mult_factorial, row))
+
+    partitions._partitions_of(n, record, factors)
+    return leaves
+
+
+def test_walk_matches_oracles():
+    # the block walk against statistics recounted from each mu's parts:
+    # every mu once, in the oracle's decreasing lex order
+    for n in range(0, 21):
+        # a distinct prime per part, so a product names its parts
+        factors = PRIMES[:n + 1]
+        leaves = _walk(n, factors)
+        assert [parts for parts, *_ in leaves] == list(oracles.partitions(n))
+        assert len(leaves) == partition_count(n)
+        for parts, length, z, mult_factorial, row in leaves:
+            assert length == len(parts)
+            assert z == z_value(parts)
+            assert mult_factorial == prod(factorial(m) for m in Counter(parts).values())
+            # parts 1 are the caller's to apply
+            assert row == prod(factors[i] for i in parts if i > 1)
+        # with no factors the row is 1
+        assert [leaf[:4] + (1,) for leaf in leaves] == _walk(n)
     # the class sizes of S_n add up to n!
-    assert sum(size for *_, size in _cycle_types(10)) == factorial(10)
+    assert sum(factorial(10) // z for _, _, z, _, _ in _walk(10)) == factorial(10)
 
 
 def test_every_memo_is_bounded():

@@ -16,6 +16,7 @@ from partition_identities.polynomials import (
     falling_factorial_eval,
     falling_factorial_poly,
     format_rational,
+    int_str,
     rising_factorial_eval,
 )
 
@@ -226,6 +227,28 @@ def test_rational_serialization_round_trip():
     assert format_rational(Fraction(-5, 2)) == "-5/2"
     for x in (Fraction(-5, 2), Fraction(7), Fraction(0)):
         assert Fraction(format_rational(x)) == x
+
+
+def _digits_by_chunks(x):
+    """Decimal digits of x >= 0, 18 at a time, each chunk far under any limit."""
+    chunks = []
+    while x >= 10**18:
+        x, chunk = divmod(x, 10**18)
+        chunks.append(f"{chunk:018d}")
+    return str(x) + "".join(reversed(chunks))
+
+
+def test_int_str_has_no_digit_limit():
+    # CPython's str() refuses an int of more than 4300 digits by default
+    for x in (0, 7, 10**602, 2**2000 - 1, 2**2000, 10**4300, 10**5000 - 1,
+              3**60000, 7**30000 * 10**1000, 10**1000 + 1):
+        assert int_str(x) == _digits_by_chunks(x)
+        assert int_str(-x) == ("-" if x else "") + _digits_by_chunks(x)
+    big = Fraction(3**20000, 2**20000 + 1)
+    assert format_rational(big) == f"{_digits_by_chunks(3**20000)}/{_digits_by_chunks(2**20000 + 1)}"
+    p = Polynomial.over([-(3**20000), 0, 5], 2)
+    assert p.to_strings() == [f"-{_digits_by_chunks(3**20000)}/2", "0", "5/2"]
+    assert p.render() == f"5/2·X^2 - {_digits_by_chunks(3**20000)}/2"
 
 
 def test_polynomial_serialization_round_trip():
