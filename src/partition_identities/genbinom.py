@@ -18,8 +18,8 @@ from typing import Optional, Tuple
 
 from .partitions import Partition
 
-#: default cap on |lambda| for the brute-force oracle
-DEFAULT_ORACLE_LIMIT = 16
+#: the largest |lambda| the brute-force oracle takes
+ORACLE_LIMIT = 16
 
 #: the largest |lambda| r ``gen_binom`` takes.  The product makes at most
 #: |lambda| r term products, of at most |lambda| bits each.  At this bound
@@ -62,16 +62,12 @@ def gen_binom(lam: Partition, r: int) -> int:
     return _row_coeffs(lam.parts, r)[r]
 
 
-def gen_binom_bruteforce(
-    lam: Partition, r: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT
-) -> int:
+def gen_binom_bruteforce(lam: Partition, r: int) -> int:
     """Literal count over all r-subsets of cells; guarded against blowup."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    if lam.weight > oracle_limit:
-        raise ValueError(
-            f"|lambda| = {lam.weight} exceeds oracle limit {oracle_limit}"
-        )
+    if lam.weight > ORACLE_LIMIT:
+        raise ValueError(f"|lambda| = {lam.weight} exceeds oracle limit {ORACLE_LIMIT}")
     cells = list(lam.cells())
     rows = set(range(1, lam.length + 1))
     count = 0

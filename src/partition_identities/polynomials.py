@@ -9,8 +9,14 @@ equality is tuple equality, and serializing a coefficient takes one
 ``math.gcd``.  Builders that know their denominator (n! for a class sum,
 r! for a binomial) construct through ``Polynomial.over(nums, den)`` and
 never touch a ``Fraction``; ``Polynomial(iterable of rationals)`` and the
-``coeffs`` tuple of ``Fraction``s are the public view.  Serialization
-writes every integer through ``int_str``, which has no digit limit.
+``coeffs`` tuple of ``Fraction``s are the public view.
+
+One writer and one reader.  ``_ratio_str(p, q)`` writes p/q in lowest
+terms, every integer through ``int_str``, which has no digit limit;
+``format_rational``, ``Polynomial.to_strings`` and ``Polynomial.render``
+all go through it, the last two straight from the numerators.
+``Polynomial.parse`` reads back every line ``render`` writes, each
+integer through ``decimal.Decimal``, which has no digit limit either.
 
 Factorial evaluations stay in ``int`` for ``int`` arguments and return a
 ``Fraction`` for ``Fraction`` arguments.  At integer arguments they are
@@ -28,6 +34,7 @@ c it holds ``Fraction``s.  Both return a ``Polynomial`` and raise
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm, perm, prod
@@ -61,11 +68,17 @@ def int_str(x: int) -> str:
     return int_str(high) + int_str(low).rjust(k, "0")
 
 
+def _ratio_str(p: int, q: int) -> str:
+    """p/q in lowest terms as "p/q", or just "p" when q > 0 divides p."""
+    g = gcd(p, q)
+    if g == q:
+        return int_str(p // q)
+    return f"{int_str(p // g)}/{int_str(q // g)}"
+
+
 def format_rational(x: RationalLike) -> str:
     """Render a rational as "p/q", or just "p" when the denominator is 1."""
-    if x.denominator == 1:
-        return int_str(x.numerator)
-    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
+    return _ratio_str(x.numerator, x.denominator)
 
 
 class Polynomial:
@@ -179,33 +192,23 @@ class Polynomial:
 
     def to_strings(self) -> List[str]:
         """Serialized form: coefficient strings, constant term first."""
-        den = self.den
-        out = []
-        for c in self.nums:
-            g = gcd(c, den)
-            out.append(int_str(c // g) if g == den else f"{int_str(c // g)}/{int_str(den // g)}")
-        return out
+        return [_ratio_str(c, self.den) for c in self.nums]
 
     def render(self) -> str:
         """Human form, descending powers, e.g. "1/2·X^2 - 1/2·X"."""
-        if not self.coeffs:
-            return "0"
-        pieces: List[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
+        terms = []
+        for k, text in reversed(list(enumerate(self.to_strings()))):
+            if text == "0":
                 continue
-            mag = abs(c)
-            if k == 0:
-                body = format_rational(mag)
-            else:
-                xpart = "X" if k == 1 else f"X^{k}"
-                body = xpart if mag == 1 else f"{format_rational(mag)}·{xpart}"
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+            mag = text.lstrip("-")
+            if k:
+                power = "X" if k == 1 else f"X^{k}"
+                mag = power if mag == "1" else f"{mag}·{power}"
+            terms.append(("- " if text[0] == "-" else "+ ") + mag)
+        line = " ".join(terms)
+        if not line:
+            return "0"
+        return line[2:] if line[0] == "+" else "-" + line[2:]
 
     _TERM_RE = re.compile(
         r"^(?P<sign>-?)(?:(?P<coef>\d+(?:/\d+)?)(?:·)?)?(?:X(?:\^(?P<pow>\d+))?)?$"
@@ -224,7 +227,9 @@ class Polynomial:
             m = cls._TERM_RE.match(term)
             if not m or (m.group("coef") is None and "X" not in term):
                 raise ValueError(f"cannot parse polynomial term {term!r}")
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            # Decimal, unlike int and Fraction, reads a string of any length
+            num, _, den = (m.group("coef") or "1").partition("/")
+            coef = Fraction(int(Decimal(num)), int(Decimal(den or "1")))
             if m.group("sign"):
                 coef = -coef
             if "X" in term:

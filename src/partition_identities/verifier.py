@@ -118,8 +118,8 @@ class CaseResult:
         if len(pairs) == 1:
             lhs, rhs = (serialize_side(v) for v in pairs[0])
         else:
-            lhs = [_csv_side(serialize_side(l)) for l, _ in pairs]
-            rhs = [_csv_side(serialize_side(r)) for _, r in pairs]
+            lhs = [serialize_side(l) for l, _ in pairs]
+            rhs = [serialize_side(r) for _, r in pairs]
         return cls(case, status, lhs, rhs, elapsed_ms)
 
 

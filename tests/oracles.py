@@ -154,3 +154,30 @@ def length_r_sum(n: int, r: int, s: int) -> Fraction:
             denom *= factorial(m)
         total += sum(m * rising(i, s) for i, m in mults.items()) / denom
     return factorial(r - 1) * total
+
+
+def render(p: Polynomial) -> str:
+    """Polynomial.render's text, term by term over the ``Fraction`` view.
+
+    Descending powers; a zero coefficient is left out, a unit one is
+    dropped in front of X, and the first term carries its sign as a bare
+    "-".  Each coefficient is written with ``str``, so it must stay under
+    the interpreter's int-to-str digit limit.
+    """
+    pieces = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if c == 0:
+            continue
+        mag = abs(c)
+        mag_text = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        if k == 0:
+            body = mag_text
+        else:
+            xpart = "X" if k == 1 else f"X^{k}"
+            body = xpart if mag == 1 else f"{mag_text}·{xpart}"
+        if not pieces:
+            pieces.append(body if c > 0 else "-" + body)
+        else:
+            pieces.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(pieces) if pieces else "0"

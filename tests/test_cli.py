@@ -81,6 +81,9 @@ IDENTITY_JSON = {
     "CONJ4(n=5,r=1,s=2)": ("SKIPPED", "30", "0"),
     "CONST_TERM(n=5,r=3,s=2)": ("VERIFIED", "-60", "-60"),
     "TOP_COEFF(n=5,r=4,s=1)": ("VERIFIED", ["5/6", "-5"], ["5/6", "-5"]),
+    # one check at r = 1 is a lone string; past n, both checks are zero
+    "TOP_COEFF(n=5,r=1,s=1)": ("VERIFIED", "5", "5"),
+    "TOP_COEFF(n=3,r=5,s=1)": ("VERIFIED", ["0", "0"], ["0", "0"]),
     "BINOMIAL_TYPE(n=3,s=2)": ("VERIFIED", ["0", "2", "3", "1"], ["0", "2", "3", "1"]),
     "HOCKEY_STICK(n=5,r=1)": ("SKIPPED", "5", "4"),
 }

@@ -39,8 +39,6 @@ def test_bruteforce_examples():
 def test_bruteforce_limit_guard():
     with pytest.raises(ValueError):
         gen_binom_bruteforce(Partition([17]), 1)
-    with pytest.raises(ValueError):
-        gen_binom_bruteforce(Partition([5, 4]), 2, oracle_limit=8)
 
 
 def test_oracle_equivalence_small():

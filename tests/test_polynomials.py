@@ -20,12 +20,14 @@ from partition_identities.polynomials import (
     rising_factorial_eval,
 )
 
-from oracles import falling, falling_poly_product, rising
+from oracles import falling, falling_poly_product, render, rising
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
 )
 small_polys = st.lists(rationals, max_size=5).map(Polynomial)
+# rationals with the units +-1 drawn often, as render drops a unit in front of X
+render_polys = st.lists(rationals | st.sampled_from([1, -1]), max_size=5).map(Polynomial)
 
 
 def test_canonical_form_trims_trailing_zeros():
@@ -249,6 +251,10 @@ def test_int_str_has_no_digit_limit():
     p = Polynomial.over([-(3**20000), 0, 5], 2)
     assert p.to_strings() == [f"-{_digits_by_chunks(3**20000)}/2", "0", "5/2"]
     assert p.render() == f"5/2·X^2 - {_digits_by_chunks(3**20000)}/2"
+    # int() and Fraction() refuse the same text past 4300 digits
+    big = 10**36000 - 1
+    for side in (p, Polynomial.over([7, 0, -big, big], 3)):
+        assert Polynomial.parse(side.render()) == side
 
 
 def test_polynomial_serialization_round_trip():
@@ -258,18 +264,33 @@ def test_polynomial_serialization_round_trip():
     assert Polynomial().to_strings() == []
 
 
-@given(small_polys)
-@settings(max_examples=80)
+@given(render_polys)
+@settings(max_examples=200)
 def test_render_parse_round_trip(p):
+    assert p.render() == render(p)
     assert Polynomial.parse(p.render()) == p
 
 
-def test_render_style():
+def test_render_style(monkeypatch):
+    # the left-hand side of BINOMIAL_TYPE(n=300, s=10^4)
+    degree_300 = falling_factorial_poly(10**4, 300)
+    expected = render(degree_300)
+
+    def refuse(self):
+        raise AssertionError("render read the Fraction view")
+
+    # render formats the integer numerators, never one Fraction per term
+    monkeypatch.setattr(Polynomial, "coeffs", property(refuse))
     p = Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
     assert p.render() == "1/2·X^2 - 1/2·X"
     assert Polynomial().render() == "0"
+    assert Polynomial([Fraction(-7, 3)]).render() == "-7/3"
+    assert Polynomial([-1, 1, -1, 1]).render() == "X^3 - X^2 + X - 1"
+    assert Polynomial([Fraction(1, 2), Fraction(-1, 2), 0, -1]).render() == "-X^3 - 1/2·X + 1/2"
+    assert X.render() == "X"
     assert (X - 1).render() == "X - 1"
     assert (-X).render() == "-X"
+    assert degree_300.render() == expected
 
 
 def test_substitute_neg_x():
