@@ -9,7 +9,7 @@ from typing import Optional, Sequence, Tuple
 
 from .genbinom import gen_binom
 from .identities import Form, IdentityCase, IdentityId, case_sides
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, for_each_partition
 from .polynomials import Polynomial, format_rational, int_str
 from .verifier import (
     EXIT_CONFIG_ERROR,
@@ -43,19 +43,25 @@ def _render_side(side) -> str:
 
 
 def _cmd_partitions(args) -> int:
-    if args.len is not None:
-        parts = enumerate_partitions(args.n, args.len, args.len)
-    else:
-        parts = enumerate_partitions(args.n)
-    if args.format == "json":
-        print(json.dumps([str(p) for p in parts], ensure_ascii=False))
-    elif args.format == "csv":
-        for p in parts:
-            print(str(p))
-    else:
-        for p in parts:
-            print(str(p))
-        print(f"total: {len(parts)}")
+    # each partition is written as the walk reaches it, so memory does not
+    # grow with p(n); the JSON bytes are those of json.dumps(list)
+    as_json = args.format == "json"
+    total = 0
+
+    def write(p: Partition) -> None:
+        nonlocal total
+        if as_json:
+            sys.stdout.write(("[" if total == 0 else ", ") + json.dumps(str(p), ensure_ascii=False))
+        else:
+            sys.stdout.write(f"{p}\n")
+        total += 1
+
+    lengths = () if args.len is None else (args.len, args.len)
+    for_each_partition(args.n, write, *lengths)
+    if as_json:
+        print("]" if total else "[]")
+    elif args.format == "human":
+        print(f"total: {total}")
     return EXIT_OK
 
 

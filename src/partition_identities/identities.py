@@ -1,7 +1,10 @@
 """Both sides of every identity, built as exact polynomials or rationals.
 
 Builders never compare: they return (lhs, rhs) value pairs so the sweep
-engine can show both sides verbatim when they disagree.
+engine can show both sides verbatim when they disagree.  The registry
+``IDENTITIES`` holds each identity's builder, and the parameters an
+identity takes are that builder's parameter names, a subsequence of n, r,
+s and form; ``case_sides`` passes a case's fields by those names.
 
 The left-hand sides sum a class weight w(mu) times sum_i (mu_i)_s over
 mu |- n.  Since sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, such a sum is
@@ -22,11 +25,12 @@ The vectors are rearranged sums over the partitions, never closed forms.
 """
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from operator import mul
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -81,12 +85,9 @@ class IdentityCase:
         name = self.identity_id.value
         if not 1 <= self.n <= spec.max_n:
             raise ValueError(f"{name}: n must be in 1..{spec.max_n}")
-        for label, wanted, given in (
-            ("parameter r", spec.uses_r, self.r),
-            ("parameter s", spec.uses_s, self.s),
-            ("form", spec.has_forms, self.form),
-        ):
-            if wanted != (given is not None):
+        for label, key in (("parameter r", "r"), ("parameter s", "s"), ("form", "form")):
+            wanted = key in spec.params
+            if wanted != (getattr(self, key) is not None):
                 raise ValueError(f"{name}: {label} {'required' if wanted else 'not applicable'}")
         if self.r is not None and self.r < 1:
             raise ValueError(f"{name}: r must be >= 1")
@@ -366,22 +367,27 @@ def top_coeff_checks(n: int, r: int, s: int) -> List[SidePair]:
     return pairs
 
 
-def hockey_stick_sides(big_n: int, k: int) -> SidePair:
-    """Column-sum identity C(N, k) = sum_{i=1}^{N-1} C(i, k-1).
+def hockey_stick_sides(n: int, r: int) -> SidePair:
+    """Column-sum identity C(N, k) = sum_{i=1}^{N-1} C(i, k-1), with (N, k) = (n, r).
 
     Fails at k = 1 under the usual conventions; meaningful for k >= 2.
     """
-    rhs = sum(comb(i, k - 1) for i in range(1, big_n))
-    return Fraction(comb(big_n, k)), Fraction(rhs)
+    rhs = sum(comb(i, r - 1) for i in range(1, n))
+    return Fraction(comb(n, r)), Fraction(rhs)
 
 
 def binomial_type_sides(n: int, s: int) -> SidePair:
-    """[X+s]_n = sum_k C(n,k) [X]_{n-k} [s]_k, as polynomials in X."""
-    coeffs = [0] * (n + 1)
-    for k in range(n + 1):
-        weight = comb(n, k) * falling_factorial_eval(s, k)
-        for j, c in enumerate(_falling_coeffs(0, n - k)):
-            coeffs[j] += weight * c
+    """[X+s]_n = sum_k C(n,k) [X]_{n-k} [s]_k, as polynomials in X.
+
+    The right-hand side is sum_j a_j [X]_j with a_j = C(n, j) [s]_{n-j}.  It
+    is summed by Horner's rule in the falling-factorial basis: start with
+    a_n = 1, then acc <- acc (X - j) + a_j for j = n-1 down to 0, which is
+    O(n^2) integer work in one coefficient list.
+    """
+    coeffs = [1]
+    for j in range(n - 1, -1, -1):
+        coeffs = [a * -j + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[0] += comb(n, j) * falling_factorial_eval(s, n - j)
     return falling_factorial_poly(s, n), Polynomial.over(coeffs, 1)
 
 
@@ -398,70 +404,51 @@ def sign_flip_check(n: int, r: int, s: int) -> bool:
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """One identity's parameters, lowest s, largest n, forms, builder and skip rule.
+    """One identity's builder, lowest s, skip rule and largest n.
 
-    ``skip_r1`` cases are built at r = 1 but reported SKIPPED: a boundary
-    convention makes the identity fail there.  ``max_n`` is the largest n a
-    case takes, checked by ``IdentityCase`` and ``SweepConfig.validate``
-    alike: the p(n) enumeration limit for builders that read the partitions
-    of n, and for the others the n at which one case, at its worst r and
-    s <= ``MAX_S``, takes about a second on a 2-core Xeon.  r needs no
-    bound: every builder gives zero for r > n without building anything of
-    size r.
+    ``build`` takes the case's fields named by its own parameters, an
+    ordered subsequence of n, r, s and form, and returns one (lhs, rhs)
+    pair or a list of them.  ``skip_r1`` cases are built at r = 1 but
+    reported SKIPPED: a boundary convention makes the identity fail there.
+    ``max_n`` is the largest n a case takes, checked by ``IdentityCase``
+    and ``SweepConfig.validate`` alike: the p(n) enumeration limit for
+    builders that read the partitions of n, and for the others the n at
+    which one case, at its worst r and s <= ``MAX_S``, takes about a second
+    on a 2-core Xeon.  r needs no bound: every builder gives zero for r > n
+    without building anything of size r.
     """
 
-    uses_r: bool
-    uses_s: bool
-    has_forms: bool
-    build: Callable[[IdentityCase], List[SidePair]]
+    build: Callable[..., Union[SidePair, List[SidePair]]]
     s_min: int = 1
     skip_r1: bool = False
     max_n: int = partitions.MAX_N
 
+    @cached_property
+    def params(self) -> Tuple[str, ...]:
+        """The names of the case fields the identity takes: ``build``'s parameters."""
+        return tuple(inspect.signature(self.build).parameters)
+
 
 #: the single registry of identities, one entry per IdentityId in its order
 IDENTITIES: Dict[IdentityId, IdentitySpec] = {
-    IdentityId.CLASSICAL: IdentitySpec(
-        uses_r=False, uses_s=False, has_forms=True,
-        build=lambda c: [classical_sides(c.n, c.form)],
-    ),
-    IdentityId.CONJ1: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=True,
-        build=lambda c: [conj1_sides(c.n, c.r, c.s, c.form)],
-    ),
-    IdentityId.CONJ2: IdentitySpec(
-        uses_r=False, uses_s=True, has_forms=True,
-        build=lambda c: [conj2_sides(c.n, c.s, c.form)],
-    ),
-    IdentityId.CONJ3: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=False, s_min=0,
-        build=lambda c: [conj3_sides(c.n, c.r, c.s)],
-    ),
+    IdentityId.CLASSICAL: IdentitySpec(classical_sides),
+    IdentityId.CONJ1: IdentitySpec(conj1_sides),
+    IdentityId.CONJ2: IdentitySpec(conj2_sides),
+    IdentityId.CONJ3: IdentitySpec(conj3_sides, s_min=0),
     # at r = 1 the resummed RHS has lower binomial index -1
-    IdentityId.CONJ4: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=False, skip_r1=True,
-        build=lambda c: [conj4_sides(c.n, c.r, c.s)],
-    ),
-    IdentityId.CONST_TERM: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=False, max_n=10**5,
-        build=lambda c: [const_term_sides(c.n, c.r, c.s)],
-    ),
-    IdentityId.TOP_COEFF: IdentitySpec(
-        uses_r=True, uses_s=True, has_forms=False, max_n=400,
-        build=lambda c: top_coeff_checks(c.n, c.r, c.s),
-    ),
-    IdentityId.BINOMIAL_TYPE: IdentitySpec(
-        uses_r=False, uses_s=True, has_forms=False, max_n=300,
-        build=lambda c: [binomial_type_sides(c.n, c.s)],
-    ),
+    IdentityId.CONJ4: IdentitySpec(conj4_sides, skip_r1=True),
+    IdentityId.CONST_TERM: IdentitySpec(const_term_sides, max_n=10**5),
+    IdentityId.TOP_COEFF: IdentitySpec(top_coeff_checks, max_n=400),
+    # 300 keeps the domain it had when a case cost O(n^3), about 1 s at
+    # s = 10**4; the Horner sum takes about 0.04 s there
+    IdentityId.BINOMIAL_TYPE: IdentitySpec(binomial_type_sides, max_n=300),
     # (n, r) plays the role of (N, k); the identity fails at k = 1
-    IdentityId.HOCKEY_STICK: IdentitySpec(
-        uses_r=True, uses_s=False, has_forms=False, skip_r1=True, max_n=4000,
-        build=lambda c: [hockey_stick_sides(c.n, c.r)],
-    ),
+    IdentityId.HOCKEY_STICK: IdentitySpec(hockey_stick_sides, skip_r1=True, max_n=4000),
 }
 
 
 def case_sides(case: IdentityCase) -> List[SidePair]:
     """All (lhs, rhs) pairs for one case; a single pair except TOP_COEFF."""
-    return IDENTITIES[case.identity_id].build(case)
+    spec = IDENTITIES[case.identity_id]
+    sides = spec.build(*[getattr(case, name) for name in spec.params])
+    return sides if isinstance(sides, list) else [sides]

@@ -9,9 +9,10 @@ block, and a leaf gets them without recounting its parts (Knuth, TAOCP
 n > ``MAX_N`` before its first leaf.  ``MAX_N`` is derived once, at
 import, from the same pentagonal recurrence as ``partition_count``, so
 the refusal is one comparison.  The moment tables of ``identities.py``
-and ``enumerate_partitions`` are its only callers.  ``Partition``, whose
-``z_value`` and ``multiplicities`` recount a partition's parts, and
-``enumerate_partitions`` are the public API.
+and ``for_each_partition`` are its only callers.  ``Partition``, whose
+``z_value`` and ``multiplicities`` recount a partition's parts,
+``for_each_partition``, which hands each partition on as the walk reaches
+it, and ``enumerate_partitions``, which lists them, are the public API.
 """
 from __future__ import annotations
 
@@ -191,6 +192,32 @@ def _partitions_of(n: int, leaf: Leaf, factors: Optional[Sequence[int]] = None) 
         grow(n, n, 0, 1, 1, 1)
 
 
+def for_each_partition(
+    n: int,
+    visit: Callable[[Partition], None],
+    min_len: int = 0,
+    max_len: Optional[int] = None,
+) -> None:
+    """Call ``visit`` on each partition of n with length in [min_len, max_len].
+
+    Decreasing lex order; ``max_len=None`` means unbounded.  Every refusal
+    (a negative n or length, n > MAX_N) comes before the first call, and
+    no partition is kept after its call returns.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if min_len < 0 or (max_len is not None and max_len < 0):
+        raise ValueError("lengths must be non-negative")
+    # no partition of n has more than n parts
+    max_len = n if max_len is None else max_len
+
+    def keep(blocks: List[Tuple[int, int]], length: int, *_: int) -> None:
+        if min_len <= length <= max_len:
+            visit(Partition([i for i, m in blocks for _ in range(m)]))
+
+    _partitions_of(n, keep)
+
+
 def enumerate_partitions(
     n: int,
     min_len: int = 0,
@@ -200,18 +227,6 @@ def enumerate_partitions(
 
     ``max_len=None`` means unbounded.  Deterministic order, no duplicates.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if min_len < 0 or (max_len is not None and max_len < 0):
-        raise ValueError("lengths must be non-negative")
-    # no partition of n has more than n parts
-    max_len = n if max_len is None else max_len
     found: List[Partition] = []
-
-    def keep(blocks: List[Tuple[int, int]], length: int, *_: int) -> None:
-        if min_len <= length <= max_len:
-            found.append(Partition([i for i, m in blocks for _ in range(m)]))
-
-    _partitions_of(n, keep)
+    for_each_partition(n, found.append, min_len, max_len)
     return found
-

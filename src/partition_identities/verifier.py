@@ -54,10 +54,10 @@ class SweepConfig:
         specs = [IDENTITIES[i] for i in self.identity_ids]
         # a parameter no selected identity uses has no floor and no ceiling;
         # r has no ceiling, since every builder gives zero for r > n
-        s_mins = [spec.s_min for spec in specs if spec.uses_s]
+        s_mins = [spec.s_min for spec in specs if "s" in spec.params]
         for name, (lo, hi), floor, ceiling in (
             ("n", self.n_range, 1, min(spec.max_n for spec in specs)),
-            ("r", self.r_range, 1 if any(spec.uses_r for spec in specs) else None, None),
+            ("r", self.r_range, 1 if any("r" in spec.params for spec in specs) else None, None),
             ("s", self.s_range, min(s_mins, default=None), MAX_S if s_mins else None),
         ):
             if lo > hi:
@@ -72,7 +72,7 @@ class SweepConfig:
             too_many = True
         if too_many:
             raise ConfigError(f"grid has more than {MAX_CASES} cases, the most one sweep may run")
-        if self.form is not None and not any(spec.has_forms for spec in specs):
+        if self.form is not None and not any("form" in spec.params for spec in specs):
             raise ConfigError(f"form {self.form.value} given, but no selected identity has forms")
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
@@ -219,9 +219,9 @@ def _grid_axes(config: SweepConfig) -> List[Tuple[IdentityId, Tuple[Sequence, ..
     return [
         (iid, (
             range(n_lo, n_hi + 1),
-            range(r_lo, r_hi + 1) if spec.uses_r else (None,),
-            range(max(s_lo, spec.s_min), s_hi + 1) if spec.uses_s else (None,),
-            forms if spec.has_forms else (None,),
+            range(r_lo, r_hi + 1) if "r" in spec.params else (None,),
+            range(max(s_lo, spec.s_min), s_hi + 1) if "s" in spec.params else (None,),
+            forms if "form" in spec.params else (None,),
         ))
         for iid, spec in IDENTITIES.items()
         if iid in config.identity_ids

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_identities import partitions, verifier
+from partition_identities import cli, partitions, verifier
 from partition_identities.cli import _parse_range, main
 from partition_identities.identities import IDENTITIES, MAX_S, IdentityCase, IdentityId
 from partition_identities.polynomials import Polynomial
+
+#: the fields of an IdentityCase after its id, in order
+CASE_FIELDS = ("n", "r", "s", "form")
 
 
 def run(capsys, *argv):
@@ -30,7 +33,7 @@ def test_zvalue(capsys):
     assert out.strip() == "4"
 
 
-def test_partitions_listing(capsys):
+def test_partitions_listing(capsys, monkeypatch):
     code, out, _ = run(capsys, "partitions", "4", "--len", "2")
     assert code == 0
     assert out.splitlines()[:2] == ["3+1", "2+2"]
@@ -38,6 +41,31 @@ def test_partitions_listing(capsys):
     code, out, _ = run(capsys, "partitions", "5", "--format", "json")
     assert code == 0
     assert len(json.loads(out)) == 7
+
+    # the streamed listing has the bytes of a rendering of the whole list
+    for n in range(21):
+        for length in (None, 0, 1, 3, n):
+            bounds = () if length is None else (length, length)
+            texts = [str(p) for p in partitions.enumerate_partitions(n, *bounds)]
+            lines = "".join(f"{text}\n" for text in texts)
+            expected = {
+                "human": f"{lines}total: {len(texts)}\n",
+                "csv": lines,
+                "json": json.dumps(texts, ensure_ascii=False) + "\n",
+            }
+            for fmt, text in expected.items():
+                argv = ["partitions", str(n), "--format", fmt]
+                argv += [] if length is None else ["--len", str(length)]
+                assert run(capsys, *argv) == (0, text, ""), argv
+
+    # and it never holds that list, under either name the CLI could use
+    def refuse(*args):
+        raise AssertionError(f"listed the partitions {args}")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
+    monkeypatch.setattr(cli, "enumerate_partitions", refuse, raising=False)
+    for fmt in ("human", "json", "csv"):
+        assert run(capsys, "partitions", "8", "--format", fmt)[0] == 0
 
 
 def test_identity_human(capsys):
@@ -281,11 +309,14 @@ def test_sweep_refuses_enumeration_limit_before_any_case(capsys, monkeypatch):
     with pytest.raises(AssertionError, match="evaluated"):
         main(["sweep", "--ids", "HOCKEY_STICK", "--n", "2", "--r", "2"])
     for iid, spec in IDENTITIES.items():
+        # every identity takes n, then some of r, s and form, in that order
+        assert spec.params[0] == "n", iid
+        assert [key for key in CASE_FIELDS if key in spec.params] == list(spec.params), iid
         n_range = f"{spec.max_n - 1}..{spec.max_n + 1}"
         code, _, err = run(capsys, "sweep", "--ids", iid.value, "--n", n_range, "--r", "30")
         # the first two n are within the limit, but no case runs
         assert code == 2 and f"n={spec.max_n + 1}" in err, iid
-        if spec.uses_s:
+        if "s" in spec.params:
             s_range = f"{MAX_S - 1}..{MAX_S + 1}"
             code, _, err = run(capsys, "sweep", "--ids", iid.value, "--n", "2", "--s", s_range)
             assert code == 2 and f"s={MAX_S + 1}" in err, iid
@@ -309,8 +340,8 @@ def case_texts(draw):
     iid = draw(st.sampled_from(list(IdentityId)))
     spec = IDENTITIES[iid]
     # mostly the parameters the identity takes, else any of them
-    wanted = ["n"] + ["r"] * spec.uses_r + ["s"] * spec.uses_s + ["form"] * spec.has_forms
-    keys = draw(st.just(wanted) | st.lists(st.sampled_from(["n", "r", "s", "form"]), unique=True))
+    wanted = list(spec.params)
+    keys = draw(st.just(wanted) | st.lists(st.sampled_from(CASE_FIELDS), unique=True))
     values = {"form": st.sampled_from(["SIGNED", "UNSIGNED", "BOTH"])}
     fields = [f"{key}={draw(values.get(key, int_texts))}" for key in keys]
     return f"{iid.value}({','.join(fields)})"
@@ -318,11 +349,12 @@ def case_texts(draw):
 
 def _assert_in_domain(case):
     spec = IDENTITIES[case.identity_id]
+    # exactly the fields the identity's builder takes are set
+    given = [key for key in CASE_FIELDS if getattr(case, key) is not None]
+    assert given == list(spec.params), case
     assert 1 <= case.n <= spec.max_n, case
-    assert (case.r is not None) == spec.uses_r and (case.r is None or case.r >= 1), case
-    assert (case.s is not None) == spec.uses_s, case
+    assert case.r is None or case.r >= 1, case
     assert case.s is None or spec.s_min <= case.s <= MAX_S, case
-    assert (case.form is not None) == spec.has_forms, case
 
 
 @given(case_texts() | st.text(max_size=40))

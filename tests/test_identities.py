@@ -1,7 +1,7 @@
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -215,9 +215,9 @@ def test_each_moment_table_is_built_once(monkeypatch):
     n = 12
     for iid in (IdentityId.CLASSICAL, IdentityId.CONJ2, IdentityId.CONJ3, IdentityId.CONJ4):
         spec = IDENTITIES[iid]
-        for r in range(1, n + 2) if spec.uses_r else [None]:
-            for s in range(spec.s_min, 6) if spec.uses_s else [None]:
-                for form in list(Form) if spec.has_forms else [None]:
+        for r in range(1, n + 2) if "r" in spec.params else [None]:
+            for s in range(spec.s_min, 6) if "s" in spec.params else [None]:
+                for form in list(Form) if "form" in spec.params else [None]:
                     case_sides(IdentityCase(iid, n, r, s, form))
     # one walk, for the class tables; the CONJ1 table is never built
     assert sorted(rows) == sorted(oracles.partitions(n))
@@ -283,9 +283,9 @@ def _enumerating_cases(forms):
         for iid, spec in IDENTITIES.items()
         if iid in TABLE_IDS
         for n in range(1, 7)
-        for r in (range(1, n + 2) if spec.uses_r else [None])
-        for s in (range(spec.s_min, 4) if spec.uses_s else [None])
-        for form in (forms if spec.has_forms else [None])
+        for r in (range(1, n + 2) if "r" in spec.params else [None])
+        for s in (range(spec.s_min, 4) if "s" in spec.params else [None])
+        for form in (forms if "form" in spec.params else [None])
     ]
 
 
@@ -436,11 +436,29 @@ def test_hockey_stick_boundary_probe():
     assert lhs == 6 and rhs == 5
 
 
-def test_binomial_type_sides():
+def test_binomial_type_sides(monkeypatch):
+    from partition_identities import identities
+
     for n in range(0, 7):
         for s in range(1, 6):
             lhs, rhs = binomial_type_sides(n, s)
             assert lhs == rhs
+    # the Horner sum against the sum of C(n,k) [s]_k [X]_(n-k) term by term
+    for n in range(13):
+        for s in (1, 2, 5, 13):
+            terms = (
+                oracles.falling_poly_product(0, n - k) * (comb(n, k) * oracles.falling(s, k))
+                for k in range(n + 1)
+            )
+            assert binomial_type_sides(n, s)[1] == sum(terms, Polynomial()), (n, s)
+
+    # and it builds no [X]_j of its own
+    def refuse(c, n):
+        raise AssertionError(f"built [X+{c}]_{n}")
+
+    monkeypatch.setattr(identities, "_falling_coeffs", refuse)
+    for n in range(13):
+        binomial_type_sides(n, 3)
 
 
 def test_case_sides_build_no_polynomial_products(monkeypatch):
@@ -459,12 +477,12 @@ def test_case_sides_build_no_polynomial_products(monkeypatch):
         IdentityCase(
             iid,
             5,
-            3 if spec.uses_r else None,
-            2 if spec.uses_s else None,
+            3 if "r" in spec.params else None,
+            2 if "s" in spec.params else None,
             form,
         )
         for iid, spec in IDENTITIES.items()
-        for form in (list(Form) if spec.has_forms else [None])
+        for form in (list(Form) if "form" in spec.params else [None])
     ]
     assert len(cases) == 12
     for case in cases:
@@ -615,9 +633,9 @@ def _case_at(iid, n=1, s=None):
     return IdentityCase(
         iid,
         n,
-        1 if spec.uses_r else None,
-        (spec.s_min if s is None else s) if spec.uses_s else None,
-        Form.SIGNED if spec.has_forms else None,
+        1 if "r" in spec.params else None,
+        (spec.s_min if s is None else s) if "s" in spec.params else None,
+        Form.SIGNED if "form" in spec.params else None,
     )
 
 
@@ -643,7 +661,7 @@ def test_case_validation():
         _case_at(iid, n=spec.max_n)
         with pytest.raises(ValueError, match=f"n must be in 1..{spec.max_n}"):
             _case_at(iid, n=spec.max_n + 1)
-        if spec.uses_s:
+        if "s" in spec.params:
             _case_at(iid, s=MAX_S)
             with pytest.raises(ValueError, match=f"s must be in {spec.s_min}..{MAX_S}"):
                 _case_at(iid, s=MAX_S + 1)
