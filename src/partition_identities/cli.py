@@ -180,6 +180,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse hands a positional that got only "--" over as [], without
+        # applying its type (`partid genbinom 3 -- --`); refuse it as missing
+        for name, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument {name}: expected one argument")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_CONFIG_ERROR
     try:

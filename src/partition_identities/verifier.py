@@ -2,6 +2,12 @@
 
 Cases are independent pure computations, so the pool parallelizes across
 cases only and merges results back into the deterministic grid order.
+Each worker receives the expanded case list once, through the pool's
+initializer (inherited without pickling under the fork start method), so a
+task is one (lo, hi) index pair and a result is a plain
+(status, lhs, rhs, elapsed_ms) tuple; no case object crosses the process
+boundary. Slices end only where (identity, n) changes, so one identity's
+table for one n is built by one worker.
 """
 from __future__ import annotations
 
@@ -237,24 +243,68 @@ def expand_cases(config: SweepConfig) -> List[IdentityCase]:
     ]
 
 
+#: the sweep's cases as a pool worker sees them, set by ``_install_cases``
+_CASES: Sequence[IdentityCase] = ()
+
+#: a ``CaseResult`` without its case, the form a pool worker sends back
+Verdict = Tuple[str, SerializedSide, SerializedSide, float]
+
+
+def _install_cases(cases: Sequence[IdentityCase]) -> None:
+    """Pool initializer: keep the case list, so that a task is two indices."""
+    global _CASES
+    _CASES = cases
+
+
+def _judge_slice(bounds: Tuple[int, int]) -> List[Verdict]:
+    """Judge ``_CASES[lo:hi]`` in a pool worker."""
+    lo, hi = bounds
+    return [(r.status, r.lhs, r.rhs, r.elapsed_ms) for r in map(compare_case, _CASES[lo:hi])]
+
+
+def _slices(cases: Sequence[IdentityCase], size: int) -> List[Tuple[int, int]]:
+    """Contiguous (lo, hi) index pairs that cover ``cases`` in order.
+
+    Each holds ``size`` cases (the last may hold fewer), extended to the end
+    of the (identity, n) run it ends inside: grid order keeps each run
+    contiguous, so each identity's table for one n is built in one worker.
+    """
+    slices = []
+    lo, total = 0, len(cases)
+    while lo < total:
+        hi = min(lo + size, total)
+        last = cases[hi - 1]
+        while hi < total and cases[hi].n == last.n and cases[hi].identity_id is last.identity_id:
+            hi += 1
+        slices.append((lo, hi))
+        lo = hi
+    return slices
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, else all the machine reports."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(config: SweepConfig) -> Report:
     """Evaluate every grid case exactly once and aggregate the report."""
     config.validate()
     cases = expand_cases(config)
-    # never more processes than cases or CPUs: a fork start method creates
-    # every worker up front
-    workers = min(config.worker_count, len(cases), os.cpu_count() or 1)
     start = time.perf_counter()
+    # never more processes than usable CPUs or slices: a fork start method
+    # creates every worker up front
+    workers = min(config.worker_count, _usable_cpus())
+    slices = _slices(cases, max(1, len(cases) // (workers * 4))) if workers > 1 else []
+    workers = min(workers, len(slices))
     if workers <= 1:
         results = [compare_case(c) for c in cases]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    compare_case,
-                    cases,
-                    chunksize=max(1, len(cases) // (workers * 4)),
-                )
-            )
+        with concurrent.futures.ProcessPoolExecutor(
+            workers, initializer=_install_cases, initargs=(cases,)
+        ) as pool:
+            verdicts = [v for part in pool.map(_judge_slice, slices) for v in part]
+        results = [CaseResult(case, *v) for case, v in zip(cases, verdicts, strict=True)]
     total_ms = (time.perf_counter() - start) * 1000.0
     return Report(config=config, results=results, total_ms=total_ms)

@@ -1,14 +1,17 @@
+import contextlib
+import io
 import json
 import time
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partition_identities import cli, partitions, verifier
 from partition_identities.cli import _parse_range, main
 from partition_identities.identities import IDENTITIES, MAX_S, IdentityCase, IdentityId
+from partition_identities.partitions import Partition
 from partition_identities.polynomials import Polynomial
 
 #: the fields of an IdentityCase after its id, in order
@@ -396,3 +399,50 @@ def test_range_parse_fuzz_stays_in_domain(ids, n_text, r_text, s_text):
         if all(axes):
             for params in product(*[(axis[0], axis[-1]) for axis in axes]):
                 _assert_in_domain(IdentityCase(iid, *params))
+
+
+#: "+"-joined small integers, sorted or not, or any text
+partition_texts = st.one_of(
+    st.lists(st.integers(-2, 30), max_size=6).map(
+        lambda parts: "+".join(map(str, sorted(parts, reverse=True)))
+    ),
+    st.lists(st.integers(-2, 30), max_size=6).map(lambda parts: "+".join(map(str, parts))),
+    st.text(max_size=20),
+)
+
+
+@given(partition_texts)
+@settings(max_examples=300, deadline=None)
+def test_partition_parse_fuzz_round_trips_or_refuses(text):
+    try:
+        lam = Partition.parse(text)
+    except ValueError:
+        return
+    assert isinstance(lam, Partition)
+    assert Partition.parse(str(lam)) == lam
+
+
+#: an r of at most two characters keeps gen_binom's row product small
+r_texts = st.integers(-2, 40).map(str) | st.text(max_size=2)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just("zvalue"), partition_texts),
+        st.tuples(st.just("genbinom"), partition_texts, r_texts),
+        # wrong arity, options and stray flags
+        st.tuples(
+            st.sampled_from(["zvalue", "genbinom"]),
+            st.lists(partition_texts | st.sampled_from(["-h", "--", "--len", "-1"]), max_size=3),
+        ).map(lambda drawn: (drawn[0], *drawn[1])),
+    )
+)
+@example(("genbinom", "3", "--", "--"))  # argparse's r was [], not an int
+@settings(max_examples=300, deadline=None)
+def test_argv_fuzz_exits_cleanly(argv):
+    # capsys is not reset between drawn inputs, so each run gets its own streams
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -1,9 +1,13 @@
 import json
+import multiprocessing
+import pickle
 import time
 from collections import Counter
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_identities import verifier
 from partition_identities.identities import Form, IdentityCase, IdentityId
@@ -72,8 +76,9 @@ class _RecordingExecutor:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -81,15 +86,24 @@ class _RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
+    def map(self, fn, items):
         return map(fn, items)
 
 
-@pytest.mark.parametrize("cpus, expected", [(64, [4]), (3, [3]), (None, [])])
+@pytest.mark.parametrize("cpus, expected", [(64, [2]), (3, [2]), (None, []), (1, [])])
 def test_worker_count_capped(monkeypatch, cpus, expected):
-    # four cases; a huge request must never reach the executor
+    # four cases in two (identity, n) slices; a huge request must never
+    # reach the executor, nor more workers than slices or usable CPUs.
+    # cpus is what sched_getaffinity allows, on a machine of 64 CPUs;
+    # None is a platform without it, whose os.cpu_count() is unknown
     monkeypatch.setattr(verifier.concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(verifier, "_CASES", ())
+    if cpus is None:
+        monkeypatch.delattr(verifier.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(_RecordingExecutor, "sizes", [])
     config = SweepConfig(
         identity_ids=(IdentityId.CLASSICAL,), n_range=(1, 2), worker_count=10**6
@@ -99,6 +113,115 @@ def test_worker_count_capped(monkeypatch, cpus, expected):
     assert _RecordingExecutor.sizes == expected
     assert report.summary["verified"] == 4
     assert report.to_dict()["config"]["worker_count"] == 10**6
+
+
+def _assert_plain(value):
+    """Only builtin scalars, lists and tuples: no program object."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _assert_plain(item)
+    else:
+        assert type(value) in (str, int, float), type(value)
+
+
+class _PicklingExecutor(_RecordingExecutor):
+    """Stand-in for ProcessPoolExecutor under fork: the initializer runs in
+    this process, and every task and result goes through pickle, as it
+    would between processes."""
+
+    tasks = []
+
+    def map(self, fn, items):
+        for item in items:
+            arg = pickle.loads(pickle.dumps(item))
+            assert type(arg) is tuple and len(arg) == 2, arg
+            assert all(type(i) is int for i in arg), arg
+            self.tasks.append(arg)
+            result = pickle.loads(pickle.dumps(fn(arg)))
+            _assert_plain(result)
+            yield result
+
+
+def test_pool_ships_index_slices_and_tuples(monkeypatch):
+    monkeypatch.setattr(verifier.concurrent.futures, "ProcessPoolExecutor", _PicklingExecutor)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verifier, "_CASES", ())
+    monkeypatch.setattr(_PicklingExecutor, "tasks", [])
+    monkeypatch.setattr(_PicklingExecutor, "sizes", [])
+    base = dict(
+        identity_ids=(IdentityId.CONJ1, IdentityId.CONJ3, IdentityId.HOCKEY_STICK),
+        n_range=(1, 4),
+        r_range=(1, 4),
+        s_range=(1, 2),
+    )
+    report2 = run_sweep(SweepConfig(worker_count=2, **base))
+    report1 = run_sweep(SweepConfig(worker_count=1, **base))
+    assert _PicklingExecutor.sizes == [2]
+    assert len(_PicklingExecutor.tasks) > 1
+    assert report2.content_dict() == report1.content_dict()
+
+
+def _case_key(case):
+    return case.identity_id, case.n
+
+
+@given(
+    st.lists(st.sampled_from(list(IdentityId)), min_size=1, max_size=3, unique=True),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.integers(1, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_slices_cover_grid_and_cut_at_identity_n(ids, n_lo, n_span, r_hi, s_hi, size):
+    config = SweepConfig(tuple(ids), (n_lo, n_lo + n_span), (1, r_hi), (0, s_hi))
+    try:
+        config.validate()
+    except ConfigError:  # s = 0 without CONJ3
+        return
+    cases = expand_cases(config)
+    slices = verifier._slices(cases, size)
+    # contiguous, in order, each index exactly once
+    assert [i for lo, hi in slices for i in range(lo, hi)] == list(range(len(cases)))
+    assert all(lo < hi for lo, hi in slices)
+    for lo, hi in slices:
+        # at least size cases, unless it is the last; no longer than needed
+        assert hi - lo >= size or hi == len(cases)
+        if hi - lo > size:
+            assert _case_key(cases[lo + size - 1]) == _case_key(cases[hi - 1])
+        # cut only where (identity, n) changes
+        if hi < len(cases):
+            assert _case_key(cases[hi - 1]) != _case_key(cases[hi])
+
+
+def test_grid_all_same_content_at_one_and_two_workers():
+    base = (tuple(IdentityId), (1, 10), (1, 10), (1, 8))
+    report1 = run_sweep(SweepConfig(*base, worker_count=1))
+    report2 = run_sweep(SweepConfig(*base, worker_count=2))
+    assert len(report1.results) == 5160
+    assert report1.content_dict() == report2.content_dict()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="needs the fork start method"
+)
+def test_worker_error_reaches_caller_and_leaves_no_process(monkeypatch):
+    real = verifier.case_sides
+    poisoned = IdentityCase.parse("CONJ1(n=3,r=2,s=1,form=SIGNED)")
+
+    def failing(case):
+        if case == poisoned:
+            raise RuntimeError("poisoned case")
+        return real(case)
+
+    # the workers fork after the patch, so they see it too
+    monkeypatch.setattr(verifier, "case_sides", failing)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    config = SweepConfig((IdentityId.CONJ1,), (1, 5), (1, 3), (1, 2), worker_count=2)
+    with pytest.raises(RuntimeError, match="poisoned case"):
+        run_sweep(config)
+    assert multiprocessing.active_children() == []
 
 
 def test_grid_order_deterministic():
