@@ -22,6 +22,14 @@ n > ``partitions.MAX_N`` before they allocate, and each memo has room for
 every n they accept.
 Every case then takes one dot product per length with its row of (i)_s.
 The vectors are rearranged sums over the partitions, never closed forms.
+
+Each other factor of a case is also built once per key it depends on, in
+a bounded memo: the row (i)_s, i <= n, once per (n, s) in
+``_rising_row``, and the bracket r! (binom(X+a, r) - binom(X+b, r)) of the
+CONJ1, CONJ2 and TOP_COEFF right-hand sides once per (r, s, form) in
+``_conj1_bracket``; n enters that side only through its integer prefactor.
+CONJ1, CONJ3 and CONJ4 return their zero pair for r > n before they read a
+table or build a row.
 """
 from __future__ import annotations
 
@@ -46,7 +54,8 @@ from .polynomials import (
 )
 
 #: the largest s a case takes.  The row (i)_s, i <= n, grows with s: at
-#: n = 60 and s = 10**4 it takes about 0.3 s on a 2-core Xeon
+#: n = 60 and s = 10**4 it takes 0.33-0.43 s on a 2-core Xeon, paid once per
+#: (n, s) per process, since ``_rising_row`` keeps it
 MAX_S = 10**4
 
 SideValue = Union[Polynomial, Fraction]
@@ -140,9 +149,13 @@ class IdentityCase:
         return cls(identity_id, **kwargs)
 
 
-def _rising_row(n: int, s: int) -> List[int]:
+#: grid order runs s inside r, so every s of one n comes round again for
+#: each r: 32 rows hold a sweep's s axis of up to 32 values.  The largest
+#: row, (60, MAX_S), is about 0.95 MB, so the memo holds at most about 30 MB
+@lru_cache(maxsize=32)
+def _rising_row(n: int, s: int) -> Tuple[int, ...]:
     """R[i] = (i)_s for 0 <= i <= n, so sum_i (mu_i)_s = sum_i m_i R[i]."""
-    return [rising_factorial_eval(i, s) for i in range(n + 1)]
+    return tuple(rising_factorial_eval(i, s) for i in range(n + 1))
 
 
 #: one integer vector indexed by part i <= n per length l = 1, 2, ...
@@ -235,7 +248,7 @@ def _class_sum(
     shift: int,
     form: Form,
     moments: Moments,
-    row: Optional[List[int]],
+    row: Optional[Tuple[int, ...]],
 ) -> Polynomial:
     """sum over mu |- n of w(mu) [sum_i (mu_i)_s] X^(l(mu) - shift) / z_mu.
 
@@ -275,24 +288,29 @@ def _conj1_prefactor(n: int, r: int, s: int) -> int:
     return factorial(s - 1) * comb(n + s - 1, n - r) if r <= n else 0
 
 
-def _conj1_rhs(r: int, s: int, form: Form, prefactor: int) -> Polynomial:
-    """prefactor * (binom(X+a, r) - binom(X+b, r)), as integers over r!.
-
-    A zero prefactor (r > n) gives zero without building either bracket.
-    """
-    if not prefactor:
-        return Polynomial()
+#: one bracket per (r, s, form), which every n >= r of a sweep shares: 256
+#: hold every bracket of a sweep over up to 128 (r, s) pairs in both forms.
+#: A bracket is about 6 KB at r = 60, the largest r with a nonzero CONJ1 or
+#: CONJ2 side, and about 0.17 MB at TOP_COEFF's r = 400, s = MAX_S, so the
+#: memo holds at most about 44 MB
+@lru_cache(maxsize=256)
+def _conj1_bracket(r: int, s: int, form: Form) -> Tuple[int, ...]:
+    """r! (binom(X+a, r) - binom(X+b, r)) as integers, constant term first."""
     a, b = (0, -s) if form is Form.SIGNED else (r + s - 1, r - 1)
-    brackets = zip(_falling_coeffs(a, r), _falling_coeffs(b, r))
-    return Polynomial.over(((x - y) * prefactor for x, y in brackets), factorial(r))
+    return tuple(x - y for x, y in zip(_falling_coeffs(a, r), _falling_coeffs(b, r)))
+
+
+def _conj1_rhs(r: int, s: int, form: Form, prefactor: int) -> Polynomial:
+    """prefactor * (binom(X+a, r) - binom(X+b, r)), as integers over r!."""
+    return Polynomial.over((prefactor * c for c in _conj1_bracket(r, s, form)), factorial(r))
 
 
 def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
     """Conjecture 1: degree r-1 polynomial identity; zero on both sides for r > n."""
-    # terms with l(mu) > r vanish (row-covering coefficient is zero), and
-    # so does every term when r > n
-    moments = _covering_table(n)[r - 1] if r <= n else ()
-    lhs = _class_sum(n, r, 1, form, moments, _rising_row(n, s))
+    if r > n:
+        return Polynomial(), Polynomial()
+    # terms with l(mu) > r vanish (row-covering coefficient is zero)
+    lhs = _class_sum(n, r, 1, form, _covering_table(n)[r - 1], _rising_row(n, s))
     return lhs, _conj1_rhs(r, s, form, _conj1_prefactor(n, r, s))
 
 
@@ -302,27 +320,34 @@ def conj2_sides(n: int, s: int, form: Form) -> SidePair:
     return lhs, _conj1_rhs(n, s, form, factorial(s - 1))
 
 
-def _length_r_sum(n: int, r: int, row: List[int]) -> Fraction:
-    """(r-1)! sum over |mu|=n, l(mu)=r of [sum_i m_i (i)_s] / [prod_i m_i!].
+def _length_r_sum(n: int, r: int, row: Tuple[int, ...]) -> Fraction:
+    """(r-1)! sum over |mu|=n, l(mu)=r of [sum_i m_i (i)_s] / [prod_i m_i!], r <= n.
 
     r!/prod_i m_i! is a multinomial coefficient, so the sum is the integer
     W_r . R over r, with W_r from ``_class_tables(n)`` and R = row =
-    _rising_row(n, s); no partition of n has r > n parts.
+    _rising_row(n, s).
     """
-    if r > n:
-        return Fraction(0)
     return Fraction(sum(map(mul, _class_tables(n)[1][r - 1], row)), r)
 
 
 def conj3_sides(n: int, r: int, s: int) -> SidePair:
-    """Conjecture 3: the X^{r-1} coefficient identity, as exact rationals."""
+    """Conjecture 3: the X^{r-1} coefficient identity, as exact rationals.
+
+    No partition of n has r > n parts, and binom(n+s-1, n-r) is then zero.
+    """
+    if r > n:
+        return Fraction(0), Fraction(0)
     lhs = _length_r_sum(n, r, _rising_row(n, s))
-    rhs = factorial(s) * comb(n + s - 1, n - r) if r <= n else 0
-    return lhs, Fraction(rhs)
+    return lhs, Fraction(factorial(s) * comb(n + s - 1, n - r))
 
 
 def conj4_sides(n: int, r: int, s: int) -> SidePair:
-    """Conjecture 4: same LHS, with the RHS resummed over first parts."""
+    """Conjecture 4: same LHS, with the RHS resummed over first parts.
+
+    Both sides are empty sums for r > n.
+    """
+    if r > n:
+        return Fraction(0), Fraction(0)
     row = _rising_row(n, s)
     lhs = _length_r_sum(n, r, row)
     # for r >= 2 every upper index n-i-1 is >= r-2 >= 0; at r = 1 the lower

@@ -21,10 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .identities import IDENTITIES, MAX_S, Form, IdentityCase, IdentityId, SidePair, case_sides
 from .polynomials import Polynomial, format_rational
+
+if TYPE_CHECKING:  # multiprocessing is imported only by a sweep with a pool
+    from multiprocessing.synchronize import Event
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -114,18 +117,19 @@ class CaseResult:
     @classmethod
     def judge(cls, case: IdentityCase, pairs: List[SidePair], start: float) -> "CaseResult":
         """Judge ``pairs`` by exact equality; elapsed time runs from ``start``."""
+        equal = [lhs == rhs for lhs, rhs in pairs]
         if case.skipped:
             status = STATUS_SKIPPED
-        elif all(lhs == rhs for lhs, rhs in pairs):
+        elif all(equal):
             status = STATUS_VERIFIED
         else:
             status = STATUS_COUNTEREXAMPLE
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        if len(pairs) == 1:
-            lhs, rhs = (serialize_side(v) for v in pairs[0])
+        texts = [_serialize_pair(*pair, same) for pair, same in zip(pairs, equal)]
+        if len(texts) == 1:
+            lhs, rhs = texts[0]
         else:
-            lhs = [serialize_side(l) for l, _ in pairs]
-            rhs = [serialize_side(r) for _, r in pairs]
+            lhs, rhs = map(list, zip(*texts))
         return cls(case, status, lhs, rhs, elapsed_ms)
 
 
@@ -207,6 +211,13 @@ def serialize_side(value) -> SerializedSide:
     raise TypeError(f"cannot serialize side {value!r}")
 
 
+def _serialize_pair(lhs, rhs, equal: bool) -> Tuple[SerializedSide, SerializedSide]:
+    """Both sides' texts; equal values of one type have one canonical text,
+    so such a rhs shares the lhs text instead of being serialized again."""
+    text = serialize_side(lhs)
+    return text, text if equal and type(lhs) is type(rhs) else serialize_side(rhs)
+
+
 def compare_case(case: IdentityCase) -> CaseResult:
     """Evaluate one case and compare both sides by exact canonical equality."""
     start = time.perf_counter()
@@ -243,21 +254,25 @@ def expand_cases(config: SweepConfig) -> List[IdentityCase]:
     ]
 
 
-#: the sweep's cases as a pool worker sees them, set by ``_install_cases``
+#: the sweep's cases as a pool worker sees them, and the event set once the
+#: sweep has failed, both set by ``_install_cases``
 _CASES: Sequence[IdentityCase] = ()
+_STOP: Optional[Event] = None
 
 #: a ``CaseResult`` without its case, the form a pool worker sends back
 Verdict = Tuple[str, SerializedSide, SerializedSide, float]
 
 
-def _install_cases(cases: Sequence[IdentityCase]) -> None:
+def _install_cases(cases: Sequence[IdentityCase], stop: Event) -> None:
     """Pool initializer: keep the case list, so that a task is two indices."""
-    global _CASES
-    _CASES = cases
+    global _CASES, _STOP
+    _CASES, _STOP = cases, stop
 
 
 def _judge_slice(bounds: Tuple[int, int]) -> List[Verdict]:
-    """Judge ``_CASES[lo:hi]`` in a pool worker."""
+    """Judge ``_CASES[lo:hi]`` in a pool worker; nothing once the sweep has failed."""
+    if _STOP.is_set():
+        return []
     lo, hi = bounds
     return [(r.status, r.lhs, r.rhs, r.elapsed_ms) for r in map(compare_case, _CASES[lo:hi])]
 
@@ -301,10 +316,19 @@ def run_sweep(config: SweepConfig) -> Report:
     if workers <= 1:
         results = [compare_case(c) for c in cases]
     else:
+        import multiprocessing
+
+        stop = multiprocessing.Event()
         with concurrent.futures.ProcessPoolExecutor(
-            workers, initializer=_install_cases, initargs=(cases,)
+            workers, initializer=_install_cases, initargs=(cases, stop)
         ) as pool:
-            verdicts = [v for part in pool.map(_judge_slice, slices) for v in part]
+            try:
+                verdicts = [v for part in pool.map(_judge_slice, slices) for v in part]
+            except BaseException:
+                # map cancels the slices no worker has been handed yet; the
+                # ones already queued to a worker return at once instead
+                stop.set()
+                raise
         results = [CaseResult(case, *v) for case, v in zip(cases, verdicts, strict=True)]
     total_ms = (time.perf_counter() - start) * 1000.0
     return Report(config=config, results=results, total_ms=total_ms)

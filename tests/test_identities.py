@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -24,6 +25,7 @@ from partition_identities.identities import (
     top_coeff_checks,
 )
 from partition_identities.polynomials import Polynomial, X, binom_poly, binom_rat
+from partition_identities.verifier import SweepConfig, expand_cases, run_sweep
 
 import oracles
 
@@ -124,12 +126,53 @@ def test_length_r_sum_matches_reference():
 
 
 def _clear_moment_caches():
-    # every memo the builders read: the two moment tables
+    # every memo the builders read: the two moment tables, the rows of
+    # (i)_s and the CONJ1 right-hand-side brackets
     from partition_identities import identities
 
     for value in vars(identities).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
+
+
+#: a grid whose cases share rows of (i)_s across r and forms, and
+#: right-hand-side brackets across n, forms and identities
+MEMO_GRID = SweepConfig(
+    (IdentityId.CONJ1, IdentityId.CONJ2, IdentityId.CONJ3, IdentityId.CONJ4, IdentityId.TOP_COEFF),
+    (1, 10),
+    (1, 12),
+    (0, 5),
+)
+
+
+def test_memoized_sides_match_cold_builds():
+    from partition_identities import identities
+
+    def typed(pairs):
+        return [(type(lhs), lhs, type(rhs), rhs) for lhs, rhs in pairs]
+
+    cases = expand_cases(MEMO_GRID)
+    _clear_moment_caches()
+    warm = [typed(case_sides(case)) for case in cases]
+    # CONJ1, CONJ2, CONJ3 (s from 0) and CONJ4 each build one row per
+    # (n, s), and one bracket per (r, s, form), r <= 10, serves every n,
+    # form and identity
+    assert identities._rising_row.cache_info().misses == 10 * (5 + 5 + 6 + 5)
+    assert identities._conj1_bracket.cache_info().misses == 10 * 5 * 2
+    for case, sides in zip(cases, warm):
+        _clear_moment_caches()
+        assert typed(case_sides(case)) == sides, str(case)
+
+
+def test_memo_grid_same_content_at_one_and_two_workers(monkeypatch):
+    # each worker fills its own memos from the slices it is given
+    from partition_identities import verifier
+
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    report1 = run_sweep(MEMO_GRID)
+    report2 = run_sweep(replace(MEMO_GRID, worker_count=2))
+    assert report1.summary["counterexamples"] == 0
+    assert report1.content_dict() == report2.content_dict()
 
 
 def test_moment_tables_match_bruteforce_oracle():
@@ -494,7 +537,7 @@ def test_case_sides_build_no_polynomial_products(monkeypatch):
 
 
 def test_left_hand_sides_read_the_class_table(monkeypatch):
-    # one row of (i)_s per case, and no Partition object on the hot path
+    # one row of (i)_s per (n, s), and no Partition object on the hot path
     from partition_identities import identities
     from partition_identities.partitions import Partition
 
@@ -519,10 +562,13 @@ def test_left_hand_sides_read_the_class_table(monkeypatch):
         (lambda: conj3_sides(n, r, s), n + 1),
         (lambda: conj4_sides(n, r, s), n + 1),
     ):
-        calls.clear()
-        lhs, rhs = build()
-        assert lhs == rhs
-        assert len(calls) == expected
+        # the row is built on a cold memo and read back at the same (n, s)
+        identities._rising_row.cache_clear()
+        for rows_built in (expected, 0):
+            calls.clear()
+            lhs, rhs = build()
+            assert lhs == rhs
+            assert len(calls) == rows_built
 
 
 def test_rising_row_matches_rising_factorial():
@@ -532,8 +578,9 @@ def test_rising_row_matches_rising_factorial():
     for n in range(0, 15):
         for s in range(0, 7):
             row = _rising_row(n, s)
-            assert row == [rising_factorial_eval(i, s) for i in range(n + 1)]
-            assert row == [oracles.rising(i, s) for i in range(n + 1)]
+            assert type(row) is tuple
+            assert row == tuple(rising_factorial_eval(i, s) for i in range(n + 1))
+            assert row == tuple(oracles.rising(i, s) for i in range(n + 1))
             assert all(type(v) is int for v in row)
 
 
@@ -564,17 +611,32 @@ def test_sign_flip_against_oracle():
 
 def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
     # r > n makes the prefactor binom(n+s-1, n-r) zero, so neither side
-    # builds anything of degree r
+    # builds anything of degree r; CONJ1, CONJ3 and CONJ4 build no row of
+    # (i)_s and read no table either
     from partition_identities import identities
 
-    def refuse(c, n):
-        raise AssertionError(f"built [X+{c}]_{n}")
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{name}{args}")
 
-    monkeypatch.setattr(identities, "_falling_coeffs", refuse)
-    for s in range(1, 4):
-        for form in Form:
-            assert conj1_sides(5, 5000, s, form) == (Polynomial(), Polynomial())
-        assert all(a == b == 0 for a, b in top_coeff_checks(5, 5000, s))
+        return refused
+
+    _clear_moment_caches()
+    for name in ("_falling_coeffs", "rising_factorial_eval", "_class_tables", "_covering_table"):
+        monkeypatch.setattr(identities, name, refuse(name))
+    n = 5
+    for r in (n + 1, 5000):
+        for s in range(1, 4):
+            for form in Form:
+                assert conj1_sides(n, r, s, form) == (Polynomial(), Polynomial())
+            assert all(a == b == 0 for a, b in top_coeff_checks(n, r, s))
+            for build in (conj3_sides, conj4_sides):
+                lhs, rhs = build(n, r, s)
+                assert lhs == rhs == 0
+                assert type(lhs) is type(rhs) is Fraction
+    # the refusals are live
+    with pytest.raises(AssertionError, match="rising_factorial_eval"):
+        conj3_sides(n, n, 1)
 
 
 def test_scalar_ids_above_n_build_no_factorial(monkeypatch):

@@ -3,6 +3,7 @@ import multiprocessing
 import pickle
 import time
 from collections import Counter
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -11,15 +12,18 @@ from hypothesis import strategies as st
 
 from partition_identities import verifier
 from partition_identities.identities import Form, IdentityCase, IdentityId
+from partition_identities.polynomials import Polynomial
 from partition_identities.verifier import (
     STATUS_COUNTEREXAMPLE,
     STATUS_SKIPPED,
     STATUS_VERIFIED,
+    CaseResult,
     ConfigError,
     SweepConfig,
     compare_case,
     expand_cases,
     run_sweep,
+    serialize_side,
 )
 
 
@@ -41,6 +45,53 @@ def test_compare_case_perturbed(corrupt_rhs):
     res = compare_case(IdentityCase.parse("CLASSICAL(n=2,form=SIGNED)"))
     assert res.status == STATUS_COUNTEREXAMPLE
     assert res.lhs != res.rhs
+
+
+def test_counterexample_rhs_text_is_its_own(corrupt_rhs):
+    # a side that differs from its lhs is serialized from its own value
+    for text, rhs in (
+        ("CONJ3(n=3,r=2,s=1)", "4"),
+        ("CONJ2(n=2,s=2,form=SIGNED)", ["-2", "2"]),
+        ("TOP_COEFF(n=4,r=3,s=2)", ["6", "-19"]),
+    ):
+        case = IdentityCase.parse(text)
+        res = compare_case(case)
+        assert res.status == STATUS_COUNTEREXAMPLE
+        assert res.rhs == rhs
+        texts = [serialize_side(value) for _, value in verifier.case_sides(case)]
+        assert res.rhs == (texts if len(texts) > 1 else texts[0])
+
+
+def test_equal_sides_are_serialized_once(monkeypatch):
+    calls = Counter()
+    real = verifier.serialize_side
+
+    def counted(value):
+        calls[type(value).__name__] += 1
+        return real(value)
+
+    monkeypatch.setattr(verifier, "serialize_side", counted)
+    # one serialization per verified pair, whose rhs shares the lhs text
+    for text, sides in (
+        ("CONJ3(n=3,r=2,s=1)", 1),
+        ("CONJ1(n=4,r=3,s=2,form=SIGNED)", 1),
+        ("TOP_COEFF(n=4,r=3,s=2)", 2),
+        ("HOCKEY_STICK(n=5,r=3)", 1),
+    ):
+        calls.clear()
+        res = compare_case(IdentityCase.parse(text))
+        assert res.lhs == res.rhs
+        assert sum(calls.values()) == sides, text
+        if sides == 1:
+            assert res.rhs is res.lhs
+    # equal values of different types keep each side's own text
+    const = Polynomial.over([3], 1)
+    for pair, texts in (((const, Fraction(3)), (["3"], "3")), ((Fraction(3), const), ("3", ["3"]))):
+        calls.clear()
+        res = CaseResult.judge(IdentityCase.parse("CONJ3(n=3,r=2,s=1)"), [pair], time.perf_counter())
+        assert res.status == STATUS_VERIFIED
+        assert (res.lhs, res.rhs) == texts
+        assert calls == Counter({"Polynomial": 1, "Fraction": 1})
 
 
 def test_skipped_conventions():
@@ -222,6 +273,38 @@ def test_worker_error_reaches_caller_and_leaves_no_process(monkeypatch):
     with pytest.raises(RuntimeError, match="poisoned case"):
         run_sweep(config)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="needs the fork start method"
+)
+def test_worker_error_stops_the_sweep(monkeypatch):
+    # 8 slices of 64 cases at 2 workers, the first case raising: the slices
+    # no worker holds yet are cancelled, and those already queued to a worker
+    # return without judging a case, so about two slices run; with the
+    # cancelling alone, five did
+    real = verifier.case_sides
+    config = SweepConfig((IdentityId.CONJ1,), (1, 8), (1, 8), (1, 4), worker_count=2)
+    cases = expand_cases(config)
+    assert len(verifier._slices(cases, len(cases) // 8)) == 8
+    judged = multiprocessing.Value("i", 0)
+
+    def failing(case):
+        if case == cases[0]:
+            raise RuntimeError("first case")
+        # a slice then takes longer than the caller takes to see the error
+        time.sleep(0.003)
+        with judged.get_lock():
+            judged.value += 1
+        return real(case)
+
+    # the workers fork after the patch, so they see it and share the counter
+    monkeypatch.setattr(verifier, "case_sides", failing)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="first case"):
+        run_sweep(config)
+    assert multiprocessing.active_children() == []
+    assert 0 < judged.value <= 3 * len(cases) // 8
 
 
 def test_grid_order_deterministic():
