@@ -1,33 +1,34 @@
 """Sweep engine: expand parameter grids, evaluate cases, report exactly.
 
-Cases are independent pure computations, so the pool parallelizes across
-cases only and merges results back into the deterministic grid order.
-Each worker receives the expanded case list once, through the pool's
-initializer (inherited without pickling under the fork start method), so a
-task is one (lo, hi) index pair and a result is a plain
-(status, lhs, rhs, elapsed_ms) tuple; no case object crosses the process
-boundary. Slices end only where (identity, n) changes, so one identity's
-table for one n is built by one worker.
+Cases are independent pure computations, so a sweep with more than one
+worker parallelizes across cases only and merges results back into the
+deterministic grid order.  The workers are children forked after the cases
+are expanded: they inherit the case list and its slices, so a task is one
+slice number, taken from a pipe shared by all workers, and a result is the
+slice's (status, lhs, rhs, elapsed_ms) tuples, marshalled to the worker's
+own pipe.  marshal takes builtin values only, so no case object or other
+program object crosses the process boundary.  Slices end only where
+(identity, n) changes, so one identity's table for one n is built by one
+worker.  The first error in a worker kills every worker and is raised by
+the sweep; where there is no fork, a sweep runs in-process.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
+import marshal
 import os
+import select
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .identities import IDENTITIES, MAX_S, Form, IdentityCase, IdentityId, SidePair, case_sides
 from .polynomials import Polynomial, format_rational
-
-if TYPE_CHECKING:  # multiprocessing is imported only by a sweep with a pool
-    from multiprocessing.synchronize import Event
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -254,27 +255,17 @@ def expand_cases(config: SweepConfig) -> List[IdentityCase]:
     ]
 
 
-#: the sweep's cases as a pool worker sees them, and the event set once the
-#: sweep has failed, both set by ``_install_cases``
-_CASES: Sequence[IdentityCase] = ()
-_STOP: Optional[Event] = None
-
 #: a ``CaseResult`` without its case, the form a pool worker sends back
 Verdict = Tuple[str, SerializedSide, SerializedSide, float]
 
-
-def _install_cases(cases: Sequence[IdentityCase], stop: Event) -> None:
-    """Pool initializer: keep the case list, so that a task is two indices."""
-    global _CASES, _STOP
-    _CASES, _STOP = cases, stop
+#: bytes of one slice number on the task pipe
+_TASK_BYTES = 4
 
 
-def _judge_slice(bounds: Tuple[int, int]) -> List[Verdict]:
-    """Judge ``_CASES[lo:hi]`` in a pool worker; nothing once the sweep has failed."""
-    if _STOP.is_set():
-        return []
+def _judge_slice(cases: Sequence[IdentityCase], bounds: Tuple[int, int]) -> List[Verdict]:
+    """The verdicts of ``cases[lo:hi]``, as plain tuples."""
     lo, hi = bounds
-    return [(r.status, r.lhs, r.rhs, r.elapsed_ms) for r in map(compare_case, _CASES[lo:hi])]
+    return [(r.status, r.lhs, r.rhs, r.elapsed_ms) for r in map(compare_case, cases[lo:hi])]
 
 
 def _slices(cases: Sequence[IdentityCase], size: int) -> List[Tuple[int, int]]:
@@ -303,32 +294,108 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _work(
+    cases: Sequence[IdentityCase], slices: Sequence[Tuple[int, int]], tasks: int, out: int
+) -> None:
+    """Body of a forked worker; it never returns.
+
+    It takes slice numbers from the shared ``tasks`` pipe until that is
+    empty, then marshals one list of (number, verdicts) pairs to its own
+    ``out`` pipe; on an error, it sends the exception, pickled, instead.
+    Exit status 0 means all it sends has been written.
+    """
+    status, done = 1, []
+    try:
+        try:
+            while number := os.read(tasks, _TASK_BYTES):
+                i = int.from_bytes(number, "little")
+                done.append((i, _judge_slice(cases, slices[i])))
+            payload = marshal.dumps(done)
+        except BaseException as exc:
+            import pickle
+
+            payload = marshal.dumps(pickle.dumps(exc))
+        with open(out, "wb") as sink:
+            sink.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_pool(
+    cases: Sequence[IdentityCase], slices: Sequence[Tuple[int, int]], workers: int
+) -> List[Verdict]:
+    """The verdicts of ``cases``, judged slice by slice in ``workers`` forked
+    children.  Each child inherits ``cases`` and ``slices`` and takes the next
+    slice number whenever it is free.  On the first error, or a child that
+    exits before it sends its verdicts, every child is killed and the
+    sweep raises."""
+    by_slice: List[Optional[List[Verdict]]] = [None] * len(slices)
+    children: Dict[int, int] = {}  # a child's result pipe -> its pid, until reaped
+    streams: Dict[int, List[bytes]] = {}
+    tasks, feed = os.pipe()
+    held = [tasks, feed]  # the pipe ends this process has to close
+    try:
+        # at most 8 slices a worker, of 4 bytes each: far below a pipe's
+        # capacity, so every number is written before the first child starts
+        os.write(feed, b"".join(i.to_bytes(_TASK_BYTES, "little") for i in range(len(slices))))
+        os.close(feed)
+        held.remove(feed)
+        for _ in range(workers):
+            fd, out = os.pipe()
+            held += (fd, out)
+            pid = children[fd] = os.fork()
+            if pid == 0:
+                _work(cases, slices, tasks, out)
+            os.close(out)
+            held.remove(out)
+            streams[fd] = []
+        while children:
+            for fd in select.select(list(children), [], [])[0]:
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    streams[fd].append(chunk)
+                    continue
+                code = os.waitstatus_to_exitcode(os.waitpid(children[fd], 0)[1])
+                del children[fd]
+                if code:
+                    raise RuntimeError(
+                        f"a sweep worker exited with status {code} before sending its verdicts"
+                    )
+                sent = marshal.loads(b"".join(streams.pop(fd)))
+                if isinstance(sent, bytes):
+                    import pickle
+
+                    raise pickle.loads(sent)
+                for i, verdicts in sent:
+                    by_slice[i] = verdicts
+    finally:
+        if children:
+            import signal
+
+            for pid in children.values():
+                os.kill(pid, signal.SIGKILL)
+            for pid in children.values():
+                os.waitpid(pid, 0)
+        for fd in held:
+            os.close(fd)
+    return [v for part in by_slice for v in part]
+
+
 def run_sweep(config: SweepConfig) -> Report:
     """Evaluate every grid case exactly once and aggregate the report."""
     config.validate()
     cases = expand_cases(config)
     start = time.perf_counter()
-    # never more processes than usable CPUs or slices: a fork start method
-    # creates every worker up front
-    workers = min(config.worker_count, _usable_cpus())
+    # never more processes than usable CPUs or slices, as every worker is
+    # forked up front; one, in-process, where there is no fork
+    workers = min(config.worker_count, _usable_cpus() if hasattr(os, "fork") else 1)
     slices = _slices(cases, max(1, len(cases) // (workers * 4))) if workers > 1 else []
     workers = min(workers, len(slices))
     if workers <= 1:
         results = [compare_case(c) for c in cases]
     else:
-        import multiprocessing
-
-        stop = multiprocessing.Event()
-        with concurrent.futures.ProcessPoolExecutor(
-            workers, initializer=_install_cases, initargs=(cases, stop)
-        ) as pool:
-            try:
-                verdicts = [v for part in pool.map(_judge_slice, slices) for v in part]
-            except BaseException:
-                # map cancels the slices no worker has been handed yet; the
-                # ones already queued to a worker return at once instead
-                stop.set()
-                raise
+        verdicts = _fork_pool(cases, slices, workers)
         results = [CaseResult(case, *v) for case, v in zip(cases, verdicts, strict=True)]
     total_ms = (time.perf_counter() - start) * 1000.0
     return Report(config=config, results=results, total_ms=total_ms)

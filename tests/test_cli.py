@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -291,6 +295,28 @@ def test_sweep_walks_only_what_cases_use(capsys, monkeypatch):
         main(["partitions", "3"])
     # HOCKEY_STICK is scalar binomials only; p(200) is never needed
     assert run(capsys, "sweep", "--ids", "HOCKEY_STICK", "--n", "200", "--r", "2")[0] == 0
+
+
+def test_sweep_imports_no_pool_module(tmp_path):
+    # importing concurrent.futures cost every sweep process about 10 ms; a
+    # sweep at one and at two workers now imports no pool module at all
+    script = (
+        "import sys\n"
+        "from partition_identities.cli import main\n"
+        "for workers in '1', '2':\n"
+        "    args = ['sweep', '--ids', 'CONJ1,CONJ3', '--n', '1..6', '--r', '1..6', '--s', '1..2']\n"
+        "    assert main(args + ['--workers', workers, '--out', sys.argv[1] + workers]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "report")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+    reports = [json.loads((tmp_path / f"report{w}").read_text()) for w in "12"]
+    assert len(reports[0]["results"]) == len(reports[1]["results"]) > 0
 
 
 def test_negative_length_exits_2(capsys):

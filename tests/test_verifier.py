@@ -1,6 +1,7 @@
 import json
+import marshal
 import multiprocessing
-import pickle
+import os
 import time
 from collections import Counter
 from fractions import Fraction
@@ -122,46 +123,39 @@ def test_config_validation():
         ).validate()
 
 
-class _RecordingExecutor:
-    """In-process stand-in for ProcessPoolExecutor that records its size."""
-
-    sizes = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.sizes.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 @pytest.mark.parametrize("cpus, expected", [(64, [2]), (3, [2]), (None, []), (1, [])])
 def test_worker_count_capped(monkeypatch, cpus, expected):
     # four cases in two (identity, n) slices; a huge request must never
-    # reach the executor, nor more workers than slices or usable CPUs.
+    # reach the pool, nor start more children than slices or usable CPUs.
     # cpus is what sched_getaffinity allows, on a machine of 64 CPUs;
     # None is a platform without it, whose os.cpu_count() is unknown
-    monkeypatch.setattr(verifier.concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(verifier, "_CASES", ())
+    sizes, started = [], []
+    real_pool, real_fork = verifier._fork_pool, os.fork
+
+    def recording_pool(cases, slices, workers):
+        sizes.append(workers)
+        return real_pool(cases, slices, workers)
+
+    def counting_fork():
+        pid = real_fork()
+        started.append(pid)
+        return pid
+
+    monkeypatch.setattr(verifier, "_fork_pool", recording_pool)
+    monkeypatch.setattr(verifier.os, "fork", counting_fork)
     if cpus is None:
         monkeypatch.delattr(verifier.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
     else:
         monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
     config = SweepConfig(
         identity_ids=(IdentityId.CLASSICAL,), n_range=(1, 2), worker_count=10**6
     )
     report = run_sweep(config)
     assert len(report.results) == 4
-    assert _RecordingExecutor.sizes == expected
+    assert sizes == expected
+    assert len(started) == sum(expected)
     assert report.summary["verified"] == 4
     assert report.to_dict()["config"]["worker_count"] == 10**6
 
@@ -175,30 +169,25 @@ def _assert_plain(value):
         assert type(value) in (str, int, float), type(value)
 
 
-class _PicklingExecutor(_RecordingExecutor):
-    """Stand-in for ProcessPoolExecutor under fork: the initializer runs in
-    this process, and every task and result goes through pickle, as it
-    would between processes."""
-
-    tasks = []
-
-    def map(self, fn, items):
-        for item in items:
-            arg = pickle.loads(pickle.dumps(item))
-            assert type(arg) is tuple and len(arg) == 2, arg
-            assert all(type(i) is int for i in arg), arg
-            self.tasks.append(arg)
-            result = pickle.loads(pickle.dumps(fn(arg)))
-            _assert_plain(result)
-            yield result
-
-
 def test_pool_ships_index_slices_and_tuples(monkeypatch):
-    monkeypatch.setattr(verifier.concurrent.futures, "ProcessPoolExecutor", _PicklingExecutor)
+    # an in-process stand-in for the forked pool: every task and every slice
+    # result goes through marshal, as it does between processes
+    tasks, sizes = [], []
+
+    def marshalling_pool(cases, slices, workers):
+        sizes.append(workers)
+        verdicts = []
+        for number in range(len(slices)):
+            task = marshal.loads(marshal.dumps(number))
+            assert type(task) is int, task
+            tasks.append(task)
+            result = marshal.loads(marshal.dumps(verifier._judge_slice(cases, slices[task])))
+            _assert_plain(result)
+            verdicts += result
+        return verdicts
+
+    monkeypatch.setattr(verifier, "_fork_pool", marshalling_pool)
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(verifier, "_CASES", ())
-    monkeypatch.setattr(_PicklingExecutor, "tasks", [])
-    monkeypatch.setattr(_PicklingExecutor, "sizes", [])
     base = dict(
         identity_ids=(IdentityId.CONJ1, IdentityId.CONJ3, IdentityId.HOCKEY_STICK),
         n_range=(1, 4),
@@ -207,8 +196,8 @@ def test_pool_ships_index_slices_and_tuples(monkeypatch):
     )
     report2 = run_sweep(SweepConfig(worker_count=2, **base))
     report1 = run_sweep(SweepConfig(worker_count=1, **base))
-    assert _PicklingExecutor.sizes == [2]
-    assert len(_PicklingExecutor.tasks) > 1
+    assert sizes == [2]
+    assert len(tasks) > 1
     assert report2.content_dict() == report1.content_dict()
 
 
@@ -254,9 +243,17 @@ def test_grid_all_same_content_at_one_and_two_workers():
     assert report1.content_dict() == report2.content_dict()
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="needs the fork start method"
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def _assert_no_child():
+    assert multiprocessing.active_children() == []
+    # no child is left unreaped either
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
 def test_worker_error_reaches_caller_and_leaves_no_process(monkeypatch):
     real = verifier.case_sides
     poisoned = IdentityCase.parse("CONJ1(n=3,r=2,s=1,form=SIGNED)")
@@ -272,25 +269,26 @@ def test_worker_error_reaches_caller_and_leaves_no_process(monkeypatch):
     config = SweepConfig((IdentityId.CONJ1,), (1, 5), (1, 3), (1, 2), worker_count=2)
     with pytest.raises(RuntimeError, match="poisoned case"):
         run_sweep(config)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="needs the fork start method"
-)
+@needs_fork
 def test_worker_error_stops_the_sweep(monkeypatch):
-    # 8 slices of 64 cases at 2 workers, the first case raising: the slices
-    # no worker holds yet are cancelled, and those already queued to a worker
-    # return without judging a case, so about two slices run; with the
-    # cancelling alone, five did
+    # 8 slices of 64 cases at 2 workers, the first case raising once the
+    # other worker has judged a case: the other worker is then killed at
+    # once, so only a few cases are judged; with an executor, whose running
+    # slices ran on to their end, about two slices were
     real = verifier.case_sides
     config = SweepConfig((IdentityId.CONJ1,), (1, 8), (1, 8), (1, 4), worker_count=2)
     cases = expand_cases(config)
     assert len(verifier._slices(cases, len(cases) // 8)) == 8
-    judged = multiprocessing.Value("i", 0)
+    judged = multiprocessing.get_context("fork").Value("i", 0)
 
     def failing(case):
         if case == cases[0]:
+            deadline = time.monotonic() + 30
+            while judged.value == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
             raise RuntimeError("first case")
         # a slice then takes longer than the caller takes to see the error
         time.sleep(0.003)
@@ -303,8 +301,65 @@ def test_worker_error_stops_the_sweep(monkeypatch):
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match="first case"):
         run_sweep(config)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     assert 0 < judged.value <= 3 * len(cases) // 8
+
+
+@needs_fork
+def test_worker_dying_without_verdicts_fails_the_sweep(monkeypatch):
+    real = verifier.case_sides
+    fatal = IdentityCase.parse("CONJ1(n=4,r=2,s=1,form=SIGNED)")
+
+    def dying(case):
+        if case == fatal:
+            os._exit(3)
+        return real(case)
+
+    monkeypatch.setattr(verifier, "case_sides", dying)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    config = SweepConfig((IdentityId.CONJ1,), (1, 5), (1, 3), (1, 2), worker_count=2)
+    with pytest.raises(RuntimeError, match="status 3"):
+        run_sweep(config)
+    _assert_no_child()
+
+
+@needs_fork
+def test_interrupted_sweep_leaves_no_process(monkeypatch):
+    # a child's verdicts and the end of its pipe are two reads, so the
+    # sweep waits twice at least; the second wait is interrupted
+    real = verifier.case_sides
+    real_select = verifier.select.select
+    waits = []
+
+    def slow(case):
+        time.sleep(0.001)
+        return real(case)
+
+    def interrupted_select(*args):
+        waits.append(args)
+        if len(waits) > 1:
+            raise KeyboardInterrupt
+        return real_select(*args)
+
+    monkeypatch.setattr(verifier, "case_sides", slow)
+    monkeypatch.setattr(verifier.select, "select", interrupted_select)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    config = SweepConfig((IdentityId.CONJ1,), (1, 6), (1, 6), (1, 2), worker_count=2)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(config)
+    assert len(waits) == 2
+    _assert_no_child()
+
+
+def test_sweep_without_fork_runs_in_process(monkeypatch):
+    base = dict(identity_ids=(IdentityId.CONJ1, IdentityId.CONJ4), n_range=(1, 4),
+                r_range=(1, 4), s_range=(1, 2))
+    report1 = run_sweep(SweepConfig(worker_count=1, **base))
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork", raising=False)
+    report2 = run_sweep(SweepConfig(worker_count=2, **base))
+    assert report2.content_dict() == report1.content_dict()
+    assert report2.to_dict()["config"]["worker_count"] == 2
 
 
 def test_grid_order_deterministic():
