@@ -10,7 +10,6 @@ from .partitions import Partition, enumerate_partitions
 from .polynomials import (
     Polynomial,
     binom_poly,
-    binom_rat,
     falling_factorial_poly,
     rising_factorial_eval,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "Report",
     "SweepConfig",
     "binom_poly",
-    "binom_rat",
     "compare_case",
     "enumerate_partitions",
     "falling_factorial_poly",

@@ -417,13 +417,18 @@ def binomial_type_sides(n: int, s: int) -> SidePair:
 
 
 def sign_flip_check(n: int, r: int, s: int) -> bool:
-    """X -> -X carries the UNSIGNED form onto (-1)^{r-1} times the SIGNED one."""
-    signed_lhs, signed_rhs = conj1_sides(n, r, s, Form.SIGNED)
-    unsigned_lhs, unsigned_rhs = conj1_sides(n, r, s, Form.UNSIGNED)
-    sign = Fraction(-1) ** (r - 1)
-    return (
-        unsigned_lhs.substitute_neg_x() == signed_lhs * sign
-        and unsigned_rhs.substitute_neg_x() == signed_rhs * sign
+    """X -> -X carries the UNSIGNED form onto (-1)^{r-1} times the SIGNED one.
+
+    (-1)^{r-1} U(-X) has the numerators (-1)^{k+r-1} u_k over U's own
+    denominator, which is still canonical, so each UNSIGNED side U is
+    compared with its SIGNED side as a (nums, den) pair.
+    """
+    return all(
+        (tuple(c if (k + r) % 2 else -c for k, c in enumerate(u.nums)), u.den)
+        == (p.nums, p.den)
+        for u, p in zip(
+            conj1_sides(n, r, s, Form.UNSIGNED), conj1_sides(n, r, s, Form.SIGNED)
+        )
     )
 
 

@@ -1,28 +1,32 @@
-"""Exact rational scalars and dense univariate polynomials over Q.
+"""Exact rational scalars, and dense univariate polynomials over Q as values.
 
 Rationals are ``fractions.Fraction`` values: arbitrary precision, always
-reduced, positive denominator.  A ``Polynomial`` stores integer numerators
-over one denominator, (nums, den) with the coefficient of X^k equal to
-nums[k] / den.  The form is canonical: no trailing zero numerator,
-den > 0, gcd(den, *nums) = 1, and the zero polynomial is ((), 1).  So
-equality is tuple equality, and serializing a coefficient takes one
-``math.gcd``.  Builders that know their denominator (n! for a class sum,
-r! for a binomial) construct through ``Polynomial.over(nums, den)`` and
-never touch a ``Fraction``; ``Polynomial(iterable of rationals)`` and the
-``coeffs`` tuple of ``Fraction``s are the public view.
+reduced, positive denominator.  A ``Polynomial`` is a value type: it is
+built, read, compared and written, never added or multiplied.  It stores
+integer numerators over one denominator, (nums, den) with the coefficient
+of X^k equal to nums[k] / den.  The form is canonical: no trailing zero
+numerator, den > 0, gcd(den, *nums) = 1, and the zero polynomial is
+((), 1).  So equality is tuple equality, a constant also equals the scalar
+it holds, and serializing a coefficient takes one ``math.gcd``.  Builders
+that know their denominator (n! for a class sum, r! for a binomial)
+construct through ``Polynomial.over(nums, den)`` and never touch a
+``Fraction``; ``Polynomial(iterable of rationals)`` and the ``coeffs``
+tuple of ``Fraction``s are the public view.  Any arithmetic on the values
+is the builders' own integer work on numerators; ring operations over the
+``Fraction`` view live with the tests, as their reference.
 
 One writer and one reader.  ``_ratio_str(p, q)`` writes p/q in lowest
 terms, every integer through ``int_str``, which has no digit limit;
 ``format_rational``, ``Polynomial.to_strings`` and ``Polynomial.render``
 all go through it, the last two straight from the numerators.
 ``Polynomial.parse`` reads back every line ``render`` writes, each
-integer through ``decimal.Decimal``, which has no digit limit either.
+integer through ``decimal.Decimal``, which has no digit limit either, and
+refuses any other text, a zero denominator included, with ``ValueError``.
 
 Factorial evaluations stay in ``int`` for ``int`` arguments and return a
 ``Fraction`` for ``Fraction`` arguments.  At integer arguments they are
-``math`` kernels: (x)_n = perm(x+n-1, n) for x >= 1, [x]_n = perm(x, n)
-for x >= 0, and binom(x, k) = comb(x, k), or (-1)^k comb(k-x-1, k) for
-x < 0.  Every other argument takes the product loop.
+``math`` kernels: (x)_n = perm(x+n-1, n) for x >= 1 and [x]_n = perm(x, n)
+for x >= 0.  Every other argument takes the product loop.
 
 ``falling_factorial_poly(c, n)`` and ``binom_poly(c, r)`` are built from
 one coefficient list, with no ``Polynomial`` products.  For an ``int`` c
@@ -36,8 +40,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from itertools import zip_longest
-from math import comb, factorial, gcd, lcm, perm, prod
+from math import factorial, gcd, lcm, perm, prod
 from typing import Iterable, List, Tuple, Union
 
 RationalLike = Union[Fraction, int]
@@ -82,7 +85,7 @@ def format_rational(x: RationalLike) -> str:
 
 
 class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients.
+    """Dense univariate polynomial with exact rational coefficients, as a value.
 
     Stored as integer numerators ``nums`` over one denominator ``den``: the
     coefficient of X^k is nums[k] / den.  ``coeffs`` is the same polynomial
@@ -139,57 +142,6 @@ class Polynomial:
             return hash(self.coefficient(0))
         return hash((self.nums, self.den))
 
-    def __add__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        other = _coerce(other)
-        return Polynomial.over(
-            (
-                a * other.den + b * self.den
-                for a, b in zip_longest(self.nums, other.nums, fillvalue=0)
-            ),
-            self.den * other.den,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial.over((-c for c in self.nums), self.den)
-
-    def __sub__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other: RationalLike) -> "Polynomial":
-        return _coerce(other) - self
-
-    def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.over(
-                (c * other.numerator for c in self.nums),
-                self.den * other.denominator,
-            )
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            for j, b in enumerate(other.nums):
-                out[i + j] += a * b
-        return Polynomial.over(out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        """Exact evaluation at x (Horner)."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.nums):
-            acc = acc * x + c
-        return acc / self.den
-
-    def substitute_neg_x(self) -> "Polynomial":
-        """Return p(-X)."""
-        return Polynomial.over(
-            (c if k % 2 == 0 else -c for k, c in enumerate(self.nums)), self.den
-        )
-
     def to_strings(self) -> List[str]:
         """Serialized form: coefficient strings, constant term first."""
         return [_ratio_str(c, self.den) for c in self.nums]
@@ -229,7 +181,10 @@ class Polynomial:
                 raise ValueError(f"cannot parse polynomial term {term!r}")
             # Decimal, unlike int and Fraction, reads a string of any length
             num, _, den = (m.group("coef") or "1").partition("/")
-            coef = Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+            den = int(Decimal(den or "1"))
+            if not den:
+                raise ValueError(f"zero denominator in polynomial term {term!r}")
+            coef = Fraction(int(Decimal(num)), den)
             if m.group("sign"):
                 coef = -coef
             if "X" in term:
@@ -259,18 +214,6 @@ def _canonical(nums: List[int], den: int) -> Tuple[Tuple[int, ...], int]:
         nums = [c // g for c in nums]
         den //= g
     return tuple(nums), den
-
-
-def _coerce(value: "Polynomial | RationalLike") -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial([value])
-
-
-#: the indeterminate
-X = Polynomial((0, 1))
-
-ONE = Polynomial((1,))
 
 
 def rising_factorial_eval(x: RationalLike, n: int) -> RationalLike:
@@ -318,12 +261,3 @@ def binom_poly(c: RationalLike, r: int) -> Polynomial:
     falling = falling_factorial_poly(c, r)
     return Polynomial.over(falling.nums, falling.den * factorial(r))
 
-
-def binom_rat(x: RationalLike, k: int) -> Fraction:
-    """binom(x, k) = [x]_k / k! for k >= 0; zero for negative k."""
-    if k < 0:
-        return Fraction(0)
-    if isinstance(x, int):
-        # upper negation: binom(x, k) = (-1)^k binom(k-x-1, k)
-        return Fraction(comb(x, k) if x >= 0 else (-1) ** k * comb(k - x - 1, k))
-    return Fraction(falling_factorial_eval(x, k), factorial(k))

@@ -15,11 +15,17 @@ def corrupt_rhs(monkeypatch):
     process).
     """
     from partition_identities import cli, identities, verifier
+    from partition_identities.polynomials import Polynomial
+
+    import oracles
 
     real = identities.case_sides
 
+    def plus_one(side):
+        return oracles.add(side, 1) if isinstance(side, Polynomial) else side + 1
+
     def corrupted(case):
-        return [(lhs, rhs + 1) for lhs, rhs in real(case)]
+        return [(lhs, plus_one(rhs)) for lhs, rhs in real(case)]
 
     for module in (verifier, cli):
         monkeypatch.setattr(module, "case_sides", corrupted)

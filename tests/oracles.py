@@ -2,8 +2,8 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
+from itertools import combinations, zip_longest
+from math import comb, factorial
 
 from partition_identities.genbinom import row_gen_poly
 from partition_identities.partitions import Partition
@@ -59,11 +59,71 @@ def falling(x, n: int) -> Fraction:
     return acc
 
 
+def binom_rat(x, k: int) -> Fraction:
+    """binom(x, k) = [x]_k / k! for k >= 0; zero for negative k.
+
+    An int x takes ``math.comb``, through upper negation,
+    binom(x, k) = (-1)^k binom(k-x-1, k), when x < 0.
+    """
+    if k < 0:
+        return Fraction(0)
+    if isinstance(x, int):
+        return Fraction(comb(x, k) if x >= 0 else (-1) ** k * comb(k - x - 1, k))
+    return falling(x, k) / factorial(k)
+
+
+# Ring arithmetic on polynomials, over the ``Fraction`` view ``coeffs``
+# only, so that none of it shares code with how ``Polynomial`` stores its
+# numerators.  A scalar operand stands for the constant polynomial.
+
+
+def _terms(value) -> list:
+    """The coefficients of a polynomial or a scalar, constant term first."""
+    if isinstance(value, Polynomial):
+        return list(value.coeffs)
+    return [Fraction(value)]
+
+
+def add(a, b) -> Polynomial:
+    """a + b, one coefficient at a time."""
+    return Polynomial(x + y for x, y in zip_longest(_terms(a), _terms(b), fillvalue=0))
+
+
+def neg(a) -> Polynomial:
+    """-a."""
+    return Polynomial(-c for c in _terms(a))
+
+
+def sub(a, b) -> Polynomial:
+    """a - b."""
+    return add(a, neg(b))
+
+
+def mul(a, b) -> Polynomial:
+    """a * b by the schoolbook convolution of the coefficient lists."""
+    a, b = _terms(a), _terms(b)
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return Polynomial(out)
+
+
+def evaluate(p: Polynomial, x) -> Fraction:
+    """p(x), as the sum of c_k x^k."""
+    return sum((c * Fraction(x) ** k for k, c in enumerate(p.coeffs)), Fraction(0))
+
+
+def neg_x(p: Polynomial) -> Polynomial:
+    """p(-X): the odd coefficients change sign."""
+    return Polynomial(-c if k % 2 else c for k, c in enumerate(p.coeffs))
+
+
 def falling_poly_product(c, n: int) -> Polynomial:
     """[X+c]_n as the literal product of the linear factors X + c - i."""
     acc = Polynomial([1])
     for i in range(n):
-        acc = acc * Polynomial((c - i, 1))
+        acc = mul(acc, Polynomial((c - i, 1)))
     return acc
 
 
