@@ -12,11 +12,13 @@ sum_i (i)_s M[i] with the moment vector M[i] = sum_mu w(mu) m_i(mu), which
 depends on neither s nor the form.  Each table is filled in one walk over
 the partitions of n, which stores no partition.  ``partitions._partitions_of``
 hands over each mu with z_mu, prod m_i! and l(mu) built up one
-multiplicity block at a time, so no mu's parts are recounted.  Each table
-is keyed by n alone: ``_class_tables(n)`` holds the per-length vectors of
-CLASSICAL, CONJ2, CONJ3 and CONJ4, and ``_covering_table(n)`` those of
-CONJ1 for every r <= n.  The CONJ1 table carries every r at once in polynomials in
-t packed into single ints, with a slot width from ``_slot_bits(n)``.  A
+multiplicity block at a time, so no mu's parts are recounted, and a leaf
+adds one term per distinct part.  Each table is keyed by n alone:
+``_class_tables(n)`` holds the per-length vectors of CLASSICAL, CONJ2,
+CONJ3 and CONJ4, M above W in one int per entry with a split from
+``_length_bits(n)``, and ``_covering_table(n)`` those of CONJ1 for every
+r <= n.  The CONJ1 table carries every r at once in polynomials in t
+packed into single ints, with a slot width from ``_slot_bits(n)``.  A
 case with a single (n, r) still pays for the whole n.  Both tables refuse
 n > ``partitions.MAX_N`` before they allocate, and each memo has room for
 every n they accept.
@@ -24,9 +26,10 @@ Every case then takes one dot product per length with its row of (i)_s.
 The vectors are rearranged sums over the partitions, never closed forms.
 
 Each other factor of a case is also built once per key it depends on, in
-a bounded memo: the row (i)_s, i <= n, once per (n, s) in
-``_rising_row``, and the bracket r! (binom(X+a, r) - binom(X+b, r)) of the
-CONJ1, CONJ2 and TOP_COEFF right-hand sides once per (r, s, form) in
+a bounded memo: each value (i)_s once per s, in a row that
+``_rising_row`` extends as a larger n asks for it, and the bracket
+r! (binom(X+a, r) - binom(X+b, r)) of the CONJ1, CONJ2 and TOP_COEFF
+right-hand sides once per (r, s, form) in
 ``_conj1_bracket``; n enters that side only through its integer prefactor.
 CONJ1, CONJ3 and CONJ4 return their zero pair for r > n before they read a
 table or build a row.
@@ -55,7 +58,7 @@ from .polynomials import (
 
 #: the largest s a case takes.  The row (i)_s, i <= n, grows with s: at
 #: n = 60 and s = 10**4 it takes 0.33-0.43 s on a 2-core Xeon, paid once per
-#: (n, s) per process, since ``_rising_row`` keeps it
+#: s per process, since ``_rising_row`` keeps it and extends it to a larger n
 MAX_S = 10**4
 
 SideValue = Union[Polynomial, Fraction]
@@ -79,6 +82,10 @@ class Form(Enum):
     UNSIGNED = "UNSIGNED"
 
 
+#: the types of an optional integer field of a case; bool is not one of them
+_INT_OR_NONE = (int, type(None))
+
+
 @dataclass(frozen=True)
 class IdentityCase:
     """One identity plus its integer parameters."""
@@ -92,6 +99,16 @@ class IdentityCase:
     def __post_init__(self) -> None:
         spec = IDENTITIES[self.identity_id]
         name = self.identity_id.value
+        # exact types, so a bool, a float or a form's name is refused here,
+        # not taken for another value or failed on inside a builder
+        if (
+            type(self.n) is not int
+            or type(self.r) not in _INT_OR_NONE
+            or type(self.s) not in _INT_OR_NONE
+        ):
+            raise TypeError(f"{name}: n, r and s must be int")
+        if self.form is not None and type(self.form) is not Form:
+            raise TypeError(f"{name}: form must be a Form, got {self.form!r}")
         if not 1 <= self.n <= spec.max_n:
             raise ValueError(f"{name}: n must be in 1..{spec.max_n}")
         for label, key in (("parameter r", "r"), ("parameter s", "s"), ("form", "form")):
@@ -149,13 +166,27 @@ class IdentityCase:
         return cls(identity_id, **kwargs)
 
 
-#: grid order runs s inside r, so every s of one n comes round again for
-#: each r: 32 rows hold a sweep's s axis of up to 32 values.  The largest
-#: row, (60, MAX_S), is about 0.95 MB, so the memo holds at most about 30 MB
+#: one row per s, which every n and identity of a sweep shares: 32 rows hold
+#: a sweep's s axis of up to 32 values.  The largest row, (i)_MAX_S for
+#: i <= 60, is about 0.95 MB, so the memo holds at most about 30 MB
 @lru_cache(maxsize=32)
+def _rising_rows(s: int) -> List[Tuple[int, ...]]:
+    """[the longest row of (i)_s built so far]; ``_rising_row`` extends it."""
+    return [()]
+
+
 def _rising_row(n: int, s: int) -> Tuple[int, ...]:
-    """R[i] = (i)_s for 0 <= i <= n, so sum_i (mu_i)_s = sum_i m_i R[i]."""
-    return tuple(rising_factorial_eval(i, s) for i in range(n + 1))
+    """R[i] = (i)_s for 0 <= i <= n, so sum_i (mu_i)_s = sum_i m_i R[i].
+
+    Each (i)_s is computed once while its s stays in the memo, and no
+    further than the largest n that has asked for it.  The slice is the
+    held row itself when that row ends at n.
+    """
+    held = _rising_rows(s)
+    row = held[0]
+    if len(row) <= n:
+        row = held[0] = row + tuple(rising_factorial_eval(i, s) for i in range(len(row), n + 1))
+    return row[: n + 1]
 
 
 #: one integer vector indexed by part i <= n per length l = 1, 2, ...
@@ -169,24 +200,43 @@ def _class_tables(n: int) -> Tuple[Moments, Moments]:
     M_l has w = n!/z_mu (CLASSICAL, CONJ2) and W_l has w = l!/prod_j m_j!
     (CONJ3, CONJ4).  Neither reads <mu, r>, so CONJ2 never calls gen_binom,
     and W_l is summed over the partitions, never from its closed form
-    l binom(n-i-1, l-2), which is the CONJ4 right-hand side.
+    l binom(n-i-1, l-2), which is the CONJ4 right-hand side.  Both are
+    summed at once: one int per (l, i) holds M above W, shifted by
+    ``_length_bits(n)``, so a leaf packs its two weights once and adds one
+    multiple of the pair per distinct part.  The sums are split once, at
+    the end.
     """
     partitions.check_enumerable(n)  # before the O(n^2) vectors are allocated
     n_fact = factorial(n)
-    classes = [[0] * (n + 1) for _ in range(n)]
-    lengths = [[0] * (n + 1) for _ in range(n)]
+    width = _length_bits(n)
+    length_fact = [factorial(l) for l in range(n + 1)]
+    # sums[l][i], for l = 1..n; no partition of n > 0 has length 0
+    sums = [[0] * (n + 1) for _ in range(n + 1)]
 
     def add(blocks: List[Tuple[int, int]], length: int, z: int, mult_factorial: int, _: int) -> None:
-        # n!/z_mu is the number of permutations of cycle type mu in S_n
-        class_size = n_fact // z
-        multinomial = factorial(length) // mult_factorial
-        c, w = classes[length - 1], lengths[length - 1]
+        # n!/z_mu, the number of permutations of cycle type mu in S_n, above
+        # the multinomial l!/prod m_j!
+        packed = (n_fact // z) << width | length_fact[length] // mult_factorial
+        vector = sums[length]
         for i, m in blocks:
-            c[i] += class_size * m
-            w[i] += multinomial * m
+            vector[i] += packed * m
 
     partitions._partitions_of(n, add)
-    return tuple(map(tuple, classes)), tuple(map(tuple, lengths))
+    mask = (1 << width) - 1
+    classes = tuple(tuple(packed >> width for packed in vector) for vector in sums[1:])
+    lengths = tuple(tuple(packed & mask for packed in vector) for vector in sums[1:])
+    return classes, lengths
+
+
+def _length_bits(n: int) -> int:
+    """Bits below the class sizes in a packed ``_class_tables`` sum at n.
+
+    Summed over mu |- n with l(mu) = l, l!/prod_j m_j! counts the
+    compositions of n into l parts, binom(n-1, l-1) < 2^(n-1) of them, and
+    m_i(mu) <= n, so every W entry, and each partial sum of it, is below
+    n 2^(n-1) and never carries into the M entry above it.
+    """
+    return (n << (n - 1)).bit_length()
 
 
 def _slot_bits(n: int) -> int:

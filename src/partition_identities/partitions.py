@@ -5,7 +5,10 @@ lexicographic order and keeps none of them.  It goes depth first over
 multiplicity blocks (part i, multiplicity m), so each tree edge extends
 z_mu, prod m_i!, l(mu) and an optional product of per-part factors by one
 block, and a leaf gets them without recounting its parts (Knuth, TAOCP
-4A, 7.2.1.4, generates partitions in this multiplicity form).  It refuses
+4A, 7.2.1.4, generates partitions in this multiplicity form).  An edge
+reads its factors of z_mu and prod m_i! from lists built once per n, and
+the twos and ones that end each partition come from tails precomputed per
+remaining sum, in a loop rather than a recursive call.  It refuses
 n > ``MAX_N`` before its first leaf.  ``MAX_N`` is derived once, at
 import, from the same pentagonal recurrence as ``partition_count``, so
 the refusal is one comparison.  The moment tables of ``identities.py``
@@ -17,8 +20,9 @@ it, and ``enumerate_partitions``, which lists them, are the public API.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count, islice
+from itertools import accumulate, count, islice, repeat
 from math import factorial
+from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: textual form of the empty partition
@@ -150,41 +154,72 @@ def _partitions_of(n: int, leaf: Leaf, factors: Optional[Sequence[int]] = None) 
     """Call ``leaf`` once for each partition of n, in decreasing lexicographic order.
 
     Refuses n > MAX_N before the first call.  The walk is depth first over
-    multiplicity blocks (i, m), i decreasing along a path, so a partition
-    shares the state of every block it has in common with the one before.
-    ``blocks`` is the partition's (i, m) list, largest part first; it is the
-    walk's own list and changes once ``leaf`` returns.  Each tree edge (i, m)
-    multiplies z = prod i^m m! by i^m m!, ``mult_factorial`` = prod m! by m!,
-    adds m to ``length`` and multiplies ``row`` by ``factors[i]`` m times;
-    with no factors ``row`` is 1.  A block of ones is always the last, and
-    leaves ``row`` alone: ``row`` is the product over the parts above 1.
+    multiplicity blocks (i, m), i decreasing along a path and m decreasing
+    among siblings, so a partition shares the state of every block it has in
+    common with the one before.  ``blocks`` is the partition's (i, m) list,
+    largest part first; it is the walk's own list and changes once ``leaf``
+    returns.  Each tree edge (i, m) multiplies z = prod i^m m! by i^m m! and
+    ``mult_factorial`` = prod m! by m!, both read from lists built once per
+    call, adds m to ``length`` and multiplies ``row`` by ``factors[i]`` ** m,
+    which it takes from a chain of one multiply per edge; with no factors
+    ``row`` is 1.  A recursive call places the parts above 2.  The twos and
+    ones that end a path are placed by a loop over tails precomputed per
+    sum, each adding its blocks, length and factors of z and prod m! at
+    once.  A block of ones is always the last, and leaves ``row`` alone:
+    ``row`` is the product over the parts above 1.
     """
     check_enumerable(n)
-    if factors is None:
-        factors = [1] * (n + 1)
+    mult_fact = [factorial(m) for m in range(n + 1)]
+    # z_edge[i][m] = i^m m!, for every m <= n // i
+    z_edge = [[]] + [[i**m * mult_fact[m] for m in range(n // i + 1)] for i in range(1, n + 1)]
+    # tails[rest]: each tail of m >= 1 twos and rest - 2m ones, m decreasing,
+    # as (m, its blocks, its length, its factor of z, its factor of prod m!)
+    tails = [
+        [
+            (
+                m,
+                ((2, m), (1, rest - 2 * m)) if rest > 2 * m else ((2, m),),
+                rest - m,
+                z_edge[2][m] * mult_fact[rest - 2 * m],
+                mult_fact[m] * mult_fact[rest - 2 * m],
+            )
+            for m in range(rest // 2, 0, -1)
+        ]
+        for rest in range(n + 1)
+    ]
+    ones = [1] * (n + 1)
     blocks: List[Tuple[int, int]] = []
+    push, extend, pop = blocks.append, blocks.extend, blocks.pop
 
     def grow(rest: int, top: int, length: int, z: int, mult_factorial: int, row: int) -> None:
         # the parts still to place add up to rest > 0, and none is above top
-        for i in range(min(rest, top), 1, -1):
-            # the states after the edges (i, 1), (i, 2), ..., each one step
-            # from the last, are built upwards and visited downwards
-            states = []
-            edge_z, edge_mf, edge_row = z, mult_factorial, row
-            for m in range(1, rest // i + 1):
-                edge_z, edge_mf, edge_row = edge_z * i * m, edge_mf * m, edge_row * factors[i]
-                states.append((m, edge_z, edge_mf, edge_row))
-            for m, edge_z, edge_mf, edge_row in reversed(states):
-                blocks.append((i, m))
-                if rest > i * m:
-                    grow(rest - i * m, i - 1, length + m, edge_z, edge_mf, edge_row)
+        for i in range(min(rest, top), 2, -1):
+            z_i = z_edge[i]
+            # row * factors[i] ** m for m = 0, 1, ..., one multiply each
+            row_i = ones if factors is None else [
+                *accumulate(repeat(factors[i], rest // i), mul, initial=row)
+            ]
+            for m in range(rest // i, 0, -1):
+                push((i, m))
+                left = rest - i * m
+                edge_z, edge_mf = z * z_i[m], mult_factorial * mult_fact[m]
+                if left:
+                    grow(left, i - 1, length + m, edge_z, edge_mf, row_i[m])
                 else:
-                    leaf(blocks, length + m, edge_z, edge_mf, edge_row)
-                blocks.pop()
-        ones = factorial(rest)
-        blocks.append((1, rest))
-        leaf(blocks, length + rest, z * ones, mult_factorial * ones, row)
-        blocks.pop()
+                    leaf(blocks, length + m, edge_z, edge_mf, row_i[m])
+                pop()
+        if rest > 1:
+            row_2 = ones if factors is None else [
+                *accumulate(repeat(factors[2], rest // 2), mul, initial=row)
+            ]
+            depth = len(blocks)
+            for m, tail, tail_length, tail_z, tail_mf in tails[rest]:
+                extend(tail)
+                leaf(blocks, length + tail_length, z * tail_z, mult_factorial * tail_mf, row_2[m])
+                del blocks[depth:]
+        push((1, rest))
+        leaf(blocks, length + rest, z * mult_fact[rest], mult_factorial * mult_fact[rest], row)
+        pop()
 
     if n == 0:
         leaf(blocks, 0, 1, 1, 1)

@@ -82,8 +82,13 @@ class SweepConfig:
             too_many = True
         if too_many:
             raise ConfigError(f"grid has more than {MAX_CASES} cases, the most one sweep may run")
-        if self.form is not None and not any("form" in spec.params for spec in specs):
-            raise ConfigError(f"form {self.form.value} given, but no selected identity has forms")
+        if self.form is not None:
+            if type(self.form) is not Form:
+                raise ConfigError(f"form must be a Form, got {self.form!r}")
+            if not any("form" in spec.params for spec in specs):
+                raise ConfigError(
+                    f"form {self.form.value} given, but no selected identity has forms"
+                )
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
 

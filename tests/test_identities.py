@@ -2,7 +2,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -154,10 +154,10 @@ def test_memoized_sides_match_cold_builds():
     cases = expand_cases(MEMO_GRID)
     _clear_moment_caches()
     warm = [typed(case_sides(case)) for case in cases]
-    # CONJ1, CONJ2, CONJ3 (s from 0) and CONJ4 each build one row per
-    # (n, s), and one bracket per (r, s, form), r <= 10, serves every n,
+    # one row of (i)_s per s = 0..5, extended as n grows, serves every n and
+    # identity, and one bracket per (r, s, form), r <= 10, serves every n,
     # form and identity
-    assert identities._rising_row.cache_info().misses == 10 * (5 + 5 + 6 + 5)
+    assert identities._rising_rows.cache_info().misses == 6
     assert identities._conj1_bracket.cache_info().misses == 10 * 5 * 2
     for case, sides in zip(cases, warm):
         _clear_moment_caches()
@@ -173,6 +173,25 @@ def test_memo_grid_same_content_at_one_and_two_workers(monkeypatch):
     report2 = run_sweep(replace(MEMO_GRID, worker_count=2))
     assert report1.summary["counterexamples"] == 0
     assert report1.content_dict() == report2.content_dict()
+
+
+def test_class_tables_match_a_recount_past_n_18():
+    # one pass over each mu |- n, its weights recounted from its parts
+    from partition_identities.identities import _class_tables
+
+    for n in range(19, 27):
+        classes = [[0] * (n + 1) for _ in range(n)]
+        lengths = [[0] * (n + 1) for _ in range(n)]
+        for mu in oracles.partitions(n):
+            counts = Counter(mu)
+            class_size = factorial(n) // oracles.z_value(mu)
+            multinomial = factorial(len(mu)) // prod(factorial(m) for m in counts.values())
+            for i, m in counts.items():
+                classes[len(mu) - 1][i] += class_size * m
+                lengths[len(mu) - 1][i] += multinomial * m
+        assert _class_tables(n) == (
+            tuple(map(tuple, classes)), tuple(map(tuple, lengths))
+        ), f"n={n}"
 
 
 def test_moment_tables_match_bruteforce_oracle():
@@ -284,6 +303,24 @@ def test_packed_slots_are_wide_enough():
         assert max(max(v) for lengths in _covering_table(n) for v in lengths) < 1 << width
     # the stated bound n! n 2^n at the largest n the enumeration accepts
     assert factorial(60) * 60 * 2**60 < 1 << _slot_bits(60)
+
+
+def test_packed_class_sums_are_wide_enough():
+    from partition_identities.identities import _class_tables, _length_bits
+    from partition_identities.partitions import MAX_N
+
+    for n in range(1, MAX_N + 1):
+        width = _length_bits(n)
+        # the stated bound on every W entry and partial sum
+        assert n << (n - 1) < 1 << width
+        # the largest entry, from the composition count: W_1[n] = 1 and
+        # W_l[i] = l binom(n-i-1, l-2) for l >= 2
+        largest = max(
+            [1] + [l * comb(n - i - 1, l - 2) for l in range(2, n + 1) for i in range(1, n)]
+        )
+        assert largest < 1 << width, f"n={n}"
+        if n <= 20:
+            assert max(max(v) for v in _class_tables(n)[1]) == largest, f"n={n}"
 
 
 def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
@@ -527,7 +564,7 @@ def test_case_sides_build_no_polynomial_products():
 
 
 def test_left_hand_sides_read_the_class_table(monkeypatch):
-    # one row of (i)_s per (n, s), and no Partition object on the hot path
+    # one row of (i)_s per s, and no Partition object on the hot path
     from partition_identities import identities
     from partition_identities.partitions import Partition
 
@@ -553,12 +590,41 @@ def test_left_hand_sides_read_the_class_table(monkeypatch):
         (lambda: conj4_sides(n, r, s), n + 1),
     ):
         # the row is built on a cold memo and read back at the same (n, s)
-        identities._rising_row.cache_clear()
+        identities._rising_rows.cache_clear()
         for rows_built in (expected, 0):
             calls.clear()
             lhs, rhs = build()
             assert lhs == rhs
             assert len(calls) == rows_built
+
+
+def test_rising_values_are_computed_once_per_s(monkeypatch):
+    # 48 (n, s) pairs per identity, more than the memo's 32 slots: a row per
+    # (n, s) was rebuilt for every n and again for CONJ4
+    from partition_identities import identities
+
+    calls = Counter()
+    real = identities.rising_factorial_eval
+
+    def counted(x, k):
+        calls[x, k] += 1
+        return real(x, k)
+
+    monkeypatch.setattr(identities, "rising_factorial_eval", counted)
+    _clear_moment_caches()
+    grid = SweepConfig((IdentityId.CONJ3, IdentityId.CONJ4), (1, 6), (1, 2), (1, 8))
+    assert run_sweep(grid).summary["counterexamples"] == 0
+    # (i)_s for i <= 6 and s <= 8, each once
+    assert calls == Counter({(i, s): 1 for i in range(7) for s in range(1, 9)})
+    # a lone case builds no value past its n; a smaller n reads the row that
+    # a larger n built, and a larger n extends it
+    calls.clear()
+    case_sides(IdentityCase(IdentityId.CONJ3, 5, 2, MAX_S))
+    assert sorted(calls) == [(i, MAX_S) for i in range(6)]
+    case_sides(IdentityCase(IdentityId.CONJ3, 3, 2, MAX_S))
+    case_sides(IdentityCase(IdentityId.CONJ4, 6, 2, MAX_S))
+    assert sorted(calls) == [(i, MAX_S) for i in range(7)]
+    assert set(calls.values()) == {1}
 
 
 def test_rising_row_matches_rising_factorial():
@@ -736,6 +802,25 @@ def test_case_validation():
             _case_at(iid, s=MAX_S)
             with pytest.raises(ValueError, match=f"s must be in {spec.s_min}..{MAX_S}"):
                 _case_at(iid, s=MAX_S + 1)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # a form's name is not a Form: it was judged VERIFIED as UNSIGNED
+        (IdentityId.CONJ1, 5, 3, 2, "SIGNED"),
+        (IdentityId.CONJ3, 5.0, 3, 2, None),
+        (IdentityId.CONJ3, 5, 3.0, 2, None),
+        (IdentityId.CONJ3, 5, 3, 2.0, None),
+        # a bool is an int subclass, and True would pass as 1
+        (IdentityId.CONJ3, True, 1, 2, None),
+        (IdentityId.CONJ3, 5, True, 2, None),
+        (IdentityId.CONJ3, 5, 3, False, None),
+    ],
+)
+def test_case_refuses_fields_of_the_wrong_type(fields):
+    with pytest.raises(TypeError):
+        IdentityCase(*fields)
 
 
 def test_case_text_round_trip():

@@ -121,6 +121,11 @@ def test_config_validation():
         SweepConfig(
             identity_ids=(IdentityId.CONJ1,), n_range=(1, 2), worker_count=0
         ).validate()
+    # a form's name is not a Form: its cases would be refused only at expansion
+    with pytest.raises(ConfigError, match="Form"):
+        SweepConfig(
+            identity_ids=(IdentityId.CONJ1,), n_range=(1, 2), form="SIGNED"
+        ).validate()
 
 
 @pytest.mark.parametrize("cpus, expected", [(64, [2]), (3, [2]), (None, []), (1, [])])
