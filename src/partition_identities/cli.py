@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from typing import Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Optional, Sequence, TextIO, Tuple
 
 from .genbinom import gen_binom
 from .identities import Form, IdentityCase, IdentityId, case_sides
@@ -104,12 +106,15 @@ def _cmd_sweep(args) -> int:
         form=form,
         worker_count=args.workers,
     )
-    report = run_sweep(config)
-    _emit_report(report, args)
+    # a bad config, then an unwritable --out, is refused before any case runs
+    config.validate()
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as sink:
+        report = run_sweep(config)
+        _emit_report(report, args, sink)
     return report.exit_code
 
 
-def _emit_report(report: Report, args) -> None:
+def _emit_report(report: Report, args, sink: Optional[TextIO]) -> None:
     if args.format == "csv":
         text = report.to_csv()
     elif args.format == "human":
@@ -124,11 +129,10 @@ def _emit_report(report: Report, args) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if sink is None:
         print(text, end="" if text.endswith("\n") else "\n")
+    else:
+        sink.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,8 +192,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_CONFIG_ERROR
     try:
-        return args.func(args)
-    except (ConfigError, ValueError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone (`partid partitions 40 | head -1`): stdout's
+        # flush at exit goes to the null device, so no traceback follows
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG_ERROR
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -22,12 +22,14 @@ packed into single ints, with a slot width from ``_slot_bits(n)``.  A
 case with a single (n, r) still pays for the whole n.  Both tables refuse
 n > ``partitions.MAX_N`` before they allocate, and each memo has room for
 every n they accept.
-Every case then takes one dot product per length with its row of (i)_s.
-The vectors are rearranged sums over the partitions, never closed forms.
+Every case then takes one dot product per length with its row of (i)_s,
+which stops at the vector's n + 1 entries.  The vectors are rearranged
+sums over the partitions, never closed forms.
 
 Each other factor of a case is also built once per key it depends on, in
-a bounded memo: each value (i)_s once per s, in a row that
-``_rising_row`` extends as a larger n asks for it, and the bracket
+a bounded memo: the row (i)_s for every i <= ``partitions.MAX_N`` once per
+s in ``_rising_row``, built whole from the recurrence
+(i+1)_s = (i)_s (i+s) / i, so one row serves every n; and the bracket
 r! (binom(X+a, r) - binom(X+b, r)) of the CONJ1, CONJ2 and TOP_COEFF
 right-hand sides once per (r, s, form) in
 ``_conj1_bracket``; n enters that side only through its integer prefactor.
@@ -56,9 +58,9 @@ from .polynomials import (
     rising_factorial_eval,
 )
 
-#: the largest s a case takes.  The row (i)_s, i <= n, grows with s: at
-#: n = 60 and s = 10**4 it takes 0.33-0.43 s on a 2-core Xeon, paid once per
-#: s per process, since ``_rising_row`` keeps it and extends it to a larger n
+#: the largest s a case takes.  The row (i)_s, i <= 60, grows with s: at
+#: s = 10**4 its recurrence takes about 8 ms on a 2-core Xeon, paid once per
+#: s per process while ``_rising_row`` keeps the row
 MAX_S = 10**4
 
 SideValue = Union[Polynomial, Fraction]
@@ -170,23 +172,18 @@ class IdentityCase:
 #: a sweep's s axis of up to 32 values.  The largest row, (i)_MAX_S for
 #: i <= 60, is about 0.95 MB, so the memo holds at most about 30 MB
 @lru_cache(maxsize=32)
-def _rising_rows(s: int) -> List[Tuple[int, ...]]:
-    """[the longest row of (i)_s built so far]; ``_rising_row`` extends it."""
-    return [()]
+def _rising_row(s: int) -> Tuple[int, ...]:
+    """R[i] = (i)_s for i <= ``partitions.MAX_N``, so sum_i (mu_i)_s = sum_i m_i R[i].
 
-
-def _rising_row(n: int, s: int) -> Tuple[int, ...]:
-    """R[i] = (i)_s for 0 <= i <= n, so sum_i (mu_i)_s = sum_i m_i R[i].
-
-    Each (i)_s is computed once while its s stays in the memo, and no
-    further than the largest n that has asked for it.  The slice is the
-    held row itself when that row ends at n.
+    R[0] = (0)_s, which is 1 at s = 0 and 0 above, R[1] = s! and
+    R[i+1] = R[i] (i+s) / i for i >= 1, an exact division, since
+    (i+1)_s = (i+1) ... (i+s) = (i)_s (i+s) / i.  One row serves every n,
+    so the memo is keyed by s alone.
     """
-    held = _rising_rows(s)
-    row = held[0]
-    if len(row) <= n:
-        row = held[0] = row + tuple(rising_factorial_eval(i, s) for i in range(len(row), n + 1))
-    return row[: n + 1]
+    row = [int(s == 0), factorial(s)]
+    for i in range(1, partitions.MAX_N):
+        row.append(row[i] * (i + s) // i)
+    return tuple(row)
 
 
 #: one integer vector indexed by part i <= n per length l = 1, 2, ...
@@ -304,7 +301,7 @@ def _class_sum(
 
     ``moments`` holds (n!/z_mu) w(mu) m_i(mu) per length, and each length's
     total is its vector dotted with ``row``, the case's
-    ``_rising_row(n, s)``.  With no row (CLASSICAL) the term is w(mu) alone:
+    ``_rising_row(s)``.  With no row (CLASSICAL) the term is w(mu) alone:
     sum_i m_i(mu) = l(mu), so the vector's sum over l is the total.
     n!/z_mu is the size of the conjugacy class of cycle type mu, so every
     term is an integer numerator over the single denominator n!.  In the
@@ -360,13 +357,13 @@ def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
     if r > n:
         return Polynomial(), Polynomial()
     # terms with l(mu) > r vanish (row-covering coefficient is zero)
-    lhs = _class_sum(n, r, 1, form, _covering_table(n)[r - 1], _rising_row(n, s))
+    lhs = _class_sum(n, r, 1, form, _covering_table(n)[r - 1], _rising_row(s))
     return lhs, _conj1_rhs(r, s, form, _conj1_prefactor(n, r, s))
 
 
 def conj2_sides(n: int, s: int, form: Form) -> SidePair:
     """Conjecture 2, the r = n specialization with the covering count gone."""
-    lhs = _class_sum(n, n, 1, form, _class_tables(n)[0], _rising_row(n, s))
+    lhs = _class_sum(n, n, 1, form, _class_tables(n)[0], _rising_row(s))
     return lhs, _conj1_rhs(n, s, form, factorial(s - 1))
 
 
@@ -375,7 +372,7 @@ def _length_r_sum(n: int, r: int, row: Tuple[int, ...]) -> Fraction:
 
     r!/prod_i m_i! is a multinomial coefficient, so the sum is the integer
     W_r . R over r, with W_r from ``_class_tables(n)`` and R = row =
-    _rising_row(n, s).
+    _rising_row(s).
     """
     return Fraction(sum(map(mul, _class_tables(n)[1][r - 1], row)), r)
 
@@ -387,7 +384,7 @@ def conj3_sides(n: int, r: int, s: int) -> SidePair:
     """
     if r > n:
         return Fraction(0), Fraction(0)
-    lhs = _length_r_sum(n, r, _rising_row(n, s))
+    lhs = _length_r_sum(n, r, _rising_row(s))
     return lhs, Fraction(factorial(s) * comb(n + s - 1, n - r))
 
 
@@ -398,7 +395,7 @@ def conj4_sides(n: int, r: int, s: int) -> SidePair:
     """
     if r > n:
         return Fraction(0), Fraction(0)
-    row = _rising_row(n, s)
+    row = _rising_row(s)
     lhs = _length_r_sum(n, r, row)
     # for r >= 2 every upper index n-i-1 is >= r-2 >= 0; at r = 1 the lower
     # index is -1 and every term is zero

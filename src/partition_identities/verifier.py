@@ -59,8 +59,20 @@ class SweepConfig:
     worker_count: int = 1
 
     def validate(self) -> None:
+        # exact types, as ``IdentityCase`` checks them: a bool, a float or an
+        # id's name is refused here, not failed on or echoed into the report
         if not self.identity_ids:
             raise ConfigError("no identities selected")
+        ids = self.identity_ids
+        if type(ids) is not tuple or any(type(i) is not IdentityId for i in ids):
+            raise ConfigError(f"identity_ids must be a tuple of IdentityId values, got {ids!r}")
+        if len(set(ids)) < len(ids):
+            raise ConfigError("an identity is selected more than once")
+        for name, bounds in (("n", self.n_range), ("r", self.r_range), ("s", self.s_range)):
+            if type(bounds) is not tuple or len(bounds) != 2 or {type(b) for b in bounds} != {int}:
+                raise ConfigError(f"{name} range must be a pair of ints, got {bounds!r}")
+        if type(self.worker_count) is not int:
+            raise ConfigError(f"worker_count must be an int, got {self.worker_count!r}")
         specs = [IDENTITIES[i] for i in self.identity_ids]
         # a parameter no selected identity uses has no floor and no ceiling;
         # r has no ceiling, since every builder gives zero for r > n

@@ -227,6 +227,45 @@ def test_malformed_input_exits_2(capsys):
     assert run(capsys, "unknown-subcommand")[0] == 2
 
 
+def test_sweep_refuses_a_repeated_id(capsys):
+    # the grid holds CONJ1 once, so the echoed config must not list it twice
+    code, out, err = run(capsys, "sweep", "--ids", "CONJ1,CONJ1", "--n", "1..2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "more than once" in err
+
+
+def test_sweep_refuses_an_unwritable_out_before_any_case(capsys, monkeypatch, tmp_path):
+    def evaluate(case):
+        raise AssertionError(f"evaluated {case}")
+
+    monkeypatch.setattr(verifier, "case_sides", evaluate)
+    missing = str(tmp_path / "missing" / "r.json")
+    code, out, err = run(capsys, "sweep", "--ids", "CONJ1", "--n", "1..3", "--out", missing)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and missing in err and err.count("\n") == 1
+    # a bad config is still refused first, and names itself
+    code, _, err = run(capsys, "sweep", "--ids", "CONJ1", "--n", "3..1", "--out", missing)
+    assert code == 2 and "empty n range" in err
+    # the spy is wired: with a writable --out the sweep reaches it
+    with pytest.raises(AssertionError, match="evaluated"):
+        main(["sweep", "--ids", "CONJ1", "--n", "1..3", "--out", str(tmp_path / "r.json")])
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # `partid partitions 40 | head -1`: 1 would mean a counterexample
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "partition_identities.cli", "partitions", "40"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline() == b"40\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == 2
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
 def test_sweep_validates_only_what_selected_ids_use(capsys):
     # a form needs an identity that has forms
     assert run(capsys, "sweep", "--ids", "CONJ3", "--n", "2", "--r", "2", "--s", "1",

@@ -154,10 +154,9 @@ def test_memoized_sides_match_cold_builds():
     cases = expand_cases(MEMO_GRID)
     _clear_moment_caches()
     warm = [typed(case_sides(case)) for case in cases]
-    # one row of (i)_s per s = 0..5, extended as n grows, serves every n and
-    # identity, and one bracket per (r, s, form), r <= 10, serves every n,
-    # form and identity
-    assert identities._rising_rows.cache_info().misses == 6
+    # one row of (i)_s per s = 0..5 serves every n and identity, and one
+    # bracket per (r, s, form), r <= 10, serves every n, form and identity
+    assert identities._rising_row.cache_info().misses == 6
     assert identities._conj1_bracket.cache_info().misses == 10 * 5 * 2
     for case, sides in zip(cases, warm):
         _clear_moment_caches()
@@ -568,34 +567,26 @@ def test_left_hand_sides_read_the_class_table(monkeypatch):
     from partition_identities import identities
     from partition_identities.partitions import Partition
 
-    calls = []
-    real = identities.rising_factorial_eval
-
-    def counted(x, k):
-        calls.append((x, k))
-        return real(x, k)
-
     def refuse(*args, **kwargs):
         raise AssertionError("a builder used a Partition object")
 
-    monkeypatch.setattr(identities, "rising_factorial_eval", counted)
     for name in ("__init__", "z_value", "multiplicities"):
         monkeypatch.setattr(Partition, name, refuse)
     n, r, s = 9, 4, 3
     for build, expected in (
         (lambda: classical_sides(n, Form.SIGNED), 0),
-        (lambda: conj1_sides(n, r, s, Form.UNSIGNED), n + 1),
-        (lambda: conj2_sides(n, s, Form.SIGNED), n + 1),
-        (lambda: conj3_sides(n, r, s), n + 1),
-        (lambda: conj4_sides(n, r, s), n + 1),
+        (lambda: conj1_sides(n, r, s, Form.UNSIGNED), 1),
+        (lambda: conj2_sides(n, s, Form.SIGNED), 1),
+        (lambda: conj3_sides(n, r, s), 1),
+        (lambda: conj4_sides(n, r, s), 1),
     ):
-        # the row is built on a cold memo and read back at the same (n, s)
-        identities._rising_rows.cache_clear()
+        # the row is built on a cold memo and read back at the same s
+        identities._rising_row.cache_clear()
         for rows_built in (expected, 0):
-            calls.clear()
+            before = identities._rising_row.cache_info().misses
             lhs, rhs = build()
             assert lhs == rhs
-            assert len(calls) == rows_built
+            assert identities._rising_row.cache_info().misses - before == rows_built
 
 
 def test_rising_values_are_computed_once_per_s(monkeypatch):
@@ -603,41 +594,60 @@ def test_rising_values_are_computed_once_per_s(monkeypatch):
     # (n, s) was rebuilt for every n and again for CONJ4
     from partition_identities import identities
 
-    calls = Counter()
-    real = identities.rising_factorial_eval
+    def refuse(*args):
+        raise AssertionError(f"rising_factorial_eval{args}")
 
-    def counted(x, k):
-        calls[x, k] += 1
-        return real(x, k)
-
-    monkeypatch.setattr(identities, "rising_factorial_eval", counted)
+    # the row comes from its recurrence, not from one product per entry
+    monkeypatch.setattr(identities, "rising_factorial_eval", refuse)
     _clear_moment_caches()
     grid = SweepConfig((IdentityId.CONJ3, IdentityId.CONJ4), (1, 6), (1, 2), (1, 8))
     assert run_sweep(grid).summary["counterexamples"] == 0
-    # (i)_s for i <= 6 and s <= 8, each once
-    assert calls == Counter({(i, s): 1 for i in range(7) for s in range(1, 9)})
-    # a lone case builds no value past its n; a smaller n reads the row that
-    # a larger n built, and a larger n extends it
-    calls.clear()
+    # one row per s <= 8, read back by every other case with r <= n
+    info = identities._rising_row.cache_info()
+    readers = [case for case in expand_cases(grid) if case.r <= case.n]
+    assert (info.misses, info.hits) == (8, len(readers) - 8)
+    # a lone case builds one row, which every n and identity then reads
     case_sides(IdentityCase(IdentityId.CONJ3, 5, 2, MAX_S))
-    assert sorted(calls) == [(i, MAX_S) for i in range(6)]
     case_sides(IdentityCase(IdentityId.CONJ3, 3, 2, MAX_S))
     case_sides(IdentityCase(IdentityId.CONJ4, 6, 2, MAX_S))
-    assert sorted(calls) == [(i, MAX_S) for i in range(7)]
-    assert set(calls.values()) == {1}
+    assert identities._rising_row.cache_info().misses == 9
 
 
 def test_rising_row_matches_rising_factorial():
+    # the recurrence against one math.perm per entry at every i <= MAX_N,
+    # and against the term-by-term product for small i and s
     from partition_identities.identities import _rising_row
+    from partition_identities.partitions import MAX_N
     from partition_identities.polynomials import rising_factorial_eval
 
-    for n in range(0, 15):
-        for s in range(0, 7):
-            row = _rising_row(n, s)
-            assert type(row) is tuple
-            assert row == tuple(rising_factorial_eval(i, s) for i in range(n + 1))
-            assert row == tuple(oracles.rising(i, s) for i in range(n + 1))
-            assert all(type(v) is int for v in row)
+    for s in (0, 1, 2, 7, 97, MAX_S):
+        row = _rising_row(s)
+        assert type(row) is tuple and len(row) == MAX_N + 1
+        assert all(type(v) is int for v in row)
+        assert row == tuple(rising_factorial_eval(i, s) for i in range(MAX_N + 1)), s
+    for s in range(0, 7):
+        assert _rising_row(s)[:15] == tuple(oracles.rising(i, s) for i in range(15))
+
+
+def test_rising_row_covers_every_n_of_its_readers(monkeypatch):
+    # a dot product with the row stops at the shorter of the two, so a row
+    # shorter than an accepted n would drop terms without an error
+    from partition_identities import identities
+
+    readers = set()
+    real = identities._rising_row
+    fields = {"n": 3, "r": 2, "s": 2, "form": Form.SIGNED}
+    for iid, spec in IDENTITIES.items():
+
+        def recording(s, iid=iid):
+            readers.add(iid)
+            return real(s)
+
+        monkeypatch.setattr(identities, "_rising_row", recording)
+        case_sides(IdentityCase(iid, **{key: fields[key] for key in spec.params}))
+    assert readers == {IdentityId.CONJ1, IdentityId.CONJ2, IdentityId.CONJ3, IdentityId.CONJ4}
+    for iid in readers:
+        assert len(real(IDENTITIES[iid].s_min)) > IDENTITIES[iid].max_n, iid
 
 
 def test_sign_flip_examples():
@@ -686,8 +696,8 @@ def test_sign_flip_against_oracle():
 
 def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
     # r > n makes the prefactor binom(n+s-1, n-r) zero, so neither side
-    # builds anything of degree r; CONJ1, CONJ3 and CONJ4 build no row of
-    # (i)_s and read no table either
+    # builds anything of degree r; CONJ1, CONJ3 and CONJ4 read no row of
+    # (i)_s and no table either
     from partition_identities import identities
 
     def refuse(name):
@@ -697,7 +707,7 @@ def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
         return refused
 
     _clear_moment_caches()
-    for name in ("_falling_coeffs", "rising_factorial_eval", "_class_tables", "_covering_table"):
+    for name in ("_falling_coeffs", "_rising_row", "_class_tables", "_covering_table"):
         monkeypatch.setattr(identities, name, refuse(name))
     n = 5
     for r in (n + 1, 5000):
@@ -710,7 +720,7 @@ def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
                 assert lhs == rhs == 0
                 assert type(lhs) is type(rhs) is Fraction
     # the refusals are live
-    with pytest.raises(AssertionError, match="rising_factorial_eval"):
+    with pytest.raises(AssertionError, match="_rising_row"):
         conj3_sides(n, n, 1)
 
 

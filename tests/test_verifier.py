@@ -128,6 +128,32 @@ def test_config_validation():
         ).validate()
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"worker_count": 1.5}, "worker_count"),
+        ({"worker_count": True}, "worker_count"),
+        ({"identity_ids": ("CONJ1",)}, "IdentityId"),
+        ({"identity_ids": "CONJ1"}, "IdentityId"),
+        ({"identity_ids": IdentityId.CONJ1}, "IdentityId"),
+        ({"identity_ids": (IdentityId.CONJ1, IdentityId.CONJ1)}, "more than once"),
+        ({"n_range": (1, 2.0)}, "n range"),
+        ({"n_range": (1, True)}, "n range"),
+        ({"r_range": (1, 2, 3)}, "r range"),
+        ({"s_range": [1, 2]}, "s range"),
+        ({"s_range": 2}, "s range"),
+    ],
+)
+def test_config_refuses_badly_typed_fields(fields, message):
+    # exact types, as IdentityCase checks them: each of these once passed,
+    # was echoed into the report, or failed with a bare KeyError, TypeError
+    # or unpack ValueError
+    base = {"identity_ids": (IdentityId.CONJ1,), "n_range": (1, 2)}
+    with pytest.raises(ConfigError, match=message):
+        SweepConfig(**{**base, **fields}).validate()
+    SweepConfig(**base).validate()
+
+
 @pytest.mark.parametrize("cpus, expected", [(64, [2]), (3, [2]), (None, []), (1, [])])
 def test_worker_count_capped(monkeypatch, cpus, expected):
     # four cases in two (identity, n) slices; a huge request must never
