@@ -32,7 +32,8 @@ s in ``_rising_row``, built whole from the recurrence
 (i+1)_s = (i)_s (i+s) / i, so one row serves every n; and the bracket
 r! (binom(X+a, r) - binom(X+b, r)) of the CONJ1, CONJ2 and TOP_COEFF
 right-hand sides once per (r, s, form) in
-``_conj1_bracket``; n enters that side only through its integer prefactor.
+``_conj1_bracket``, where n enters that side only through its integer
+prefactor; and s! and (s-1)! of the right-hand sides in ``_rhs_factorial``.
 CONJ1, CONJ3 and CONJ4 return their zero pair for r > n before they read a
 table or build a row.
 """
@@ -237,14 +238,14 @@ def _length_bits(n: int) -> int:
 
 
 def _slot_bits(n: int) -> int:
-    """Bits per coefficient of the packed CONJ1 table at n, in whole bytes.
+    """Bits per coefficient of the packed CONJ1 table at n.
 
     An entry sum over mu of (n!/z_mu) <mu, r> m_i(mu) is at most n! 2^n n:
     the class sizes add up to n!, <mu, r> <= prod_i (2^mu_i - 1) < 2^n and
     m_i <= n.  Every term is >= 0, so each slot, and each partial sum in
     it, stays below 2^width and never carries into the next one.
     """
-    return -(-(factorial(n) * n << n).bit_length() // 8) * 8
+    return (factorial(n) * n << n).bit_length()
 
 
 @lru_cache(maxsize=partitions.MAX_N + 1)
@@ -327,12 +328,19 @@ def classical_sides(n: int, form: Form) -> SidePair:
     return lhs, rhs
 
 
+#: s! and (s-1)! for the right-hand sides, two keys per s: 64 hold a sweep's
+#: s axis of up to 32 values.  MAX_S! is about 16 KB, so the memo holds at
+#: most about 1 MB.  The row of (i)_s computes its own s!, so an error in
+#: either shows as a mismatch between the sides instead of scaling both
+_rhs_factorial = lru_cache(maxsize=64)(factorial)
+
+
 def _conj1_prefactor(n: int, r: int, s: int) -> int:
     """(s-1)! binom(n+s-1, n-r), the integer in front of the conjecture-1 RHS.
 
     It is zero exactly when r > n, and then so is every side that carries it.
     """
-    return factorial(s - 1) * comb(n + s - 1, n - r) if r <= n else 0
+    return _rhs_factorial(s - 1) * comb(n + s - 1, n - r) if r <= n else 0
 
 
 #: one bracket per (r, s, form), which every n >= r of a sweep shares: 256
@@ -364,7 +372,7 @@ def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
 def conj2_sides(n: int, s: int, form: Form) -> SidePair:
     """Conjecture 2, the r = n specialization with the covering count gone."""
     lhs = _class_sum(n, n, 1, form, _class_tables(n)[0], _rising_row(s))
-    return lhs, _conj1_rhs(n, s, form, factorial(s - 1))
+    return lhs, _conj1_rhs(n, s, form, _rhs_factorial(s - 1))
 
 
 def _length_r_sum(n: int, r: int, row: Tuple[int, ...]) -> Fraction:
@@ -385,7 +393,7 @@ def conj3_sides(n: int, r: int, s: int) -> SidePair:
     if r > n:
         return Fraction(0), Fraction(0)
     lhs = _length_r_sum(n, r, _rising_row(s))
-    return lhs, Fraction(factorial(s) * comb(n + s - 1, n - r))
+    return lhs, Fraction(_rhs_factorial(s) * comb(n + s - 1, n - r))
 
 
 def conj4_sides(n: int, r: int, s: int) -> SidePair:

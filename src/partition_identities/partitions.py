@@ -10,8 +10,8 @@ reads its factors of z_mu and prod m_i! from lists built once per n, and
 the twos and ones that end each partition come from tails precomputed per
 remaining sum, in a loop rather than a recursive call.  It refuses
 n > ``MAX_N`` before its first leaf.  ``MAX_N`` is derived once, at
-import, from the same pentagonal recurrence as ``partition_count``, so
-the refusal is one comparison.  The moment tables of ``identities.py``
+import, from Euler's pentagonal-number recurrence for p(n), so the
+refusal is one comparison.  The moment tables of ``identities.py``
 and ``for_each_partition`` are its only callers.  ``Partition``, whose
 ``z_value`` and ``multiplicities`` recount a partition's parts,
 ``for_each_partition``, which hands each partition on as the walk reaches
@@ -20,7 +20,7 @@ it, and ``enumerate_partitions``, which lists them, are the public API.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, repeat
 from math import factorial
 from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -125,11 +125,6 @@ def _partition_counts() -> Iterator[int]:
             k += 1
         counts.append(total)
         yield total
-
-
-def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence, without enumerating."""
-    return next(islice(_partition_counts(), n, None))
 
 
 #: the largest n with p(n) <= MAX_PARTITIONS; p is increasing, so the

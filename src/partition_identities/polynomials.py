@@ -15,13 +15,10 @@ tuple of ``Fraction``s are the public view.  Any arithmetic on the values
 is the builders' own integer work on numerators; ring operations over the
 ``Fraction`` view live with the tests, as their reference.
 
-One writer and one reader.  ``_ratio_str(p, q)`` writes p/q in lowest
+One writer and no reader.  ``_ratio_str(p, q)`` writes p/q in lowest
 terms, every integer through ``int_str``, which has no digit limit;
 ``format_rational``, ``Polynomial.to_strings`` and ``Polynomial.render``
 all go through it, the last two straight from the numerators.
-``Polynomial.parse`` reads back every line ``render`` writes, each
-integer through ``decimal.Decimal``, which has no digit limit either, and
-refuses any other text, a zero denominator included, with ``ValueError``.
 
 Factorial evaluations stay in ``int`` for ``int`` arguments and return a
 ``Fraction`` for ``Fraction`` arguments.  At integer arguments they are
@@ -37,8 +34,6 @@ c it holds ``Fraction``s.  Both return a ``Polynomial`` and raise
 """
 from __future__ import annotations
 
-import re
-from decimal import Decimal
 from fractions import Fraction
 from math import factorial, gcd, lcm, perm, prod
 from typing import Iterable, List, Tuple, Union
@@ -161,41 +156,6 @@ class Polynomial:
         if not line:
             return "0"
         return line[2:] if line[0] == "+" else "-" + line[2:]
-
-    _TERM_RE = re.compile(
-        r"^(?P<sign>-?)(?:(?P<coef>\d+(?:/\d+)?)(?:·)?)?(?:X(?:\^(?P<pow>\d+))?)?$"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "Polynomial":
-        """Inverse of :meth:`render`."""
-        text = text.strip()
-        if text == "0":
-            return cls()
-        normalized = text.replace(" + ", ";").replace(" - ", ";-")
-        coeffs: dict[int, Fraction] = {}
-        for term in normalized.split(";"):
-            term = term.strip()
-            m = cls._TERM_RE.match(term)
-            if not m or (m.group("coef") is None and "X" not in term):
-                raise ValueError(f"cannot parse polynomial term {term!r}")
-            # Decimal, unlike int and Fraction, reads a string of any length
-            num, _, den = (m.group("coef") or "1").partition("/")
-            den = int(Decimal(den or "1"))
-            if not den:
-                raise ValueError(f"zero denominator in polynomial term {term!r}")
-            coef = Fraction(int(Decimal(num)), den)
-            if m.group("sign"):
-                coef = -coef
-            if "X" in term:
-                power = int(m.group("pow")) if m.group("pow") else 1
-            else:
-                power = 0
-            coeffs[power] = coeffs.get(power, Fraction(0)) + coef
-        out = [Fraction(0)] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            out[k] = c
-        return cls(out)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()!r})"

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from partition_identities import cli, partitions, verifier
 from partition_identities.cli import _parse_range, main
-from partition_identities.identities import IDENTITIES, MAX_S, IdentityCase, IdentityId
+from partition_identities.identities import IDENTITIES, MAX_S, IdentityCase, IdentityId, case_sides
 from partition_identities.partitions import Partition
-from partition_identities.polynomials import Polynomial
+from partition_identities.polynomials import Polynomial, format_rational
 
 #: the fields of an IdentityCase after its id, in order
 CASE_FIELDS = ("n", "r", "s", "form")
@@ -75,19 +75,6 @@ def test_partitions_listing(capsys, monkeypatch):
         assert run(capsys, "partitions", "8", "--format", fmt)[0] == 0
 
 
-def test_identity_human(capsys):
-    code, out, _ = run(capsys, "identity", "CONJ2(n=2,s=2,form=SIGNED)")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "LHS = 2·X - 3"
-    assert lines[1] == "RHS = 2·X - 3"
-    assert lines[2] == "VERIFIED"
-    # printed form round-trips
-    assert Polynomial.parse(lines[0].split(" = ", 1)[1]) == Polynomial.parse(
-        lines[1].split(" = ", 1)[1]
-    )
-
-
 def test_identity_json_matches_verifier_schema(capsys):
     code, out, _ = run(
         capsys, "identity", "CONJ3(n=3,r=2,s=1)", "--format", "json"
@@ -128,8 +115,6 @@ def test_identity_sides_keep_their_types_and_json(capsys):
     # integer prefactors and kernels must not leak a bare int into a side
     from fractions import Fraction
 
-    from partition_identities.identities import IdentityCase, IdentityId, case_sides
-
     assert {IdentityCase.parse(c).identity_id for c in IDENTITY_JSON} == set(IdentityId)
     for text, (status, lhs, rhs) in IDENTITY_JSON.items():
         for side in (v for pair in case_sides(IdentityCase.parse(text)) for v in pair):
@@ -139,6 +124,23 @@ def test_identity_sides_keep_their_types_and_json(capsys):
         data = json.loads(out)
         del data["elapsed_ms"]
         assert data == {"case": text, "status": status, "lhs": lhs, "rhs": rhs}
+
+
+def test_identity_human(capsys):
+    code, out, _ = run(capsys, "identity", "CONJ2(n=2,s=2,form=SIGNED)")
+    assert code == 0
+    assert out.splitlines() == ["LHS = 2·X - 3", "RHS = 2·X - 3", "VERIFIED"]
+    # every id, TOP_COEFF's two pairs included: one LHS and RHS line per pair,
+    # each the side's own text, then the status
+    for text, (status, _, _) in IDENTITY_JSON.items():
+        expected = []
+        for lhs, rhs in case_sides(IdentityCase.parse(text)):
+            for name, side in (("LHS", lhs), ("RHS", rhs)):
+                body = side.render() if isinstance(side, Polynomial) else format_rational(side)
+                expected.append(f"{name} = {body}")
+        code, out, _ = run(capsys, "identity", text)
+        assert code == 0
+        assert out.splitlines() == expected + [status], text
 
 
 def test_sweep_to_file(tmp_path, capsys):

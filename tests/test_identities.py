@@ -127,7 +127,7 @@ def test_length_r_sum_matches_reference():
 
 def _clear_moment_caches():
     # every memo the builders read: the two moment tables, the rows of
-    # (i)_s and the CONJ1 right-hand-side brackets
+    # (i)_s, the CONJ1 right-hand-side brackets and the factorials of s
     from partition_identities import identities
 
     for value in vars(identities).values():
@@ -298,10 +298,11 @@ def test_packed_slots_are_wide_enough():
 
     for n in range(1, 21):
         width = _slot_bits(n)
-        assert width % 8 == 0
+        # the fewest bits that hold the stated bound n! n 2^n
+        assert (factorial(n) * n * 2**n).bit_length() == width
         assert max(max(v) for lengths in _covering_table(n) for v in lengths) < 1 << width
     # the stated bound n! n 2^n at the largest n the enumeration accepts
-    assert factorial(60) * 60 * 2**60 < 1 << _slot_bits(60)
+    assert 1 << (_slot_bits(60) - 1) <= factorial(60) * 60 * 2**60 < 1 << _slot_bits(60)
 
 
 def test_packed_class_sums_are_wide_enough():
@@ -611,6 +612,19 @@ def test_rising_values_are_computed_once_per_s(monkeypatch):
     case_sides(IdentityCase(IdentityId.CONJ3, 3, 2, MAX_S))
     case_sides(IdentityCase(IdentityId.CONJ4, 6, 2, MAX_S))
     assert identities._rising_row.cache_info().misses == 9
+
+
+def test_rhs_factorials_are_computed_once_per_key():
+    # s! (CONJ3) and (s-1)! (CONJ1, CONJ2) for s <= 8 are the nine keys
+    # 0..8, each computed once whatever the n, r and form
+    from partition_identities import identities
+
+    _clear_moment_caches()
+    ids = (IdentityId.CONJ1, IdentityId.CONJ2, IdentityId.CONJ3)
+    grid = SweepConfig(ids, (1, 6), (1, 2), (1, 8))
+    assert run_sweep(grid).summary["counterexamples"] == 0
+    info = identities._rhs_factorial.cache_info()
+    assert info.misses == 9 and info.hits > info.misses
 
 
 def test_rising_row_matches_rising_factorial():

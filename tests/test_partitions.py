@@ -51,22 +51,10 @@ def test_counts_match_pentagonal_recurrence():
         assert len(enumerate_partitions(n)) == partition_count(n)
 
 
-def test_library_partition_count():
-    for n in range(0, 31):
-        assert partitions.partition_count(n) == len(_walk(n))
-    for n in range(0, 101):
-        assert partitions.partition_count(n) == partition_count(n)
-
-
 def test_enumeration_refused_above_limit():
     # n = 60 is the largest n accepted
     assert MAX_N == 60
     assert partition_count(60) <= MAX_PARTITIONS < partition_count(61)
-    assert (
-        partitions.partition_count(MAX_N)
-        <= MAX_PARTITIONS
-        < partitions.partition_count(MAX_N + 1)
-    )
     check_enumerable(MAX_N)
     for n in (61, 200):
         with pytest.raises(ValueError, match="partitions"):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_identities.polynomials import (
@@ -262,10 +262,10 @@ def test_int_str_has_no_digit_limit():
     p = Polynomial.over([-(3**20000), 0, 5], 2)
     assert p.to_strings() == [f"-{_digits_by_chunks(3**20000)}/2", "0", "5/2"]
     assert p.render() == f"5/2·X^2 - {_digits_by_chunks(3**20000)}/2"
-    # int() and Fraction() refuse the same text past 4300 digits
+    # about the size of the sides of CONJ3(n=20,r=10,s=10000)
     big = 10**36000 - 1
-    for side in (p, Polynomial.over([7, 0, -big, big], 3)):
-        assert Polynomial.parse(side.render()) == side
+    digits = _digits_by_chunks(big // 3)
+    assert Polynomial.over([7, 0, -big, big], 3).render() == f"{digits}·X^3 - {digits}·X^2 + 7/3"
 
 
 def test_polynomial_serialization_round_trip():
@@ -277,46 +277,8 @@ def test_polynomial_serialization_round_trip():
 
 @given(render_polys)
 @settings(max_examples=200)
-def test_render_parse_round_trip(p):
+def test_render_matches_oracle(p):
     assert p.render() == render(p)
-    assert Polynomial.parse(p.render()) == p
-
-
-def _join_terms(pairs):
-    """Terms joined as render joins them: " + "/" - " between, a bare "-" first."""
-    text = "".join(sign + term for sign, term in pairs)
-    return text[3:] if text.startswith(" + ") else "-" + text[3:]
-
-
-#: a coefficient "p" or "p/q", zero denominators included, then X, X^k or
-#: nothing, with or without the "·" between
-poly_terms = st.tuples(
-    st.just("")
-    | st.integers(0, 30).map(str)
-    | st.tuples(st.integers(0, 30), st.integers(0, 9)).map("{0[0]}/{0[1]}".format),
-    st.sampled_from(["", "·"]),
-    st.sampled_from(["", "X"]) | st.integers(0, 9).map("X^{}".format),
-).map("".join)
-#: terms joined as render joins them, or any text
-poly_texts = st.one_of(
-    st.lists(st.tuples(st.sampled_from([" + ", " - "]), poly_terms), min_size=1, max_size=5).map(
-        _join_terms
-    ),
-    st.text(max_size=20),
-)
-
-
-@given(poly_texts)
-@example("1/0")
-@example("X^2 + 1/0·X")
-@settings(max_examples=300, deadline=None)
-def test_polynomial_parse_fuzz_round_trips_or_refuses(text):
-    try:
-        p = Polynomial.parse(text)
-    except ValueError:
-        return
-    assert isinstance(p, Polynomial)
-    assert Polynomial.parse(p.render()) == p
 
 
 def test_render_style(monkeypatch):
