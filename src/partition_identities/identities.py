@@ -36,6 +36,12 @@ right-hand sides once per (r, s, form) in
 prefactor; and s! and (s-1)! of the right-hand sides in ``_rhs_factorial``.
 CONJ1, CONJ3 and CONJ4 return their zero pair for r > n before they read a
 table or build a row.
+
+Every falling factorial [X+c]_n with an integer c, in the right-hand
+sides of CLASSICAL, CONJ1, CONJ2 and TOP_COEFF and on the BINOMIAL_TYPE
+left-hand side, is the integer list ``_falling_coeffs(c, n)`` over a known
+denominator, and every scalar factorial is ``math.factorial``, ``perm`` or
+``comb`` at integer arguments.
 """
 from __future__ import annotations
 
@@ -45,19 +51,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import partitions
-from .polynomials import (
-    Polynomial,
-    _falling_coeffs,
-    binom_poly,
-    falling_factorial_eval,
-    falling_factorial_poly,
-    rising_factorial_eval,
-)
+from .polynomials import Polynomial
 
 #: the largest s a case takes.  The row (i)_s, i <= 60, grows with s: at
 #: s = 10**4 its recurrence takes about 8 ms on a 2-core Xeon, paid once per
@@ -318,14 +317,27 @@ def _class_sum(
     return Polynomial.over(coeffs[shift:], n_fact)
 
 
+def _falling_coeffs(c: int, n: int) -> List[int]:
+    """Coefficients of [X+c]_n, constant term first, one factor at a time.
+
+    Multiplying by (X + c - i) maps old to new[k] = old[k-1] + (c-i) old[k],
+    so every entry is an int: a shifted signed Stirling number of the first
+    kind.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    coeffs = [1]
+    for i in range(n):
+        shift = c - i
+        coeffs = [a * shift + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def classical_sides(n: int, form: Form) -> SidePair:
-    """The classical expansion of binom(X, n) over partitions of n."""
+    """The classical expansion of binom(X, n), or of binom(X+n-1, n) UNSIGNED."""
     lhs = _class_sum(n, n, 0, form, _class_tables(n)[0], None)
-    if form is Form.SIGNED:
-        rhs = binom_poly(0, n)
-    else:
-        rhs = binom_poly(n - 1, n)
-    return lhs, rhs
+    c = 0 if form is Form.SIGNED else n - 1
+    return lhs, Polynomial.over(_falling_coeffs(c, n), factorial(n))
 
 
 #: s! and (s-1)! for the right-hand sides, two keys per s: 64 hold a sweep's
@@ -418,13 +430,14 @@ def const_term_sides(n: int, r: int, s: int) -> SidePair:
     """Constant-term identity: only mu = (n) contributes at X^0.
 
     LHS (-1)^r binom(n, r) (n)_s / n, RHS prefactor * binom(-s, r), where
-    binom(-s, r) = (-1)^r binom(r+s-1, r).  Both are zero for r > n.
+    binom(-s, r) = (-1)^r binom(r+s-1, r).  Both are zero for r > n.  As
+    n >= 1, (n)_s = perm(n+s-1, s).
     """
     prefactor = _conj1_prefactor(n, r, s)
     if not prefactor:
         return Fraction(0), Fraction(0)
     sign = -1 if r % 2 == 1 else 1
-    lhs = Fraction(sign * comb(n, r) * rising_factorial_eval(n, s), n)
+    lhs = Fraction(sign * comb(n, r) * perm(n + s - 1, s), n)
     return lhs, Fraction(sign * prefactor * comb(r + s - 1, r))
 
 
@@ -467,8 +480,8 @@ def binomial_type_sides(n: int, s: int) -> SidePair:
     coeffs = [1]
     for j in range(n - 1, -1, -1):
         coeffs = [a * -j + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-        coeffs[0] += comb(n, j) * falling_factorial_eval(s, n - j)
-    return falling_factorial_poly(s, n), Polynomial.over(coeffs, 1)
+        coeffs[0] += comb(n, j) * perm(s, n - j)
+    return Polynomial.over(_falling_coeffs(s, n), 1), Polynomial.over(coeffs, 1)
 
 
 def sign_flip_check(n: int, r: int, s: int) -> bool:

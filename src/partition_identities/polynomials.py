@@ -13,29 +13,18 @@ construct through ``Polynomial.over(nums, den)`` and never touch a
 ``Fraction``; ``Polynomial(iterable of rationals)`` and the ``coeffs``
 tuple of ``Fraction``s are the public view.  Any arithmetic on the values
 is the builders' own integer work on numerators; ring operations over the
-``Fraction`` view live with the tests, as their reference.
+``Fraction`` view live with the tests, as their reference.  This module
+computes no factorial: the builders in ``identities`` do, in ``int``s.
 
 One writer and no reader.  ``_ratio_str(p, q)`` writes p/q in lowest
 terms, every integer through ``int_str``, which has no digit limit;
 ``format_rational``, ``Polynomial.to_strings`` and ``Polynomial.render``
 all go through it, the last two straight from the numerators.
-
-Factorial evaluations stay in ``int`` for ``int`` arguments and return a
-``Fraction`` for ``Fraction`` arguments.  At integer arguments they are
-``math`` kernels: (x)_n = perm(x+n-1, n) for x >= 1 and [x]_n = perm(x, n)
-for x >= 0.  Every other argument takes the product loop.
-
-``falling_factorial_poly(c, n)`` and ``binom_poly(c, r)`` are built from
-one coefficient list, with no ``Polynomial`` products.  For an ``int`` c
-the list holds ``int``s (shifted signed Stirling numbers of the first
-kind), so ``binom_poly`` is integer numerators over r!; for a ``Fraction``
-c it holds ``Fraction``s.  Both return a ``Polynomial`` and raise
-``ValueError`` for a negative degree.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, perm, prod
+from math import gcd, lcm
 from typing import Iterable, List, Tuple, Union
 
 RationalLike = Union[Fraction, int]
@@ -174,50 +163,4 @@ def _canonical(nums: List[int], den: int) -> Tuple[Tuple[int, ...], int]:
         nums = [c // g for c in nums]
         den //= g
     return tuple(nums), den
-
-
-def rising_factorial_eval(x: RationalLike, n: int) -> RationalLike:
-    """(x)_n = x (x+1) ... (x+n-1); the empty product for n = 0."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if isinstance(x, int) and x >= 1:
-        return perm(x + n - 1, n)
-    # start at x**0 so the empty product has the type of x too
-    return prod((x + i for i in range(n)), start=x**0)
-
-
-def falling_factorial_eval(x: RationalLike, n: int) -> RationalLike:
-    """[x]_n = x (x-1) ... (x-n+1)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if isinstance(x, int) and x >= 0:
-        return perm(x, n)
-    return prod((x - i for i in range(n)), start=x**0)
-
-
-def _falling_coeffs(c: RationalLike, n: int) -> List[RationalLike]:
-    """Coefficients of [X+c]_n, constant term first, one factor at a time.
-
-    Multiplying by (X + c - i) maps old to new[k] = old[k-1] + (c-i) old[k].
-    Entries are ``int`` for ``int`` c (shifted signed Stirling numbers of
-    the first kind) and ``Fraction`` for ``Fraction`` c.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    coeffs = [c**0]
-    for i in range(n):
-        shift = c - i
-        coeffs = [a * shift + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
-
-
-def falling_factorial_poly(c: RationalLike, n: int) -> Polynomial:
-    """[X+c]_n = (X+c)(X+c-1)...(X+c-n+1) as a polynomial in X."""
-    return Polynomial(_falling_coeffs(c, n))
-
-
-def binom_poly(c: RationalLike, r: int) -> Polynomial:
-    """binom(X+c, r) = [X+c]_r / r!."""
-    falling = falling_factorial_poly(c, r)
-    return Polynomial.over(falling.nums, falling.den * factorial(r))
 

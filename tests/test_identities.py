@@ -2,7 +2,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 import pytest
 
@@ -24,7 +24,7 @@ from partition_identities.identities import (
     sign_flip_check,
     top_coeff_checks,
 )
-from partition_identities.polynomials import Polynomial, binom_poly
+from partition_identities.polynomials import Polynomial
 from partition_identities.verifier import SweepConfig, expand_cases, run_sweep
 
 import oracles
@@ -419,7 +419,11 @@ def test_conj2_examples():
 def test_conj2_s1_is_classical_difference():
     for n in range(1, 9):
         lhs, rhs = conj2_sides(n, 1, Form.SIGNED)
-        assert lhs == rhs == oracles.sub(binom_poly(0, n), binom_poly(-1, n))
+        # n! (binom(X, n) - binom(X-1, n)) from the products of linear factors
+        difference = oracles.sub(
+            oracles.falling_poly_product(0, n), oracles.falling_poly_product(-1, n)
+        )
+        assert lhs == rhs == oracles.mul(difference, Fraction(1, factorial(n)))
 
 
 def test_conj2_matches_conj1_at_r_equals_n():
@@ -433,21 +437,17 @@ def test_conj3_examples():
     lhs, rhs = conj3_sides(3, 2, 1)
     assert lhs == rhs == 3
     # r = 1 closed form: (n)_s = s! C(n+s-1, s)
-    from partition_identities.polynomials import rising_factorial_eval
-
     for n in range(1, 9):
         for s in range(0, 6):
             lhs, rhs = conj3_sides(n, 1, s)
-            assert lhs == rhs == rising_factorial_eval(n, s)
+            assert lhs == rhs == oracles.rising(n, s)
             assert rhs == factorial(s) * oracles.binom_rat(n + s - 1, s)
     # r = 2 closed form: sum_{i<n} (i)_s
     for n in range(2, 9):
         for s in range(0, 6):
             lhs, rhs = conj3_sides(n, 2, s)
             assert lhs == rhs
-            assert lhs == sum(
-                rising_factorial_eval(i, s) for i in range(1, n)
-            )
+            assert lhs == sum(oracles.rising(i, s) for i in range(1, n))
 
 
 def test_conj4_examples():
@@ -532,13 +532,21 @@ def test_binomial_type_sides(monkeypatch):
                 total = oracles.add(total, oracles.mul(term, comb(n, k) * oracles.falling(s, k)))
             assert binomial_type_sides(n, s)[1] == total, (n, s)
 
-    # and it builds no [X]_j of its own
-    def refuse(c, n):
-        raise AssertionError(f"built [X+{c}]_{n}")
+    # [X+s]_n is built once, for the left-hand side: the Horner sum builds
+    # no [X]_j of its own
+    calls = []
+    real = identities._falling_coeffs
 
-    monkeypatch.setattr(identities, "_falling_coeffs", refuse)
+    def recording(c, n):
+        calls.append((c, n))
+        return real(c, n)
+
+    monkeypatch.setattr(identities, "_falling_coeffs", recording)
     for n in range(13):
-        binomial_type_sides(n, 3)
+        for s in (1, 3):
+            calls.clear()
+            assert binomial_type_sides(n, s)[0] == oracles.falling_poly_product(s, n)
+            assert calls == [(s, n)]
 
 
 def test_case_sides_build_no_polynomial_products():
@@ -596,10 +604,10 @@ def test_rising_values_are_computed_once_per_s(monkeypatch):
     from partition_identities import identities
 
     def refuse(*args):
-        raise AssertionError(f"rising_factorial_eval{args}")
+        raise AssertionError(f"perm{args}")
 
-    # the row comes from its recurrence, not from one product per entry
-    monkeypatch.setattr(identities, "rising_factorial_eval", refuse)
+    # the row comes from its recurrence, not from one math.perm per entry
+    monkeypatch.setattr(identities, "perm", refuse)
     _clear_moment_caches()
     grid = SweepConfig((IdentityId.CONJ3, IdentityId.CONJ4), (1, 6), (1, 2), (1, 8))
     assert run_sweep(grid).summary["counterexamples"] == 0
@@ -629,16 +637,17 @@ def test_rhs_factorials_are_computed_once_per_key():
 
 def test_rising_row_matches_rising_factorial():
     # the recurrence against one math.perm per entry at every i <= MAX_N,
-    # and against the term-by-term product for small i and s
+    # (i)_s = perm(i+s-1, s) for i >= 1, and against the term-by-term
+    # product for small i and s
     from partition_identities.identities import _rising_row
     from partition_identities.partitions import MAX_N
-    from partition_identities.polynomials import rising_factorial_eval
 
     for s in (0, 1, 2, 7, 97, MAX_S):
         row = _rising_row(s)
         assert type(row) is tuple and len(row) == MAX_N + 1
         assert all(type(v) is int for v in row)
-        assert row == tuple(rising_factorial_eval(i, s) for i in range(MAX_N + 1)), s
+        expected = (int(s == 0), *(perm(i + s - 1, s) for i in range(1, MAX_N + 1)))
+        assert row == expected, s
     for s in range(0, 7):
         assert _rising_row(s)[:15] == tuple(oracles.rising(i, s) for i in range(15))
 
@@ -741,7 +750,7 @@ def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
 def test_scalar_ids_above_n_build_no_factorial(monkeypatch):
     # r > n makes the prefactor binom(n+s-1, n-r) zero, so CONST_TERM and
     # TOP_COEFF are zero without building r! or a product of r factors
-    from partition_identities import identities, polynomials
+    from partition_identities import identities
 
     n = 5
     for r in (n + 1, 200000):
@@ -753,7 +762,6 @@ def test_scalar_ids_above_n_build_no_factorial(monkeypatch):
             return real(k)
 
         monkeypatch.setattr(identities, "factorial", capped)
-        monkeypatch.setattr(polynomials, "factorial", capped)
         for s in range(1, 4):
             const_term = case_sides(IdentityCase(IdentityId.CONST_TERM, n, r, s))
             top_coeff = case_sides(IdentityCase(IdentityId.TOP_COEFF, n, r, s))

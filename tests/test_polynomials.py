@@ -1,20 +1,16 @@
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partition_identities.identities import _falling_coeffs, binomial_type_sides
 from partition_identities.polynomials import (
     NEG_INFINITY,
     Polynomial,
-    _falling_coeffs,
-    binom_poly,
-    falling_factorial_eval,
-    falling_factorial_poly,
     format_rational,
     int_str,
-    rising_factorial_eval,
 )
 
 from oracles import (
@@ -32,6 +28,17 @@ from oracles import (
 
 #: the indeterminate, as a plain value
 X = Polynomial([0, 1])
+
+
+def falling_poly(c, n):
+    """[X+c]_n from the builders' kernel, as a Polynomial."""
+    return Polynomial.over(_falling_coeffs(c, n), 1)
+
+
+def binomial_poly(c, r):
+    """binom(X+c, r) as the builders make it: [X+c]_r over r!."""
+    return Polynomial.over(_falling_coeffs(c, r), factorial(r))
+
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -66,69 +73,66 @@ def test_eval_examples():
     p = sub(mul(X, X), X)
     assert evaluate(p, 3) == 6
     assert evaluate(Polynomial(), Fraction(7, 2)) == 0
-    assert evaluate(binom_poly(0, 2), Fraction(1, 2)) == Fraction(-1, 8)
+    binom_x_2 = Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
+    assert evaluate(binom_x_2, Fraction(1, 2)) == Fraction(-1, 8)
 
 
 def test_rising_factorial_examples():
-    assert rising_factorial_eval(3, 2) == 12
-    assert rising_factorial_eval(Fraction(9, 7), 0) == 1
-    assert rising_factorial_eval(-1, 3) == 0
-
-
-def test_factorial_eval_types():
-    # int arguments stay int; binom_rat must never fall back to float division
-    assert type(rising_factorial_eval(3, 2)) is int
-    assert type(falling_factorial_eval(5, 3)) is int
-    assert isinstance(rising_factorial_eval(Fraction(1, 2), 2), Fraction)
-    for x, k in ((5, 2), (-3, 2), (4, -1)):
-        assert type(binom_rat(x, k)) is Fraction
+    # (x)_n = perm(x+n-1, n) for x >= 1, as CONST_TERM computes it
+    assert perm(3 + 2 - 1, 2) == rising(3, 2) == 12
+    assert rising(Fraction(9, 7), 0) == 1
+    assert rising(-1, 3) == 0
 
 
 def test_falling_factorial_poly_examples():
-    assert falling_factorial_poly(0, 2) == sub(mul(X, X), X)
-    assert falling_factorial_poly(-1, 1) == sub(X, 1)
-    assert evaluate(falling_factorial_poly(2, 3), 0) == 0
-    assert falling_factorial_poly(Fraction(1, 2), 0) == Polynomial([1])
+    assert falling_poly(0, 2) == sub(mul(X, X), X)
+    assert falling_poly(-1, 1) == sub(X, 1)
+    assert evaluate(falling_poly(2, 3), 0) == 0
+    assert falling_poly(-7, 0) == Polynomial([1])
 
 
-#: integer shifts plus non-integer ones, where the kernel works in Fractions
-KERNEL_SHIFTS = [*range(-8, 9), Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3)]
+#: the integer shifts c of [X+c]_n the differential tests run over
+KERNEL_SHIFTS = range(-8, 9)
 
 
 def test_falling_factorial_poly_matches_product_oracle():
+    # the whole coefficient list, n + 1 entries with a leading 1
     for c in KERNEL_SHIFTS:
         for n in range(13):
-            assert falling_factorial_poly(c, n) == falling_poly_product(c, n)
+            assert tuple(_falling_coeffs(c, n)) == falling_poly_product(c, n).coeffs
 
 
 def test_binom_poly_matches_binom_rat_pointwise():
     # degree r and equal at r + 1 points: the same polynomial
     for c in KERNEL_SHIFTS:
         for r in range(11):
-            p = binom_poly(c, r)
+            p = binomial_poly(c, r)
             assert p.degree == r
             for x in range(-3, r - 2):
                 assert evaluate(p, x) == binom_rat(x + c, r)
 
 
 def test_falling_coeffs_type_contract():
-    for n in range(8):
-        assert all(type(k) is int for k in _falling_coeffs(-3, n))
-        assert all(type(k) is Fraction for k in _falling_coeffs(Fraction(7, 3), n))
-        assert all(type(k) is Fraction for k in _falling_coeffs(Fraction(4), n))
-    assert falling_factorial_poly(5, 0) == Polynomial([1])
+    for c in (-3, 0, 5, 10**4):
+        for n in range(8):
+            coeffs = _falling_coeffs(c, n)
+            assert type(coeffs) is list and all(type(k) is int for k in coeffs)
+    assert _falling_coeffs(5, 0) == [1]
 
 
 def test_binom_poly_examples():
-    assert binom_poly(0, 2) == Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
-    assert binom_poly(0, 0) == Polynomial([1])
-    assert binom_poly(-1, 1) == sub(X, 1)
+    assert binomial_poly(0, 2) == Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
+    assert binomial_poly(0, 0) == Polynomial([1])
+    assert binomial_poly(-1, 1) == sub(X, 1)
 
 
 def test_binom_rat_examples():
     assert binom_rat(4, 2) == 6
     assert binom_rat(4, -1) == 0
     assert binom_rat(-2, 2) == 3
+    # binom_rat must never fall back to float division
+    for x, k in ((5, 2), (-3, 2), (4, -1)):
+        assert type(binom_rat(x, k)) is Fraction
 
 
 @given(small_polys, small_polys, small_polys)
@@ -149,21 +153,20 @@ def test_degree_of_product(a, b):
 
 @given(rationals, st.integers(min_value=0, max_value=12))
 def test_rising_equals_shifted_falling(x, n):
-    assert rising_factorial_eval(x, n) == evaluate(falling_factorial_poly(n - 1, n), x)
+    # (x)_n = [x+n-1]_n: the UNSIGNED classical right-hand side times n!
+    assert rising(x, n) == evaluate(falling_poly(n - 1, n), x)
 
 
 def test_binomial_type_property_exhaustive():
     # [x+y]_n = sum_k C(n,k) [x]_{n-k} [y]_k, over the full integer grid
+    table = {(x, k): falling(x, k) for x in range(-40, 41) for k in range(11)}
     for n in range(0, 11):
         for x in range(-20, 21):
             for y in range(-20, 21):
                 total = sum(
-                    comb(n, k)
-                    * falling_factorial_eval(x, n - k)
-                    * falling_factorial_eval(y, k)
-                    for k in range(n + 1)
+                    comb(n, k) * table[x, n - k] * table[y, k] for k in range(n + 1)
                 )
-                assert total == falling_factorial_eval(x + y, n)
+                assert total == table[x + y, n]
 
 
 def test_binom_rat_matches_pascal():
@@ -175,12 +178,6 @@ def test_binom_rat_matches_pascal():
             assert binom_rat(m, k) == tri[m][k]
 
 
-@given(rationals, st.integers(min_value=0, max_value=10))
-def test_factorial_evals_match_oracle(x, n):
-    assert rising_factorial_eval(x, n) == rising(x, n)
-    assert falling_factorial_eval(x, n) == falling(x, n)
-
-
 @given(
     st.integers(min_value=-30, max_value=30),
     st.integers(min_value=0, max_value=12),
@@ -188,9 +185,12 @@ def test_factorial_evals_match_oracle(x, n):
 )
 @settings(max_examples=300)
 def test_integer_kernels_match_oracle(x, n, k):
-    # int arguments take the math.perm/comb paths, on both sides of zero
-    assert rising_factorial_eval(x, n) == rising(x, n)
-    assert falling_factorial_eval(x, n) == falling(x, n)
+    # the math.perm kernels of the builders, on the domains they are called
+    # at: (x)_n for x >= 1 (CONST_TERM) and [x]_n for x >= 0 (BINOMIAL_TYPE)
+    if x >= 1:
+        assert perm(x + n - 1, n) == rising(x, n)
+    if x >= 0:
+        assert perm(x, n) == falling(x, n)
     assert binom_rat(x, k) == Fraction(falling(x, k), factorial(k))
 
 
@@ -283,7 +283,7 @@ def test_render_matches_oracle(p):
 
 def test_render_style(monkeypatch):
     # the left-hand side of BINOMIAL_TYPE(n=300, s=10^4)
-    degree_300 = falling_factorial_poly(10**4, 300)
+    degree_300 = binomial_type_sides(300, 10**4)[0]
     expected = render(degree_300)
 
     def refuse(self):
@@ -309,11 +309,6 @@ def test_substitute_neg_x():
 
 
 def test_negative_n_rejected():
-    with pytest.raises(ValueError):
-        rising_factorial_eval(1, -1)
-    with pytest.raises(ValueError):
-        falling_factorial_poly(0, -2)
-    with pytest.raises(ValueError):
-        _falling_coeffs(3, -1)
-    with pytest.raises(ValueError):
-        binom_poly(0, -1)
+    for c, n in ((3, -1), (0, -2)):
+        with pytest.raises(ValueError):
+            _falling_coeffs(c, n)
