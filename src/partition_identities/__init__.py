@@ -3,8 +3,11 @@
 Partitions, centralizer orders, row-covering generalized binomial
 coefficients, and a sweep engine that checks a family of conjectured
 polynomial and scalar identities by exact equality over parameter grids.
+Each job has one implementation here; the slow literal oracles that the
+fast paths are checked against (the subset count behind ``gen_binom``
+among them) live with the tests, in ``tests/oracles.py``.
 """
-from .genbinom import gen_binom, gen_binom_bruteforce, row_gen_poly
+from .genbinom import gen_binom
 from .identities import Form, IdentityCase, IdentityId
 from .partitions import Partition, enumerate_partitions
 from .polynomials import Polynomial
@@ -21,8 +24,6 @@ __all__ = [
     "compare_case",
     "enumerate_partitions",
     "gen_binom",
-    "gen_binom_bruteforce",
-    "row_gen_poly",
     "run_sweep",
 ]
 

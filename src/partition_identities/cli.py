@@ -12,7 +12,7 @@ from typing import Optional, Sequence, TextIO, Tuple
 from .genbinom import gen_binom
 from .identities import Form, IdentityCase, IdentityId, case_sides
 from .partitions import Partition, for_each_partition
-from .polynomials import Polynomial, format_rational, int_str
+from .polynomials import int_str, render
 from .verifier import (
     EXIT_CONFIG_ERROR,
     EXIT_COUNTEREXAMPLE,
@@ -36,12 +36,6 @@ def _parse_range(text: str) -> Tuple[int, int]:
     else:
         lo = hi = int(text)
     return lo, hi
-
-
-def _render_side(side) -> str:
-    if isinstance(side, Polynomial):
-        return side.render()
-    return format_rational(side)
 
 
 def _cmd_partitions(args) -> int:
@@ -85,9 +79,11 @@ def _cmd_identity(args) -> int:
     if args.format == "json":
         print(json.dumps(result.to_dict(), ensure_ascii=False, indent=2))
     else:
-        for lhs, rhs in pairs:
-            print(f"LHS = {_render_side(lhs)}")
-            print(f"RHS = {_render_side(rhs)}")
+        # the texts the judge wrote: one pair's, or a list of them per side
+        texts = [(result.lhs, result.rhs)] if len(pairs) == 1 else zip(result.lhs, result.rhs)
+        for lhs, rhs in texts:
+            print(f"LHS = {render(lhs)}")
+            print(f"RHS = {render(rhs)}")
         print(result.status)
     return EXIT_COUNTEREXAMPLE if result.status == STATUS_COUNTEREXAMPLE else EXIT_OK
 

@@ -18,8 +18,10 @@ computes no factorial: the builders in ``identities`` do, in ``int``s.
 
 One writer and no reader.  ``_ratio_str(p, q)`` writes p/q in lowest
 terms, every integer through ``int_str``, which has no digit limit;
-``format_rational``, ``Polynomial.to_strings`` and ``Polynomial.render``
-all go through it, the last two straight from the numerators.
+``format_rational`` and ``Polynomial.to_strings``, the latter straight from
+the numerators, both go through it.  ``render`` lays out what they wrote,
+a scalar's text or a polynomial's coefficient texts, as one human line,
+so a side written once for a report is never written again to be shown.
 """
 from __future__ import annotations
 
@@ -130,24 +132,29 @@ class Polynomial:
         """Serialized form: coefficient strings, constant term first."""
         return [_ratio_str(c, self.den) for c in self.nums]
 
-    def render(self) -> str:
-        """Human form, descending powers, e.g. "1/2·X^2 - 1/2·X"."""
-        terms = []
-        for k, text in reversed(list(enumerate(self.to_strings()))):
-            if text == "0":
-                continue
-            mag = text.lstrip("-")
-            if k:
-                power = "X" if k == 1 else f"X^{k}"
-                mag = power if mag == "1" else f"{mag}·{power}"
-            terms.append(("- " if text[0] == "-" else "+ ") + mag)
-        line = " ".join(terms)
-        if not line:
-            return "0"
-        return line[2:] if line[0] == "+" else "-" + line[2:]
-
     def __repr__(self) -> str:
-        return f"Polynomial({self.render()!r})"
+        return f"Polynomial({render(self.to_strings())!r})"
+
+
+def render(side: Union[str, List[str]]) -> str:
+    """Human form of a written side: a scalar's text as it is, and a
+    polynomial's coefficient texts, constant term first, in descending
+    powers, e.g. "1/2·X^2 - 1/2·X"."""
+    if isinstance(side, str):
+        return side
+    terms = []
+    for k, text in reversed(list(enumerate(side))):
+        if text == "0":
+            continue
+        mag = text.lstrip("-")
+        if k:
+            power = "X" if k == 1 else f"X^{k}"
+            mag = power if mag == "1" else f"{mag}·{power}"
+        terms.append(("- " if text[0] == "-" else "+ ") + mag)
+    line = " ".join(terms)
+    if not line:
+        return "0"
+    return line[2:] if line[0] == "+" else "-" + line[2:]
 
 
 def _canonical(nums: List[int], den: int) -> Tuple[Tuple[int, ...], int]:

@@ -5,8 +5,7 @@ from functools import lru_cache
 from itertools import combinations, zip_longest
 from math import comb, factorial
 
-from partition_identities.genbinom import row_gen_poly
-from partition_identities.partitions import Partition
+from partition_identities.genbinom import _row_coeffs
 from partition_identities.polynomials import Polynomial
 
 
@@ -164,7 +163,7 @@ def covering_table(n: int) -> tuple:
     """
     table = [[[0] * (n + 1) for _ in range(r)] for r in range(1, n + 1)]
     for mu in partitions(n):
-        row = row_gen_poly(Partition(mu))
+        row = _row_coeffs(mu, n)
         class_size = factorial(n) // z_value(mu)
         for r in range(len(mu), n + 1):
             vector = table[r - 1][len(mu) - 1]
@@ -217,7 +216,7 @@ def length_r_sum(n: int, r: int, s: int) -> Fraction:
 
 
 def render(p: Polynomial) -> str:
-    """Polynomial.render's text, term by term over the ``Fraction`` view.
+    """polynomials.render(p.to_strings()), term by term over the ``Fraction`` view.
 
     Descending powers; a zero coefficient is left out, a unit one is
     dropped in front of X, and the first term carries its sign as a bare

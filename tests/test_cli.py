@@ -16,7 +16,8 @@ from partition_identities import cli, partitions, verifier
 from partition_identities.cli import _parse_range, main
 from partition_identities.identities import IDENTITIES, MAX_S, IdentityCase, IdentityId, case_sides
 from partition_identities.partitions import Partition
-from partition_identities.polynomials import Polynomial, format_rational
+from partition_identities.polynomials import Polynomial, render
+from partition_identities.verifier import serialize_side
 
 #: the fields of an IdentityCase after its id, in order
 CASE_FIELDS = ("n", "r", "s", "form")
@@ -136,8 +137,7 @@ def test_identity_human(capsys):
         expected = []
         for lhs, rhs in case_sides(IdentityCase.parse(text)):
             for name, side in (("LHS", lhs), ("RHS", rhs)):
-                body = side.render() if isinstance(side, Polynomial) else format_rational(side)
-                expected.append(f"{name} = {body}")
+                expected.append(f"{name} = {render(serialize_side(side))}")
         code, out, _ = run(capsys, "identity", text)
         assert code == 0
         assert out.splitlines() == expected + [status], text
@@ -183,6 +183,19 @@ def test_sweep_csv(capsys):
     assert out.splitlines()[0] == "case,status,lhs,rhs,elapsed_ms"
 
 
+def test_sweep_human(capsys):
+    # one line per case, in grid order, then the summary; CONJ4 at r = 1
+    # is SKIPPED
+    code, out, _ = run(capsys, "sweep", "--ids", "CONJ4", "--n", "2", "--r", "1..2",
+                       "--s", "1", "--format", "human")
+    assert code == 0
+    assert out == (
+        "CONJ4(n=2,r=1,s=1): SKIPPED\n"
+        "CONJ4(n=2,r=2,s=1): VERIFIED\n"
+        "summary: 1 verified, 0 counterexamples, 1 skipped\n"
+    )
+
+
 def test_sweep_counterexample_exit_code(capsys, corrupt_rhs):
     code, out, _ = run(capsys, "sweep", "--ids", "CLASSICAL", "--n", "1..2")
     assert code == 1
@@ -190,6 +203,13 @@ def test_sweep_counterexample_exit_code(capsys, corrupt_rhs):
     assert {r["status"] for r in results} == {"COUNTEREXAMPLE"}
     for res in results:
         assert res["lhs"] != res["rhs"]
+    code, out, _ = run(capsys, "sweep", "--ids", "CLASSICAL", "--n", "1", "--format", "human")
+    assert code == 1
+    assert out == (
+        "CLASSICAL(n=1,form=SIGNED): COUNTEREXAMPLE\n"
+        "CLASSICAL(n=1,form=UNSIGNED): COUNTEREXAMPLE\n"
+        "summary: 0 verified, 2 counterexamples, 0 skipped\n"
+    )
 
 
 def test_identity_builds_sides_once(capsys, monkeypatch):
@@ -209,6 +229,29 @@ def test_identity_builds_sides_once(capsys, monkeypatch):
         code, _, _ = run(capsys, "identity", "TOP_COEFF(n=3,r=2,s=1)", "--format", fmt)
         assert code == 0
         assert len(calls) == 1
+
+
+def test_identity_writes_each_side_once(capsys, monkeypatch):
+    # the human lines show the texts the judge wrote for the report, so
+    # both formats write the same coefficients, the same number of times
+    from partition_identities import polynomials
+
+    calls = []
+    real = polynomials._ratio_str
+
+    def counted(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(polynomials, "_ratio_str", counted)
+    for case in ("CONJ1(n=6,r=4,s=1,form=UNSIGNED)", "CONJ3(n=6,r=4,s=0)", "TOP_COEFF(n=5,r=4,s=1)"):
+        counts = []
+        for fmt in ("human", "json"):
+            calls.clear()
+            code, _, _ = run(capsys, "identity", case, "--format", fmt)
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, (case, counts)
 
 
 def test_identity_counterexample_exit_code(capsys, corrupt_rhs):

@@ -3,20 +3,17 @@ from math import comb
 
 import pytest
 
-from partition_identities.genbinom import (
-    MAX_WORK,
-    gen_binom,
-    gen_binom_bruteforce,
-    row_gen_poly,
-)
+from partition_identities.genbinom import MAX_WORK, _row_coeffs, gen_binom
 from partition_identities.partitions import Partition, enumerate_partitions
 
+from oracles import covering_count
 
-def test_row_gen_poly_examples():
-    assert row_gen_poly(Partition([2, 1])) == (0, 0, 2, 1)
-    assert row_gen_poly(Partition()) == (1,)
+
+def test_row_coeffs_examples():
+    assert _row_coeffs((2, 1), 3) == (0, 0, 2, 1)
+    assert _row_coeffs((), 0) == (1,)
     for n in range(1, 8):
-        coeffs = row_gen_poly(Partition([n]))
+        coeffs = _row_coeffs((n,), n)
         assert coeffs[0] == 0
         for r in range(1, n + 1):
             assert coeffs[r] == comb(n, r)
@@ -31,21 +28,16 @@ def test_gen_binom_examples():
 
 
 def test_bruteforce_examples():
-    assert gen_binom_bruteforce(Partition([2, 1]), 2) == 2
-    assert gen_binom_bruteforce(Partition([1, 1, 1]), 3) == 1
-    assert gen_binom_bruteforce(Partition([2, 2]), 2) == 4
-
-
-def test_bruteforce_limit_guard():
-    with pytest.raises(ValueError):
-        gen_binom_bruteforce(Partition([17]), 1)
+    assert covering_count((2, 1), 2) == 2
+    assert covering_count((1, 1, 1), 3) == 1
+    assert covering_count((2, 2), 2) == 4
 
 
 def test_oracle_equivalence_small():
     for n in range(0, 9):
         for lam in enumerate_partitions(n):
             for r in range(0, n + 1):
-                assert gen_binom(lam, r) == gen_binom_bruteforce(lam, r)
+                assert gen_binom(lam, r) == covering_count(lam.parts, r)
 
 
 def test_support():
@@ -86,14 +78,12 @@ def test_total_mass():
             expected = 1
             for p in lam.parts:
                 expected *= 2**p - 1
-            assert sum(row_gen_poly(lam)) == expected
+            assert sum(_row_coeffs(lam.parts, lam.weight)) == expected
 
 
 def test_negative_r_rejected():
     with pytest.raises(ValueError):
         gen_binom(Partition([2]), -1)
-    with pytest.raises(ValueError):
-        gen_binom_bruteforce(Partition([2]), -1)
 
 
 def test_gen_binom_truncates_at_r():
@@ -106,7 +96,7 @@ def test_gen_binom_truncates_at_r():
     assert gen_binom(Partition(), 0) == 1
     for n in range(0, 13):
         for lam in enumerate_partitions(n):
-            full = row_gen_poly(lam)
+            full = _row_coeffs(lam.parts, lam.weight)
             for r in range(0, n + 3):
                 assert gen_binom(lam, r) == (full[r] if r <= n else 0)
 

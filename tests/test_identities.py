@@ -865,6 +865,8 @@ def test_case_text_round_trip():
         IdentityCase.parse("NOPE(n=1)")
     with pytest.raises(ValueError):
         IdentityCase.parse("CONJ1")
+    with pytest.raises(ValueError, match="unknown parameter"):
+        IdentityCase.parse("CONJ3(n=3,x=1)")
 
 
 def test_case_sides_dispatch():

@@ -141,6 +141,20 @@ def test_cells():
     assert list(Partition([2, 1]).cells()) == [(1, 1), (1, 2), (2, 1)]
 
 
+def test_value_contracts():
+    # a value type: equal partitions hash equal and collapse in a set, it
+    # iterates and measures as its parts, and it is not equal to its text
+    lam = Partition([3, 1, 1])
+    assert lam == Partition((3, 1, 1)) and hash(lam) == hash(Partition((3, 1, 1)))
+    assert len({lam, Partition([3, 1, 1]), Partition([3, 2])}) == 2
+    for mu in (lam, Partition()):
+        assert list(mu) == list(mu.parts) and len(mu) == len(mu.parts) == mu.length
+    assert lam != "3+1+1" and lam != (3, 1, 1)
+    assert lam.__eq__("3+1+1") is NotImplemented
+    assert repr(lam) == "Partition([3, 1, 1])" and repr(Partition()) == "Partition([])"
+    assert eval(repr(lam)) == lam
+
+
 def test_text_round_trip():
     assert str(Partition([3, 1, 1])) == "3+1+1"
     assert Partition.parse("3+1+1") == Partition([3, 1, 1])
@@ -157,6 +171,9 @@ def test_negative_lengths_rejected():
     for min_len, max_len in ((-1, -1), (0, -1), (-1, None)):
         with pytest.raises(ValueError, match="non-negative"):
             enumerate_partitions(5, min_len, max_len)
+    # as is a negative n
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        enumerate_partitions(-1)
 
 
 PRIMES = [p for p in range(2, 100) if all(p % q for q in range(2, p))]

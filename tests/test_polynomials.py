@@ -11,6 +11,7 @@ from partition_identities.polynomials import (
     Polynomial,
     format_rational,
     int_str,
+    render as render_side,
 )
 
 from oracles import (
@@ -61,6 +62,11 @@ def test_hash_agrees_with_eq():
     assert hash(Polynomial([Fraction(1, 2)])) == hash(Fraction(1, 2))
     assert len({Polynomial([3]), 3}) == 1
     assert Polynomial.over([0, 2], 2) in {X}
+    # a polynomial is not equal to its text, nor to a float
+    p = Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
+    assert p != "1/2·X^2 - 1/2·X" and p != p.to_strings() and Polynomial([3]) != "3"
+    assert p.__eq__("1/2·X^2 - 1/2·X") is NotImplemented
+    assert Polynomial([3]).__eq__(3.0) is NotImplemented
 
 
 def test_mul_examples():
@@ -261,11 +267,12 @@ def test_int_str_has_no_digit_limit():
     assert format_rational(big) == f"{_digits_by_chunks(3**20000)}/{_digits_by_chunks(2**20000 + 1)}"
     p = Polynomial.over([-(3**20000), 0, 5], 2)
     assert p.to_strings() == [f"-{_digits_by_chunks(3**20000)}/2", "0", "5/2"]
-    assert p.render() == f"5/2·X^2 - {_digits_by_chunks(3**20000)}/2"
+    assert render_side(p.to_strings()) == f"5/2·X^2 - {_digits_by_chunks(3**20000)}/2"
     # about the size of the sides of CONJ3(n=20,r=10,s=10000)
     big = 10**36000 - 1
     digits = _digits_by_chunks(big // 3)
-    assert Polynomial.over([7, 0, -big, big], 3).render() == f"{digits}·X^3 - {digits}·X^2 + 7/3"
+    text = render_side(Polynomial.over([7, 0, -big, big], 3).to_strings())
+    assert text == f"{digits}·X^3 - {digits}·X^2 + 7/3"
 
 
 def test_polynomial_serialization_round_trip():
@@ -278,7 +285,7 @@ def test_polynomial_serialization_round_trip():
 @given(render_polys)
 @settings(max_examples=200)
 def test_render_matches_oracle(p):
-    assert p.render() == render(p)
+    assert render_side(p.to_strings()) == render(p)
 
 
 def test_render_style(monkeypatch):
@@ -289,18 +296,24 @@ def test_render_style(monkeypatch):
     def refuse(self):
         raise AssertionError("render read the Fraction view")
 
-    # render formats the integer numerators, never one Fraction per term
+    def shown(p):
+        return render_side(p.to_strings())
+
+    # a side is written from its integer numerators, never one Fraction per term
     monkeypatch.setattr(Polynomial, "coeffs", property(refuse))
     p = Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
-    assert p.render() == "1/2·X^2 - 1/2·X"
-    assert Polynomial().render() == "0"
-    assert Polynomial([Fraction(-7, 3)]).render() == "-7/3"
-    assert Polynomial([-1, 1, -1, 1]).render() == "X^3 - X^2 + X - 1"
-    assert Polynomial([Fraction(1, 2), Fraction(-1, 2), 0, -1]).render() == "-X^3 - 1/2·X + 1/2"
-    assert X.render() == "X"
-    assert Polynomial([-1, 1]).render() == "X - 1"
-    assert Polynomial([0, -1]).render() == "-X"
-    assert degree_300.render() == expected
+    assert shown(p) == "1/2·X^2 - 1/2·X"
+    assert repr(p) == "Polynomial('1/2·X^2 - 1/2·X')"
+    assert shown(Polynomial()) == "0"
+    assert shown(Polynomial([Fraction(-7, 3)])) == "-7/3"
+    assert shown(Polynomial([-1, 1, -1, 1])) == "X^3 - X^2 + X - 1"
+    assert shown(Polynomial([Fraction(1, 2), Fraction(-1, 2), 0, -1])) == "-X^3 - 1/2·X + 1/2"
+    assert shown(X) == "X"
+    assert shown(Polynomial([-1, 1])) == "X - 1"
+    assert shown(Polynomial([0, -1])) == "-X"
+    assert shown(degree_300) == expected
+    # a scalar's text comes back as it is
+    assert render_side("-7/3") == "-7/3" and render_side("0") == "0"
 
 
 def test_substitute_neg_x():

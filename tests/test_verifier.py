@@ -41,6 +41,11 @@ def test_compare_case_examples():
     assert res.status == STATUS_VERIFIED
     assert res.lhs == res.rhs == "3"
 
+    # a side is a Polynomial or an exact rational, nothing else
+    for value in (1.5, "3", None):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            serialize_side(value)
+
 
 def test_compare_case_perturbed(corrupt_rhs):
     res = compare_case(IdentityCase.parse("CLASSICAL(n=2,form=SIGNED)"))
