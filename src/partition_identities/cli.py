@@ -111,24 +111,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _emit_report(report: Report, args, sink: Optional[TextIO]) -> None:
-    if args.format == "csv":
-        text = report.to_csv()
-    elif args.format == "human":
-        lines = [
-            f"{res.case}: {res.status}" for res in report.results
-        ]
-        summary = report.summary
-        lines.append(
-            "summary: {verified} verified, {counterexamples} counterexamples, "
-            "{skipped} skipped".format(**summary)
-        )
-        text = "\n".join(lines) + "\n"
-    else:
-        text = report.to_json()
-    if sink is None:
-        print(text, end="" if text.endswith("\n") else "\n")
-    else:
-        sink.write(text)
+    writers = {"csv": report.to_csv, "human": report.to_human, "json": report.to_json}
+    writers[args.format](sink or sys.stdout)
+    if sink is None and args.format == "json":
+        sys.stdout.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

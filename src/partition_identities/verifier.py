@@ -11,10 +11,13 @@ program object crosses the process boundary.  Slices end only where
 (identity, n) changes, so one identity's table for one n is built by one
 worker.  The first error in a worker kills every worker and is raised by
 the sweep; where there is no fork, a sweep runs in-process.
+
+A report writes itself to a text sink, a file or stdout, in any of its
+three formats; its JSON is encoded a batch of rows at a time, so the
+whole text is never held at once.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 import marshal
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .identities import IDENTITIES, MAX_S, Form, IdentityCase, IdentityId, SidePair, case_sides
 from .polynomials import Polynomial, format_rational
@@ -39,6 +42,15 @@ STATUS_COUNTEREXAMPLE = "COUNTEREXAMPLE"
 STATUS_SKIPPED = "SKIPPED"
 
 SerializedSide = Union[str, List[str]]
+
+#: rows a report's JSON encodes per call: one call per row ran grid-all's
+#: writer about 1.7 times slower, and 256 a call matches one call for all
+_JSON_BATCH = 256
+#: side characters that end a batch early: a big-s side is about 50 000
+#: characters, and encoding holds about two copies of a batch's text
+_JSON_BATCH_CHARS = 1 << 18
+#: no indent, so the C encoder runs
+_JSON = json.JSONEncoder(ensure_ascii=False)
 
 #: the most cases one sweep may expand, the same one-million policy as
 #: ``partitions.MAX_PARTITIONS``
@@ -184,13 +196,34 @@ class Report:
             "total_ms": self.total_ms,
         }
 
-    def to_json(self) -> str:
-        # no indent: json.dumps then runs its C encoder
-        return json.dumps(self.to_dict(), ensure_ascii=False)
+    def to_json(self, sink: Optional[TextIO] = None) -> Optional[str]:
+        """Write ``json.dumps(self.to_dict(), ensure_ascii=False)`` to ``sink``.
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        The results are encoded a batch of rows at a time (see
+        ``_json_batches``), so only one batch's text is held at once, not
+        the whole report's.  With no sink the text is returned: the
+        benchmark's self-test reads a report so.
+        """
+        if sink is None:
+            buf = io.StringIO()
+            self.to_json(buf)
+            return buf.getvalue()
+        encode = _JSON.encode
+        sink.write('{"config": ' + encode(self.config.to_dict()) + ', "results": [')
+        sep = ""
+        for batch in _json_batches(self.results):
+            sink.write(sep)
+            sink.write(encode(batch)[1:-1])
+            sep = ", "
+        sink.write(
+            '], "summary": ' + encode(self.summary) + ', "total_ms": ' + encode(self.total_ms) + "}"
+        )
+        return None
+
+    def to_csv(self, sink: TextIO) -> None:
+        import csv
+
+        writer = csv.writer(sink)
         writer.writerow(["case", "status", "lhs", "rhs", "elapsed_ms"])
         for res in self.results:
             writer.writerow(
@@ -202,7 +235,14 @@ class Report:
                     res.elapsed_ms,
                 ]
             )
-        return buf.getvalue()
+
+    def to_human(self, sink: TextIO) -> None:
+        for res in self.results:
+            sink.write(f"{res.case}: {res.status}\n")
+        sink.write(
+            "summary: {verified} verified, {counterexamples} counterexamples, "
+            "{skipped} skipped\n".format(**self.summary)
+        )
 
     def content_dict(self) -> Dict:
         """Report content with timing fields removed, for determinism checks."""
@@ -212,6 +252,24 @@ class Report:
         for res in data["results"]:
             res.pop("elapsed_ms")
         return data
+
+
+def _side_chars(side: SerializedSide) -> int:
+    return len(side) if isinstance(side, str) else sum(map(len, side))
+
+
+def _json_batches(results: Sequence[CaseResult]):
+    """The results' dicts in runs of at most ``_JSON_BATCH`` rows, each cut
+    short once its sides reach ``_JSON_BATCH_CHARS`` characters."""
+    batch, chars = [], 0
+    for res in results:
+        batch.append(res.to_dict())
+        chars += _side_chars(res.lhs) + _side_chars(res.rhs)
+        if len(batch) == _JSON_BATCH or chars >= _JSON_BATCH_CHARS:
+            yield batch
+            batch, chars = [], 0
+    if batch:
+        yield batch
 
 
 def _csv_side(side: SerializedSide) -> str:

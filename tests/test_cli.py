@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -196,6 +197,45 @@ def test_sweep_human(capsys):
     )
 
 
+def _csv_text(report):
+    """A report's CSV as one string, as the writer built it before it took a sink."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["case", "status", "lhs", "rhs", "elapsed_ms"])
+    for res in report.results:
+        writer.writerow([str(res.case), res.status, *map(verifier._csv_side, (res.lhs, res.rhs)),
+                         res.elapsed_ms])
+    return buf.getvalue()
+
+
+def _human_text(report):
+    lines = [f"{res.case}: {res.status}" for res in report.results]
+    lines.append("summary: {verified} verified, {counterexamples} counterexamples, "
+                 "{skipped} skipped".format(**report.summary))
+    return "\n".join(lines) + "\n"
+
+
+def test_sweep_writes_each_format_whole(capsys, monkeypatch, tmp_path):
+    # one report, so its timing fields agree between runs; it spans several
+    # JSON batches
+    report = verifier.run_sweep(verifier.SweepConfig(
+        identity_ids=(IdentityId.CONJ1, IdentityId.CONJ3, IdentityId.CONJ4),
+        n_range=(1, 6), r_range=(1, 6), s_range=(1, 4),
+    ))
+    assert len(report.results) > 2 * verifier._JSON_BATCH
+    monkeypatch.setattr(cli, "run_sweep", lambda config: report)
+    args = ["sweep", "--ids", "CONJ1", "--n", "1"]
+    out_file = tmp_path / "report.json"
+    assert run(capsys, *args, "--out", str(out_file)) == (0, "", "")
+    text = json.dumps(report.to_dict(), ensure_ascii=False)
+    assert out_file.read_bytes() == text.encode("utf-8")
+    assert run(capsys, *args) == (0, text + "\n", "")
+    assert run(capsys, *args, "--format", "csv") == (0, _csv_text(report), "")
+    assert run(capsys, *args, "--format", "human") == (0, _human_text(report), "")
+    assert run(capsys, *args, "--format", "csv", "--out", str(out_file))[0] == 0
+    assert out_file.read_bytes() == _csv_text(report).encode("utf-8")
+
+
 def test_sweep_counterexample_exit_code(capsys, corrupt_rhs):
     code, out, _ = run(capsys, "sweep", "--ids", "CLASSICAL", "--n", "1..2")
     assert code == 1
@@ -311,6 +351,23 @@ def test_closed_stdout_exits_2_without_traceback():
     child.stderr.close()
 
 
+def test_sweep_to_closed_stdout_exits_2_without_traceback():
+    # a report of many batches and far more than a pipe holds, whose reader
+    # leaves after the first bytes
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "partition_identities.cli", "sweep", "--ids", "HOCKEY_STICK",
+         "--n", "1..60", "--r", "1..60"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(12) == b'{"config": {'
+    child.stdout.close()
+    assert child.wait(timeout=60) == 2
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
 def test_sweep_validates_only_what_selected_ids_use(capsys):
     # a form needs an identity that has forms
     assert run(capsys, "sweep", "--ids", "CONJ3", "--n", "2", "--r", "2", "--s", "1",
@@ -383,14 +440,15 @@ def test_sweep_walks_only_what_cases_use(capsys, monkeypatch):
 
 def test_sweep_imports_no_pool_module(tmp_path):
     # importing concurrent.futures cost every sweep process about 10 ms; a
-    # sweep at one and at two workers now imports no pool module at all
+    # sweep at one and at two workers now imports no pool module at all,
+    # and a JSON sweep does not import csv
     script = (
         "import sys\n"
         "from partition_identities.cli import main\n"
         "for workers in '1', '2':\n"
         "    args = ['sweep', '--ids', 'CONJ1,CONJ3', '--n', '1..6', '--r', '1..6', '--s', '1..2']\n"
         "    assert main(args + ['--workers', workers, '--out', sys.argv[1] + workers]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing', 'csv', '_csv')))\n"
     )
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

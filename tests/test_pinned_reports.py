@@ -3,6 +3,7 @@
 The digests live in ``bench/run.py``; a change that alters any serialized
 side of those grids fails here under plain ``pytest``.
 """
+import io
 import json
 import sys
 from pathlib import Path
@@ -29,5 +30,7 @@ def test_workload_matches_pinned_digest(name):
     )
     report = run_sweep(config)
     cases = bench_run.expected_cases(workload)
-    data = json.loads(report.to_json())
+    buf = io.StringIO()
+    report.to_json(buf)
+    data = json.loads(buf.getvalue())
     assert check.failed_cases(cases, workload.digest, report.exit_code, data) == 0

@@ -1,8 +1,10 @@
+import io
 import json
 import marshal
 import multiprocessing
 import os
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -20,6 +22,7 @@ from partition_identities.verifier import (
     STATUS_VERIFIED,
     CaseResult,
     ConfigError,
+    Report,
     SweepConfig,
     compare_case,
     expand_cases,
@@ -491,7 +494,7 @@ def test_report_json_schema():
     report = run_sweep(
         SweepConfig(identity_ids=(IdentityId.CONJ2,), n_range=(1, 3))
     )
-    data = json.loads(report.to_json())
+    data = json.loads(_json_text(report))
     assert set(data) == {"config", "results", "summary", "total_ms"}
     assert list(data["config"]) == [
         "identity_ids", "n_range", "r_range", "s_range", "form", "worker_count"
@@ -502,20 +505,87 @@ def test_report_json_schema():
         assert isinstance(res["lhs"], list)  # polynomial sides
 
 
+def _json_text(report):
+    buf = io.StringIO()
+    assert report.to_json(buf) is None
+    return buf.getvalue()
+
+
 def test_report_json_is_one_line_of_the_report_dict():
     report = run_sweep(
         SweepConfig(identity_ids=(IdentityId.CONJ1,), n_range=(1, 3), r_range=(1, 3))
     )
-    text = report.to_json()
+    text = _json_text(report)
     assert "\n" not in text
     assert json.loads(text) == report.to_dict()
+
+
+def test_streamed_json_equals_one_dumps_of_the_report_dict():
+    # the results are written in batches of _JSON_BATCH rows; the joins
+    # between batches, and around none or one, must leave json.dumps' bytes
+    sweep = run_sweep(
+        SweepConfig(
+            identity_ids=tuple(IdentityId), n_range=(1, 6), r_range=(1, 6), s_range=(0, 3)
+        )
+    )
+    batch = verifier._JSON_BATCH
+    assert len(sweep.results) > 3 * batch
+    rows = sweep.results
+    reports = [sweep] + [
+        Report(sweep.config, [rows[i % len(rows)] for i in range(count)], total_ms)
+        for count, total_ms in (
+            (0, 0.0), (1, 1e-7), (batch, 12.5), (batch + 1, 3.0), (3 * batch + 5, 1e21)
+        )
+    ]
+    # a big-s side ends a batch after a few rows
+    big = "9" * 70_000
+    case = IdentityCase.parse("CONJ3(n=2,r=1,s=9999)")
+    big_rows = [CaseResult(case, STATUS_VERIFIED, big, big, 0.5)] * 5
+    assert [len(b) for b in verifier._json_batches(big_rows)] == [2, 2, 1]
+    reports.append(Report(sweep.config, big_rows, 2.0))
+    for report in reports:
+        text = _json_text(report)
+        assert text == json.dumps(report.to_dict(), ensure_ascii=False), len(report.results)
+        assert report.to_json() == text  # no sink: the same text, returned
+
+
+class _CharCount:
+    """A text sink that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_json_writer_holds_one_batch_not_the_report():
+    # about 6.5 MB of report text, which the writer held whole, peaking at
+    # over twice its length; a batch is far less than a quarter of it
+    case = IdentityCase.parse("CONJ2(n=2,s=2,form=SIGNED)")
+    side = [str(10**40 + i) for i in range(6)]
+    results = [CaseResult(case, STATUS_VERIFIED, side, side, i / 7) for i in range(10000)]
+    report = Report(
+        SweepConfig(identity_ids=(IdentityId.CONJ2,), n_range=(2, 2), s_range=(2, 2)), results
+    )
+    sink = _CharCount()
+    tracemalloc.start()
+    try:
+        report.to_json(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 10**6
+    assert peak < sink.chars / 4, (peak, sink.chars)
 
 
 def test_report_csv():
     report = run_sweep(
         SweepConfig(identity_ids=(IdentityId.CONJ3,), n_range=(2, 3), r_range=(1, 2))
     )
-    lines = report.to_csv().strip().splitlines()
+    buf = io.StringIO()
+    assert report.to_csv(buf) is None
+    lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "case,status,lhs,rhs,elapsed_ms"
     assert len(lines) == len(report.results) + 1
     assert "CONJ3(n=2,r=1,s=1)" in lines[1]
