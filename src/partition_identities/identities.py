@@ -45,15 +45,13 @@ denominator, and every scalar factorial is ``math.factorial``, ``perm`` or
 """
 from __future__ import annotations
 
-import inspect
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, perm
 from operator import mul
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import partitions
 from .polynomials import Polynomial
@@ -88,39 +86,69 @@ class Form(Enum):
 _INT_OR_NONE = (int, type(None))
 
 
-@dataclass(frozen=True)
 class IdentityCase:
-    """One identity plus its integer parameters."""
+    """One identity plus its integer parameters, checked when built.
 
-    identity_id: IdentityId
-    n: int
-    r: Optional[int] = None
-    s: Optional[int] = None
-    form: Optional[Form] = None
+    Immutable and equal by value, like a frozen record, but not a tuple:
+    every instance went through the checks, and none equals a bare tuple.
+    """
 
-    def __post_init__(self) -> None:
-        spec = IDENTITIES[self.identity_id]
-        name = self.identity_id.value
+    __slots__ = ("identity_id", "n", "r", "s", "form")
+
+    def __init__(
+        self,
+        identity_id: IdentityId,
+        n: int,
+        r: Optional[int] = None,
+        s: Optional[int] = None,
+        form: Optional[Form] = None,
+    ) -> None:
+        spec = IDENTITIES[identity_id]
+        name = identity_id.value
         # exact types, so a bool, a float or a form's name is refused here,
         # not taken for another value or failed on inside a builder
-        if (
-            type(self.n) is not int
-            or type(self.r) not in _INT_OR_NONE
-            or type(self.s) not in _INT_OR_NONE
-        ):
+        if type(n) is not int or type(r) not in _INT_OR_NONE or type(s) not in _INT_OR_NONE:
             raise TypeError(f"{name}: n, r and s must be int")
-        if self.form is not None and type(self.form) is not Form:
-            raise TypeError(f"{name}: form must be a Form, got {self.form!r}")
-        if not 1 <= self.n <= spec.max_n:
+        if form is not None and type(form) is not Form:
+            raise TypeError(f"{name}: form must be a Form, got {form!r}")
+        if not 1 <= n <= spec.max_n:
             raise ValueError(f"{name}: n must be in 1..{spec.max_n}")
-        for label, key in (("parameter r", "r"), ("parameter s", "s"), ("form", "form")):
+        optional = (("parameter r", "r", r), ("parameter s", "s", s), ("form", "form", form))
+        for label, key, value in optional:
             wanted = key in spec.params
-            if wanted != (getattr(self, key) is not None):
+            if wanted != (value is not None):
                 raise ValueError(f"{name}: {label} {'required' if wanted else 'not applicable'}")
-        if self.r is not None and self.r < 1:
+        if r is not None and r < 1:
             raise ValueError(f"{name}: r must be >= 1")
-        if self.s is not None and not spec.s_min <= self.s <= MAX_S:
+        if s is not None and not spec.s_min <= s <= MAX_S:
             raise ValueError(f"{name}: s must be in {spec.s_min}..{MAX_S}")
+        for key, value in zip(self.__slots__, (identity_id, n, r, s, form)):
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, key: str, value) -> None:
+        raise AttributeError(f"IdentityCase is immutable: cannot assign {key!r}")
+
+    def __delattr__(self, key: str) -> None:
+        raise AttributeError(f"IdentityCase is immutable: cannot delete {key!r}")
+
+    def _key(self) -> tuple:
+        return (self.identity_id, self.n, self.r, self.s, self.form)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not IdentityCase:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"IdentityCase({pairs})"
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy or an unpickled case is checked too
+        return IdentityCase, self._key()
 
     @property
     def skipped(self) -> bool:
@@ -500,48 +528,50 @@ def sign_flip_check(n: int, r: int, s: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     """One identity's builder, lowest s, skip rule and largest n.
 
     ``build`` takes the case's fields named by its own parameters, an
     ordered subsequence of n, r, s and form, and returns one (lhs, rhs)
-    pair or a list of them.  ``skip_r1`` cases are built at r = 1 but
-    reported SKIPPED: a boundary convention makes the identity fail there.
-    ``max_n`` is the largest n a case takes, checked by ``IdentityCase``
-    and ``SweepConfig.validate`` alike: the p(n) enumeration limit for
-    builders that read the partitions of n, and for the others the n at
-    which one case, at its worst r and s <= ``MAX_S``, takes about a second
-    on a 2-core Xeon.  r needs no bound: every builder gives zero for r > n
-    without building anything of size r.
+    pair or a list of them; ``params`` holds those names, read once by
+    ``of`` when the registry is built.  ``skip_r1`` cases are built at
+    r = 1 but reported SKIPPED: a boundary convention makes the identity
+    fail there.  ``max_n`` is the largest n a case takes, checked by
+    ``IdentityCase`` and ``SweepConfig.validate`` alike: the p(n)
+    enumeration limit for builders that read the partitions of n, and for
+    the others the n at which one case, at its worst r and s <= ``MAX_S``,
+    takes about a second on a 2-core Xeon.  r needs no bound: every builder
+    gives zero for r > n without building anything of size r.
     """
 
     build: Callable[..., Union[SidePair, List[SidePair]]]
+    params: Tuple[str, ...]
     s_min: int = 1
     skip_r1: bool = False
     max_n: int = partitions.MAX_N
 
-    @cached_property
-    def params(self) -> Tuple[str, ...]:
-        """The names of the case fields the identity takes: ``build``'s parameters."""
-        return tuple(inspect.signature(self.build).parameters)
+    @classmethod
+    def of(cls, build: Callable, **options) -> "IdentitySpec":
+        """The spec of ``build``, whose parameters are read once, here."""
+        code = build.__code__
+        return cls(build, code.co_varnames[: code.co_argcount], **options)
 
 
 #: the single registry of identities, one entry per IdentityId in its order
 IDENTITIES: Dict[IdentityId, IdentitySpec] = {
-    IdentityId.CLASSICAL: IdentitySpec(classical_sides),
-    IdentityId.CONJ1: IdentitySpec(conj1_sides),
-    IdentityId.CONJ2: IdentitySpec(conj2_sides),
-    IdentityId.CONJ3: IdentitySpec(conj3_sides, s_min=0),
+    IdentityId.CLASSICAL: IdentitySpec.of(classical_sides),
+    IdentityId.CONJ1: IdentitySpec.of(conj1_sides),
+    IdentityId.CONJ2: IdentitySpec.of(conj2_sides),
+    IdentityId.CONJ3: IdentitySpec.of(conj3_sides, s_min=0),
     # at r = 1 the resummed RHS has lower binomial index -1
-    IdentityId.CONJ4: IdentitySpec(conj4_sides, skip_r1=True),
-    IdentityId.CONST_TERM: IdentitySpec(const_term_sides, max_n=10**5),
-    IdentityId.TOP_COEFF: IdentitySpec(top_coeff_checks, max_n=400),
+    IdentityId.CONJ4: IdentitySpec.of(conj4_sides, skip_r1=True),
+    IdentityId.CONST_TERM: IdentitySpec.of(const_term_sides, max_n=10**5),
+    IdentityId.TOP_COEFF: IdentitySpec.of(top_coeff_checks, max_n=400),
     # 300 keeps the domain it had when a case cost O(n^3), about 1 s at
     # s = 10**4; the Horner sum takes about 0.04 s there
-    IdentityId.BINOMIAL_TYPE: IdentitySpec(binomial_type_sides, max_n=300),
+    IdentityId.BINOMIAL_TYPE: IdentitySpec.of(binomial_type_sides, max_n=300),
     # (n, r) plays the role of (N, k); the identity fails at k = 1
-    IdentityId.HOCKEY_STICK: IdentitySpec(hockey_stick_sides, skip_r1=True, max_n=4000),
+    IdentityId.HOCKEY_STICK: IdentitySpec.of(hockey_stick_sides, skip_r1=True, max_n=4000),
 }
 
 

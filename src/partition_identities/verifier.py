@@ -22,13 +22,11 @@ import io
 import json
 import marshal
 import os
-import select
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 from .identities import IDENTITIES, MAX_S, Form, IdentityCase, IdentityId, SidePair, case_sides
 from .polynomials import Polynomial, format_rational
@@ -61,8 +59,7 @@ class ConfigError(ValueError):
     """Invalid sweep configuration; reported before any evaluation."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     identity_ids: Tuple[IdentityId, ...]
     n_range: Tuple[int, int]
     r_range: Tuple[int, int] = (1, 1)
@@ -127,8 +124,7 @@ class SweepConfig:
         }
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     case: IdentityCase
     status: str
     lhs: SerializedSide
@@ -163,10 +159,9 @@ class CaseResult:
         return cls(case, status, lhs, rhs, elapsed_ms)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     config: SweepConfig
-    results: List[CaseResult] = field(default_factory=list)
+    results: List[CaseResult]
     total_ms: float = 0.0
 
     @property
@@ -405,6 +400,8 @@ def _fork_pool(
     slice number whenever it is free.  On the first error, or a child that
     exits before it sends its verdicts, every child is killed and the
     sweep raises."""
+    import select
+
     by_slice: List[Optional[List[Verdict]]] = [None] * len(slices)
     children: Dict[int, int] = {}  # a child's result pipe -> its pid, until reaped
     streams: Dict[int, List[bytes]] = {}

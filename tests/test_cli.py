@@ -336,13 +336,17 @@ def test_sweep_refuses_an_unwritable_out_before_any_case(capsys, monkeypatch, tm
         main(["sweep", "--ids", "CONJ1", "--n", "1..3", "--out", str(tmp_path / "r.json")])
 
 
+def _child_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_closed_stdout_exits_2_without_traceback():
     # `partid partitions 40 | head -1`: 1 would mean a counterexample
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     child = subprocess.Popen(
         [sys.executable, "-m", "partition_identities.cli", "partitions", "40"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert child.stdout.readline() == b"40\n"
     child.stdout.close()
@@ -354,12 +358,10 @@ def test_closed_stdout_exits_2_without_traceback():
 def test_sweep_to_closed_stdout_exits_2_without_traceback():
     # a report of many batches and far more than a pipe holds, whose reader
     # leaves after the first bytes
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     child = subprocess.Popen(
         [sys.executable, "-m", "partition_identities.cli", "sweep", "--ids", "HOCKEY_STICK",
          "--n", "1..60", "--r", "1..60"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert child.stdout.read(12) == b'{"config": {'
     child.stdout.close()
@@ -439,26 +441,48 @@ def test_sweep_walks_only_what_cases_use(capsys, monkeypatch):
 
 
 def test_sweep_imports_no_pool_module(tmp_path):
-    # importing concurrent.futures cost every sweep process about 10 ms; a
-    # sweep at one and at two workers now imports no pool module at all,
-    # and a JSON sweep does not import csv
+    # importing concurrent.futures cost every sweep process about 10 ms, and
+    # dataclasses, with the inspect, ast, dis and tokenize it pulls in, 8 to
+    # 13 ms more; a sweep at one and at two workers now imports none of
+    # them, a JSON sweep does not import csv, and a one-worker sweep, which
+    # never forks, does not import select
+    absent = (
+        "concurrent", "multiprocessing", "csv", "_csv",
+        "dataclasses", "inspect", "ast", "dis", "tokenize",
+    )
     script = (
         "import sys\n"
         "from partition_identities.cli import main\n"
-        "for workers in '1', '2':\n"
-        "    args = ['sweep', '--ids', 'CONJ1,CONJ3', '--n', '1..6', '--r', '1..6', '--s', '1..2']\n"
-        "    assert main(args + ['--workers', workers, '--out', sys.argv[1] + workers]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing', 'csv', '_csv')))\n"
+        "args = ['sweep', '--ids', 'CONJ1,CONJ3', '--n', '1..6', '--r', '1..6', '--s', '1..2']\n"
+        "assert main(args + ['--workers', '1', '--out', sys.argv[1] + '1']) == 0\n"
+        "print('select' in sys.modules)\n"
+        "assert main(args + ['--workers', '2', '--out', sys.argv[1] + '2']) == 0\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {absent!r}))\n"
     )
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "report")],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_child_env(), capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n") == ["False", "[]", ""]
     reports = [json.loads((tmp_path / f"report{w}").read_text()) for w in "12"]
     assert len(reports[0]["results"]) == len(reports[1]["results"]) > 0
+
+
+def test_main_freezes_the_import_time_heap():
+    # so that no later collection, the full one at exit included, walks
+    # the objects the imports made; only what main makes stays unfrozen
+    script = (
+        "import gc\n"
+        "from partition_identities.cli import main\n"
+        "before = len(gc.get_objects())\n"
+        "assert gc.get_freeze_count() == 0 and main(['zvalue', '3+1']) == 0\n"
+        "print(gc.get_freeze_count() >= before > len(gc.get_objects()))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_child_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "3\nTrue\n"
 
 
 def test_negative_length_exits_2(capsys):

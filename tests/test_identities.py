@@ -1,6 +1,8 @@
+import copy
+import inspect
+import pickle
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, perm, prod
 
@@ -169,7 +171,7 @@ def test_memo_grid_same_content_at_one_and_two_workers(monkeypatch):
 
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
     report1 = run_sweep(MEMO_GRID)
-    report2 = run_sweep(replace(MEMO_GRID, worker_count=2))
+    report2 = run_sweep(MEMO_GRID._replace(worker_count=2))
     assert report1.summary["counterexamples"] == 0
     assert report1.content_dict() == report2.content_dict()
 
@@ -853,6 +855,42 @@ def test_case_validation():
 def test_case_refuses_fields_of_the_wrong_type(fields):
     with pytest.raises(TypeError):
         IdentityCase(*fields)
+
+
+def test_case_is_an_immutable_value():
+    case = IdentityCase(IdentityId.CONJ1, 5, 3, 2, Form.SIGNED)
+    for key in ("identity_id", "n", "form", "other"):
+        with pytest.raises(AttributeError):
+            setattr(case, key, 4)
+        with pytest.raises(AttributeError):
+            delattr(case, key)
+    assert (case.n, case.form) == (5, Form.SIGNED)
+    # equal, and hash-equal, by value, also when built by keyword
+    same = IdentityCase(identity_id=IdentityId.CONJ1, n=5, r=3, s=2, form=Form.SIGNED)
+    assert same is not case and same == case and hash(same) == hash(case)
+    assert case != IdentityCase(IdentityId.CONJ1, 5, 3, 2, Form.UNSIGNED)
+    # but not equal to the bare tuple of its fields, either way round
+    fields = (IdentityId.CONJ1, 5, 3, 2, Form.SIGNED)
+    assert case != fields and fields != case
+    assert case.__eq__(fields) is NotImplemented
+    # keyword construction leaves the fields an identity does not take None
+    hockey = IdentityCase(IdentityId.HOCKEY_STICK, n=5, r=2)
+    assert (hockey.s, hockey.form) == (None, None)
+    assert hockey == IdentityCase(IdentityId.HOCKEY_STICK, 5, 2, None, None)
+    assert repr(hockey) == (
+        "IdentityCase(identity_id=<IdentityId.HOCKEY_STICK: 'HOCKEY_STICK'>, "
+        "n=5, r=2, s=None, form=None)"
+    )
+    # a copy is built through the checks, as the original was
+    for copied in (copy.copy(case), copy.deepcopy(case), pickle.loads(pickle.dumps(case))):
+        assert copied == case and type(copied) is IdentityCase
+
+
+def test_spec_params_are_the_builder_parameters():
+    # read once per spec from the builder's code object; only this test
+    # asks inspect, which a sweep process never imports
+    for iid, spec in IDENTITIES.items():
+        assert spec.params == tuple(inspect.signature(spec.build).parameters), iid
 
 
 def test_case_text_round_trip():

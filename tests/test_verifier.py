@@ -3,6 +3,7 @@ import json
 import marshal
 import multiprocessing
 import os
+import select
 import time
 import tracemalloc
 from collections import Counter
@@ -134,6 +135,14 @@ def test_config_validation():
         SweepConfig(
             identity_ids=(IdentityId.CONJ1,), n_range=(1, 2), form="SIGNED"
         ).validate()
+
+
+def test_config_keyword_construction_takes_the_defaults():
+    config = SweepConfig(identity_ids=(IdentityId.HOCKEY_STICK,), n_range=(2, 4))
+    defaults = (config.r_range, config.s_range, config.form, config.worker_count)
+    assert defaults == ((1, 1), (1, 1), None, 1)
+    config.validate()
+    assert len(run_sweep(config).results) == 3
 
 
 @pytest.mark.parametrize(
@@ -365,9 +374,10 @@ def test_worker_dying_without_verdicts_fails_the_sweep(monkeypatch):
 @needs_fork
 def test_interrupted_sweep_leaves_no_process(monkeypatch):
     # a child's verdicts and the end of its pipe are two reads, so the
-    # sweep waits twice at least; the second wait is interrupted
+    # sweep waits twice at least; the second wait is interrupted.  The pool
+    # imports select when it starts, so the patch is on the module itself
     real = verifier.case_sides
-    real_select = verifier.select.select
+    real_select = select.select
     waits = []
 
     def slow(case):
@@ -381,7 +391,7 @@ def test_interrupted_sweep_leaves_no_process(monkeypatch):
         return real_select(*args)
 
     monkeypatch.setattr(verifier, "case_sides", slow)
-    monkeypatch.setattr(verifier.select, "select", interrupted_select)
+    monkeypatch.setattr(select, "select", interrupted_select)
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
     config = SweepConfig((IdentityId.CONJ1,), (1, 6), (1, 6), (1, 2), worker_count=2)
     with pytest.raises(KeyboardInterrupt):
