@@ -10,7 +10,7 @@ among them) live with the tests, in ``tests/oracles.py``.
 from .genbinom import gen_binom
 from .identities import Form, IdentityCase, IdentityId
 from .partitions import Partition, enumerate_partitions
-from .polynomials import Polynomial
+from .polynomials import Polynomial, Ratio
 from .verifier import Report, SweepConfig, compare_case, run_sweep
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "IdentityId",
     "Partition",
     "Polynomial",
+    "Ratio",
     "Report",
     "SweepConfig",
     "compare_case",

@@ -41,27 +41,29 @@ Every falling factorial [X+c]_n with an integer c, in the right-hand
 sides of CLASSICAL, CONJ1, CONJ2 and TOP_COEFF and on the BINOMIAL_TYPE
 left-hand side, is the integer list ``_falling_coeffs(c, n)`` over a known
 denominator, and every scalar factorial is ``math.factorial``, ``perm`` or
-``comb`` at integer arguments.
+``comb`` at integer arguments.  So every side is integers over a
+denominator the builder knows: a ``Polynomial`` for the polynomial sides,
+and a ``Ratio`` for the scalar ones (CONJ3, CONJ4, CONST_TERM, TOP_COEFF
+and HOCKEY_STICK), over r, n, 2 r! or 1.
 """
 from __future__ import annotations
 
 import re
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import partitions
-from .polynomials import Polynomial
+from .polynomials import Polynomial, Ratio
 
 #: the largest s a case takes.  The row (i)_s, i <= 60, grows with s: at
 #: s = 10**4 its recurrence takes about 8 ms on a 2-core Xeon, paid once per
 #: s per process while ``_rising_row`` keeps the row
 MAX_S = 10**4
 
-SideValue = Union[Polynomial, Fraction]
+SideValue = Union[Polynomial, Ratio]
 SidePair = Tuple[SideValue, SideValue]
 
 
@@ -342,7 +344,7 @@ def _class_sum(
         if form is Form.SIGNED and (r - length) % 2 == 1:
             total = -total
         coeffs[length] = total
-    return Polynomial.over(coeffs[shift:], n_fact)
+    return Polynomial(coeffs[shift:], n_fact)
 
 
 def _falling_coeffs(c: int, n: int) -> List[int]:
@@ -365,7 +367,7 @@ def classical_sides(n: int, form: Form) -> SidePair:
     """The classical expansion of binom(X, n), or of binom(X+n-1, n) UNSIGNED."""
     lhs = _class_sum(n, n, 0, form, _class_tables(n)[0], None)
     c = 0 if form is Form.SIGNED else n - 1
-    return lhs, Polynomial.over(_falling_coeffs(c, n), factorial(n))
+    return lhs, Polynomial(_falling_coeffs(c, n), factorial(n))
 
 
 #: s! and (s-1)! for the right-hand sides, two keys per s: 64 hold a sweep's
@@ -397,7 +399,7 @@ def _conj1_bracket(r: int, s: int, form: Form) -> Tuple[int, ...]:
 
 def _conj1_rhs(r: int, s: int, form: Form, prefactor: int) -> Polynomial:
     """prefactor * (binom(X+a, r) - binom(X+b, r)), as integers over r!."""
-    return Polynomial.over((prefactor * c for c in _conj1_bracket(r, s, form)), factorial(r))
+    return Polynomial((prefactor * c for c in _conj1_bracket(r, s, form)), factorial(r))
 
 
 def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
@@ -415,14 +417,14 @@ def conj2_sides(n: int, s: int, form: Form) -> SidePair:
     return lhs, _conj1_rhs(n, s, form, _rhs_factorial(s - 1))
 
 
-def _length_r_sum(n: int, r: int, row: Tuple[int, ...]) -> Fraction:
+def _length_r_sum(n: int, r: int, row: Tuple[int, ...]) -> Ratio:
     """(r-1)! sum over |mu|=n, l(mu)=r of [sum_i m_i (i)_s] / [prod_i m_i!], r <= n.
 
     r!/prod_i m_i! is a multinomial coefficient, so the sum is the integer
     W_r . R over r, with W_r from ``_class_tables(n)`` and R = row =
     _rising_row(s).
     """
-    return Fraction(sum(map(mul, _class_tables(n)[1][r - 1], row)), r)
+    return Ratio(sum(map(mul, _class_tables(n)[1][r - 1], row)), r)
 
 
 def conj3_sides(n: int, r: int, s: int) -> SidePair:
@@ -431,9 +433,9 @@ def conj3_sides(n: int, r: int, s: int) -> SidePair:
     No partition of n has r > n parts, and binom(n+s-1, n-r) is then zero.
     """
     if r > n:
-        return Fraction(0), Fraction(0)
+        return Ratio(0), Ratio(0)
     lhs = _length_r_sum(n, r, _rising_row(s))
-    return lhs, Fraction(_rhs_factorial(s) * comb(n + s - 1, n - r))
+    return lhs, Ratio(_rhs_factorial(s) * comb(n + s - 1, n - r))
 
 
 def conj4_sides(n: int, r: int, s: int) -> SidePair:
@@ -442,7 +444,7 @@ def conj4_sides(n: int, r: int, s: int) -> SidePair:
     Both sides are empty sums for r > n.
     """
     if r > n:
-        return Fraction(0), Fraction(0)
+        return Ratio(0), Ratio(0)
     row = _rising_row(s)
     lhs = _length_r_sum(n, r, row)
     # for r >= 2 every upper index n-i-1 is >= r-2 >= 0; at r = 1 the lower
@@ -451,7 +453,7 @@ def conj4_sides(n: int, r: int, s: int) -> SidePair:
         (comb(n - i - 1, r - 2) if r >= 2 else 0) * row[i]
         for i in range(1, n - r + 2)
     )
-    return lhs, Fraction(rhs)
+    return lhs, Ratio(rhs)
 
 
 def const_term_sides(n: int, r: int, s: int) -> SidePair:
@@ -463,10 +465,10 @@ def const_term_sides(n: int, r: int, s: int) -> SidePair:
     """
     prefactor = _conj1_prefactor(n, r, s)
     if not prefactor:
-        return Fraction(0), Fraction(0)
+        return Ratio(0), Ratio(0)
     sign = -1 if r % 2 == 1 else 1
-    lhs = Fraction(sign * comb(n, r) * perm(n + s - 1, s), n)
-    return lhs, Fraction(sign * prefactor * comb(r + s - 1, r))
+    lhs = Ratio(sign * comb(n, r) * perm(n + s - 1, s), n)
+    return lhs, Ratio(sign * prefactor * comb(r + s - 1, r))
 
 
 def top_coeff_checks(n: int, r: int, s: int) -> List[SidePair]:
@@ -478,12 +480,12 @@ def top_coeff_checks(n: int, r: int, s: int) -> List[SidePair]:
     """
     prefactor = _conj1_prefactor(n, r, s)
     if not prefactor:
-        return [(Fraction(0), Fraction(0))] * min(r, 2)
+        return [(Ratio(0), Ratio(0))] * min(r, 2)
     rhs = _conj1_rhs(r, s, Form.SIGNED, prefactor)
     r_fact = factorial(r)
-    pairs = [(rhs.coefficient(r - 1), Fraction(prefactor * r * s, r_fact))]
+    pairs = [(rhs.coefficient(r - 1), Ratio(prefactor * r * s, r_fact))]
     if r >= 2:
-        closed = Fraction(-prefactor * r * (r - 1) * s * (r + s - 1), 2 * r_fact)
+        closed = Ratio(-prefactor * r * (r - 1) * s * (r + s - 1), 2 * r_fact)
         pairs.append((rhs.coefficient(r - 2), closed))
     return pairs
 
@@ -494,7 +496,7 @@ def hockey_stick_sides(n: int, r: int) -> SidePair:
     Fails at k = 1 under the usual conventions; meaningful for k >= 2.
     """
     rhs = sum(comb(i, r - 1) for i in range(1, n))
-    return Fraction(comb(n, r)), Fraction(rhs)
+    return Ratio(comb(n, r)), Ratio(rhs)
 
 
 def binomial_type_sides(n: int, s: int) -> SidePair:
@@ -509,23 +511,7 @@ def binomial_type_sides(n: int, s: int) -> SidePair:
     for j in range(n - 1, -1, -1):
         coeffs = [a * -j + b for a, b in zip(coeffs + [0], [0] + coeffs)]
         coeffs[0] += comb(n, j) * perm(s, n - j)
-    return Polynomial.over(_falling_coeffs(s, n), 1), Polynomial.over(coeffs, 1)
-
-
-def sign_flip_check(n: int, r: int, s: int) -> bool:
-    """X -> -X carries the UNSIGNED form onto (-1)^{r-1} times the SIGNED one.
-
-    (-1)^{r-1} U(-X) has the numerators (-1)^{k+r-1} u_k over U's own
-    denominator, which is still canonical, so each UNSIGNED side U is
-    compared with its SIGNED side as a (nums, den) pair.
-    """
-    return all(
-        (tuple(c if (k + r) % 2 else -c for k, c in enumerate(u.nums)), u.den)
-        == (p.nums, p.den)
-        for u, p in zip(
-            conj1_sides(n, r, s, Form.UNSIGNED), conj1_sides(n, r, s, Form.SIGNED)
-        )
-    )
+    return Polynomial(_falling_coeffs(s, n), 1), Polynomial(coeffs, 1)
 
 
 class IdentitySpec(NamedTuple):

@@ -70,12 +70,6 @@ class Partition:
             z *= i**m * factorial(m)
         return z
 
-    def cells(self) -> Iterator[Tuple[int, int]]:
-        """Ferrers diagram cells (row, column), 1-based."""
-        for i, p in enumerate(self.parts, start=1):
-            for j in range(1, p + 1):
-                yield (i, j)
-
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse "3+1+1"; "ε" or the empty string is the empty partition."""

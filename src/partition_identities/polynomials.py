@@ -1,35 +1,33 @@
-"""Exact rational scalars, and dense univariate polynomials over Q as values.
+"""Exact rationals and dense univariate polynomials over Q, as values.
 
-Rationals are ``fractions.Fraction`` values: arbitrary precision, always
-reduced, positive denominator.  A ``Polynomial`` is a value type: it is
-built, read, compared and written, never added or multiplied.  It stores
-integer numerators over one denominator, (nums, den) with the coefficient
-of X^k equal to nums[k] / den.  The form is canonical: no trailing zero
-numerator, den > 0, gcd(den, *nums) = 1, and the zero polynomial is
-((), 1).  So equality is tuple equality, a constant also equals the scalar
-it holds, and serializing a coefficient takes one ``math.gcd``.  Builders
-that know their denominator (n! for a class sum, r! for a binomial)
-construct through ``Polynomial.over(nums, den)`` and never touch a
-``Fraction``; ``Polynomial(iterable of rationals)`` and the ``coeffs``
-tuple of ``Fraction``s are the public view.  Any arithmetic on the values
-is the builders' own integer work on numerators; ring operations over the
-``Fraction`` view live with the tests, as their reference.  This module
-computes no factorial: the builders in ``identities`` do, in ``int``s.
+Both are integers over a positive denominator, in one canonical form.  A
+``Ratio`` is num / den, and a ``Polynomial`` is integer numerators over one
+denominator, (nums, den) with the coefficient of X^k equal to
+nums[k] / den.  Neither has arithmetic: each is built, read, compared and
+written.  The form is reduced by one rule, ``_lowest``: den > 0 and
+gcd(den, *nums) = 1.  A polynomial also has no trailing zero numerator, so
+the zero polynomial is ((), 1), and a zero ``Ratio`` is (0, 1).  So
+equality is tuple equality, on the exact type: a ``Ratio`` never equals a
+constant ``Polynomial``, an int or a rational of another type.  Builders
+know their denominator (n! for a class sum, r! for a binomial) and hand it
+over with their integer numerators: ``Ratio(num, den)`` and
+``Polynomial(nums, den)``.  Any arithmetic on the values is the builders'
+own integer work on numerators; ring operations, and a view in the
+standard library's rationals, live with the tests, as their reference.
+This module computes no factorial: the builders in ``identities`` do, in
+``int``s.
 
 One writer and no reader.  ``_ratio_str(p, q)`` writes p/q in lowest
 terms, every integer through ``int_str``, which has no digit limit;
-``format_rational`` and ``Polynomial.to_strings``, the latter straight from
+``Ratio.to_string`` and ``Polynomial.to_strings``, the latter straight from
 the numerators, both go through it.  ``render`` lays out what they wrote,
 a scalar's text or a polynomial's coefficient texts, as one human line,
 so a side written once for a report is never written again to be shown.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, List, Tuple, Union
-
-RationalLike = Union[Fraction, int]
+from math import gcd
+from typing import Iterable, List, Sequence, Tuple, Union
 
 #: degree of the zero polynomial
 NEG_INFINITY = float("-inf")
@@ -65,39 +63,47 @@ def _ratio_str(p: int, q: int) -> str:
     return f"{int_str(p // g)}/{int_str(q // g)}"
 
 
-def format_rational(x: RationalLike) -> str:
-    """Render a rational as "p/q", or just "p" when the denominator is 1."""
-    return _ratio_str(x.numerator, x.denominator)
+class Ratio:
+    """An exact rational num / den, as a value.
+
+    Reduced by ``_lowest``, as a polynomial is: den > 0, gcd(num, den) = 1,
+    and zero is (0, 1).  A ``Ratio`` equals only a ``Ratio``, by its pair:
+    never an int, a rational of another type or a constant ``Polynomial``.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1):
+        (self.num,), self.den = _lowest((num,), den)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Ratio:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def to_string(self) -> str:
+        """Serialized form: "p/q", or just "p" when den is 1."""
+        return _ratio_str(self.num, self.den)
+
+    def __repr__(self) -> str:
+        return f"Ratio({int_str(self.num)}, {int_str(self.den)})"
 
 
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients, as a value.
 
     Stored as integer numerators ``nums`` over one denominator ``den``: the
-    coefficient of X^k is nums[k] / den.  ``coeffs`` is the same polynomial
-    as a tuple of ``Fraction``s.  The zero polynomial is ((), 1).
+    coefficient of X^k is nums[k] / den.  The zero polynomial is ((), 1).
     """
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coefficients]
-        den = lcm(*(c.denominator for c in coeffs))
-        self.nums, self.den = _canonical(
-            [c.numerator * (den // c.denominator) for c in coeffs], den
-        )
-
-    @classmethod
-    def over(cls, nums: Iterable[int], den: int) -> "Polynomial":
+    def __init__(self, nums: Iterable[int] = (), den: int = 1):
         """sum_k nums[k] X^k / den, for integer numerators and den != 0."""
-        poly = cls.__new__(cls)
-        poly.nums, poly.den = _canonical(list(nums), den)
-        return poly
-
-    @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
-        """``coeffs[k]`` is the coefficient of X^k, a reduced ``Fraction``."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
+        self.nums, self.den = _canonical(list(nums), den)
 
     @property
     def degree(self) -> float:
@@ -106,11 +112,11 @@ class Polynomial:
             return NEG_INFINITY
         return len(self.nums) - 1
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> Ratio:
         """Coefficient of X^k (zero outside the stored range)."""
         if k < 0 or k >= len(self.nums):
-            return Fraction(0)
-        return Fraction(self.nums[k], self.den)
+            return Ratio(0)
+        return Ratio(self.nums[k], self.den)
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -118,14 +124,9 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self.nums == other.nums and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return len(self.nums) <= 1 and self.coefficient(0) == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        # constants hash as the scalar they compare equal to
-        if len(self.nums) <= 1:
-            return hash(self.coefficient(0))
         return hash((self.nums, self.den))
 
     def to_strings(self) -> List[str]:
@@ -158,11 +159,16 @@ def render(side: Union[str, List[str]]) -> str:
 
 
 def _canonical(nums: List[int], den: int) -> Tuple[Tuple[int, ...], int]:
-    """Strip trailing zeros, then divide out gcd(den, *nums) with den's sign."""
-    if not den:
-        raise ZeroDivisionError("polynomial denominator is zero")
+    """Strip trailing zeros, then reduce by ``_lowest``."""
     while nums and not nums[-1]:
         nums.pop()
+    return _lowest(nums, den)
+
+
+def _lowest(nums: Sequence[int], den: int) -> Tuple[Tuple[int, ...], int]:
+    """Divide out gcd(den, *nums) with den's sign, so that den > 0."""
+    if not den:
+        raise ZeroDivisionError("denominator is zero")
     g = gcd(den, *nums)
     if den < 0:
         g = -g
@@ -170,4 +176,3 @@ def _canonical(nums: List[int], den: int) -> Tuple[Tuple[int, ...], int]:
         nums = [c // g for c in nums]
         den //= g
     return tuple(nums), den
-

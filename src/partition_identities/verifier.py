@@ -23,13 +23,12 @@ import json
 import marshal
 import os
 import time
-from fractions import Fraction
 from itertools import product
 from math import prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 from .identities import IDENTITIES, MAX_S, Form, IdentityCase, IdentityId, SidePair, case_sides
-from .polynomials import Polynomial, format_rational
+from .polynomials import Polynomial, Ratio
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -277,16 +276,17 @@ def serialize_side(value) -> SerializedSide:
     """Rational -> "p/q" string; polynomial -> coefficient array."""
     if isinstance(value, Polynomial):
         return value.to_strings()
-    if isinstance(value, (Fraction, int)):
-        return format_rational(value)
+    if isinstance(value, Ratio):
+        return value.to_string()
     raise TypeError(f"cannot serialize side {value!r}")
 
 
 def _serialize_pair(lhs, rhs, equal: bool) -> Tuple[SerializedSide, SerializedSide]:
-    """Both sides' texts; equal values of one type have one canonical text,
-    so such a rhs shares the lhs text instead of being serialized again."""
+    """Both sides' texts; equal values are of one type and have one
+    canonical text, so such a rhs shares the lhs text instead of being
+    serialized again."""
     text = serialize_side(lhs)
-    return text, text if equal and type(lhs) is type(rhs) else serialize_side(rhs)
+    return text, text if equal else serialize_side(rhs)
 
 
 def compare_case(case: IdentityCase) -> CaseResult:

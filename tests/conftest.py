@@ -15,14 +15,16 @@ def corrupt_rhs(monkeypatch):
     process).
     """
     from partition_identities import cli, identities, verifier
-    from partition_identities.polynomials import Polynomial
+    from partition_identities.polynomials import Polynomial, Ratio
 
     import oracles
 
     real = identities.case_sides
 
     def plus_one(side):
-        return oracles.add(side, 1) if isinstance(side, Polynomial) else side + 1
+        if isinstance(side, Polynomial):
+            return oracles.add(side, 1)
+        return Ratio(side.num + side.den, side.den)
 
     def corrupted(case):
         return [(lhs, plus_one(rhs)) for lhs, rhs in real(case)]

@@ -3,10 +3,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, zip_longest
-from math import comb, factorial
+from math import comb, factorial, lcm
 
+from partition_identities import identities
 from partition_identities.genbinom import _row_coeffs
-from partition_identities.polynomials import Polynomial
+from partition_identities.identities import Form
+from partition_identities.polynomials import Polynomial, Ratio
 
 
 @lru_cache(maxsize=None)
@@ -71,26 +73,52 @@ def binom_rat(x, k: int) -> Fraction:
     return falling(x, k) / factorial(k)
 
 
+# A ``Fraction`` view of the package's values: ``poly`` builds a
+# ``Polynomial`` from rationals, ``coeffs`` reads one back and ``frac``
+# reads a ``Ratio``.  The package itself knows no ``Fraction``.
+
+
+def poly(rationals=()) -> Polynomial:
+    """The polynomial with these coefficients, constant term first, as
+    numerators over the lcm of their denominators."""
+    terms = [Fraction(c) for c in rationals]
+    den = lcm(*(c.denominator for c in terms))
+    return Polynomial([c.numerator * (den // c.denominator) for c in terms], den)
+
+
+def coeffs(p: Polynomial) -> tuple:
+    """``coeffs(p)[k]`` is the coefficient of X^k, a reduced ``Fraction``."""
+    return tuple(Fraction(c, p.den) for c in p.nums)
+
+
+def frac(ratio: Ratio) -> Fraction:
+    """The value of a ``Ratio``."""
+    return Fraction(ratio.num, ratio.den)
+
+
 # Ring arithmetic on polynomials, over the ``Fraction`` view ``coeffs``
 # only, so that none of it shares code with how ``Polynomial`` stores its
-# numerators.  A scalar operand stands for the constant polynomial.
+# numerators.  A scalar operand (an int, a ``Fraction`` or a ``Ratio``)
+# stands for the constant polynomial.
 
 
 def _terms(value) -> list:
     """The coefficients of a polynomial or a scalar, constant term first."""
     if isinstance(value, Polynomial):
-        return list(value.coeffs)
+        return list(coeffs(value))
+    if isinstance(value, Ratio):
+        return [frac(value)]
     return [Fraction(value)]
 
 
 def add(a, b) -> Polynomial:
     """a + b, one coefficient at a time."""
-    return Polynomial(x + y for x, y in zip_longest(_terms(a), _terms(b), fillvalue=0))
+    return poly(x + y for x, y in zip_longest(_terms(a), _terms(b), fillvalue=0))
 
 
 def neg(a) -> Polynomial:
     """-a."""
-    return Polynomial(-c for c in _terms(a))
+    return poly(-c for c in _terms(a))
 
 
 def sub(a, b) -> Polynomial:
@@ -105,24 +133,43 @@ def mul(a, b) -> Polynomial:
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return Polynomial(out)
+    return poly(out)
 
 
-def evaluate(p: Polynomial, x) -> Fraction:
-    """p(x), as the sum of c_k x^k."""
-    return sum((c * Fraction(x) ** k for k, c in enumerate(p.coeffs)), Fraction(0))
+def evaluate(p, x) -> Fraction:
+    """p(x), as the sum of c_k x^k; either may be a scalar."""
+    (x,) = _terms(x)
+    return sum((c * x**k for k, c in enumerate(_terms(p))), Fraction(0))
 
 
-def neg_x(p: Polynomial) -> Polynomial:
+def neg_x(p) -> Polynomial:
     """p(-X): the odd coefficients change sign."""
-    return Polynomial(-c if k % 2 else c for k, c in enumerate(p.coeffs))
+    return poly(-c if k % 2 else c for k, c in enumerate(_terms(p)))
+
+
+def sign_flip_check(n: int, r: int, s: int) -> bool:
+    """X -> -X carries the UNSIGNED form onto (-1)^{r-1} times the SIGNED one.
+
+    (-1)^{r-1} U(-X) has the numerators (-1)^{k+r-1} u_k over U's own
+    denominator, which is still canonical, so each UNSIGNED side U is
+    compared with its SIGNED side as a (nums, den) pair.  The builder is
+    read from its module at each call, so a test can corrupt it there.
+    """
+    conj1_sides = identities.conj1_sides
+    return all(
+        (tuple(c if (k + r) % 2 else -c for k, c in enumerate(u.nums)), u.den)
+        == (p.nums, p.den)
+        for u, p in zip(
+            conj1_sides(n, r, s, Form.UNSIGNED), conj1_sides(n, r, s, Form.SIGNED)
+        )
+    )
 
 
 def falling_poly_product(c, n: int) -> Polynomial:
     """[X+c]_n as the literal product of the linear factors X + c - i."""
-    acc = Polynomial([1])
+    acc = poly([1])
     for i in range(n):
-        acc = mul(acc, Polynomial((c - i, 1)))
+        acc = mul(acc, poly((c - i, 1)))
     return acc
 
 
@@ -215,17 +262,19 @@ def length_r_sum(n: int, r: int, s: int) -> Fraction:
     return factorial(r - 1) * total
 
 
-def render(p: Polynomial) -> str:
-    """polynomials.render(p.to_strings()), term by term over the ``Fraction`` view.
+def render(p) -> str:
+    """polynomials.render of p's text, term by term over the ``Fraction`` view.
 
     Descending powers; a zero coefficient is left out, a unit one is
     dropped in front of X, and the first term carries its sign as a bare
-    "-".  Each coefficient is written with ``str``, so it must stay under
-    the interpreter's int-to-str digit limit.
+    "-".  A scalar is the constant polynomial, whose line is the scalar's
+    own text.  Each coefficient is written with ``str``, so it must stay
+    under the interpreter's int-to-str digit limit.
     """
     pieces = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
+    terms = _terms(p)
+    for k in range(len(terms) - 1, -1, -1):
+        c = terms[k]
         if c == 0:
             continue
         mag = abs(c)

@@ -24,13 +24,12 @@ from partition_identities.identities import (
     conj3_sides,
     conj4_sides,
     const_term_sides,
-    sign_flip_check,
     top_coeff_checks,
 )
 from partition_identities.partitions import enumerate_partitions
 from partition_identities.verifier import SweepConfig, run_sweep
 
-from oracles import covering_count, partition_count
+from oracles import covering_count, frac, partition_count, sign_flip_check
 
 
 class _Criterion:
@@ -156,19 +155,19 @@ def test_criterion_09_coefficient_bridges():
                     ct_lhs, ct_rhs = const_term_sides(n, r, s)
                     assert ct_lhs == ct_rhs
                     signed_lhs, _ = conj1_sides(n, r, s, Form.SIGNED)
-                    assert signed_lhs.coefficient(0) == -ct_lhs
+                    assert frac(signed_lhs.coefficient(0)) == -frac(ct_lhs)
                     unsigned_lhs, _ = conj1_sides(n, r, s, Form.UNSIGNED)
-                    bridge = factorial(r - 1) * unsigned_lhs.coefficient(r - 1)
-                    assert bridge == conj3_sides(n, r, s)[0]
+                    bridge = factorial(r - 1) * frac(unsigned_lhs.coefficient(r - 1))
+                    assert bridge == frac(conj3_sides(n, r, s)[0])
                     if 2 <= r <= n:
                         # next-order extraction reproduces the scalar
                         # identity with r replaced by r-1
                         next_bridge = (
                             Fraction(-2, n - r + 1)
                             * factorial(r - 2)
-                            * signed_lhs.coefficient(r - 2)
+                            * frac(signed_lhs.coefficient(r - 2))
                         )
-                        assert next_bridge == conj3_sides(n, r - 1, s)[0]
+                        assert next_bridge == frac(conj3_sides(n, r - 1, s)[0])
 
 
 def test_criterion_10_sign_flip():

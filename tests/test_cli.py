@@ -115,12 +115,12 @@ IDENTITY_JSON = {
 
 def test_identity_sides_keep_their_types_and_json(capsys):
     # integer prefactors and kernels must not leak a bare int into a side
-    from fractions import Fraction
+    from partition_identities.polynomials import Ratio
 
     assert {IdentityCase.parse(c).identity_id for c in IDENTITY_JSON} == set(IdentityId)
     for text, (status, lhs, rhs) in IDENTITY_JSON.items():
         for side in (v for pair in case_sides(IdentityCase.parse(text)) for v in pair):
-            assert type(side) in (Polynomial, Fraction), (text, side)
+            assert type(side) in (Polynomial, Ratio), (text, side)
         code, out, _ = run(capsys, "identity", text, "--format", "json")
         assert code == 0
         data = json.loads(out)
@@ -441,14 +441,16 @@ def test_sweep_walks_only_what_cases_use(capsys, monkeypatch):
 
 
 def test_sweep_imports_no_pool_module(tmp_path):
-    # importing concurrent.futures cost every sweep process about 10 ms, and
+    # importing concurrent.futures cost every sweep process about 10 ms,
     # dataclasses, with the inspect, ast, dis and tokenize it pulls in, 8 to
-    # 13 ms more; a sweep at one and at two workers now imports none of
-    # them, a JSON sweep does not import csv, and a one-worker sweep, which
-    # never forks, does not import select
+    # 13 ms more, and fractions, with decimal and numbers, about 4 ms; a
+    # sweep at one and at two workers now imports none of them, a JSON
+    # sweep does not import csv, and a one-worker sweep, which never forks,
+    # does not import select
     absent = (
         "concurrent", "multiprocessing", "csv", "_csv",
         "dataclasses", "inspect", "ast", "dis", "tokenize",
+        "fractions", "decimal", "_decimal", "_pydecimal", "numbers",
     )
     script = (
         "import sys\n"

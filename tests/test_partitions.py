@@ -137,10 +137,6 @@ def test_z_weights_sum_to_one():
         assert total == 1
 
 
-def test_cells():
-    assert list(Partition([2, 1]).cells()) == [(1, 1), (1, 2), (2, 1)]
-
-
 def test_value_contracts():
     # a value type: equal partitions hash equal and collapse in a set, it
     # iterates and measures as its parts, and it is not equal to its text

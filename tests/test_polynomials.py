@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_identities.identities import _falling_coeffs, binomial_type_sides
+from partition_identities.identities import (
+    _falling_coeffs,
+    binomial_type_sides,
+    conj3_sides,
+    const_term_sides,
+)
 from partition_identities.polynomials import (
     NEG_INFINITY,
     Polynomial,
-    format_rational,
+    Ratio,
     int_str,
     render as render_side,
 )
@@ -17,11 +22,14 @@ from partition_identities.polynomials import (
 from oracles import (
     add,
     binom_rat,
+    coeffs,
     evaluate,
     falling,
     falling_poly_product,
+    frac,
     mul,
     neg_x,
+    poly,
     render,
     rising,
     sub,
@@ -33,37 +41,41 @@ X = Polynomial([0, 1])
 
 def falling_poly(c, n):
     """[X+c]_n from the builders' kernel, as a Polynomial."""
-    return Polynomial.over(_falling_coeffs(c, n), 1)
+    return Polynomial(_falling_coeffs(c, n))
 
 
 def binomial_poly(c, r):
     """binom(X+c, r) as the builders make it: [X+c]_r over r!."""
-    return Polynomial.over(_falling_coeffs(c, r), factorial(r))
+    return Polynomial(_falling_coeffs(c, r), factorial(r))
 
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
 )
-small_polys = st.lists(rationals, max_size=5).map(Polynomial)
+small_polys = st.lists(rationals, max_size=5).map(poly)
 # rationals with the units +-1 drawn often, as render drops a unit in front of X
-render_polys = st.lists(rationals | st.sampled_from([1, -1]), max_size=5).map(Polynomial)
+render_polys = st.lists(rationals | st.sampled_from([1, -1]), max_size=5).map(poly)
 
 
 def test_canonical_form_trims_trailing_zeros():
-    assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
-    assert Polynomial([0, 0]).coeffs == ()
+    assert Polynomial([1, 2, 0, 0]).nums == (1, 2)
+    assert coeffs(poly([1, 2, 0, 0])) == (1, 2)
+    assert Polynomial([0, 0]).nums == () and coeffs(poly([0, 0])) == ()
     assert Polynomial().degree == NEG_INFINITY
     assert Polynomial([0, 0, 5]).degree == 2
 
 
 def test_hash_agrees_with_eq():
-    assert Polynomial([3]) == 3 and hash(Polynomial([3])) == hash(3)
-    assert Polynomial() == 0 and hash(Polynomial()) == hash(0)
-    assert hash(Polynomial([Fraction(1, 2)])) == hash(Fraction(1, 2))
-    assert len({Polynomial([3]), 3}) == 1
-    assert Polynomial.over([0, 2], 2) in {X}
+    for p, q in ((Polynomial([3]), Polynomial([6], 2)), (Polynomial(), Polynomial([0], 5))):
+        assert p == q and hash(p) == hash(q)
+    assert Polynomial([0, 2], 2) in {X}
+    # a constant is a polynomial, not the scalar it holds
+    for scalar in (3, Fraction(3), Ratio(3), (3,), ((3,), 1)):
+        assert Polynomial([3]) != scalar and scalar != Polynomial([3])
+    assert Polynomial() != 0 and Polynomial() != Ratio(0)
+    assert len({Polynomial([3]), 3, Ratio(3)}) == 3
     # a polynomial is not equal to its text, nor to a float
-    p = Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
+    p = poly([0, Fraction(-1, 2), Fraction(1, 2)])
     assert p != "1/2·X^2 - 1/2·X" and p != p.to_strings() and Polynomial([3]) != "3"
     assert p.__eq__("1/2·X^2 - 1/2·X") is NotImplemented
     assert Polynomial([3]).__eq__(3.0) is NotImplemented
@@ -79,8 +91,10 @@ def test_eval_examples():
     p = sub(mul(X, X), X)
     assert evaluate(p, 3) == 6
     assert evaluate(Polynomial(), Fraction(7, 2)) == 0
-    binom_x_2 = Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
+    binom_x_2 = poly([0, Fraction(-1, 2), Fraction(1, 2)])
     assert evaluate(binom_x_2, Fraction(1, 2)) == Fraction(-1, 8)
+    assert evaluate(binom_x_2, Ratio(1, 2)) == Fraction(-1, 8)
+    assert evaluate(Ratio(-7, 3), 5) == Fraction(-7, 3)
 
 
 def test_rising_factorial_examples():
@@ -105,7 +119,7 @@ def test_falling_factorial_poly_matches_product_oracle():
     # the whole coefficient list, n + 1 entries with a leading 1
     for c in KERNEL_SHIFTS:
         for n in range(13):
-            assert tuple(_falling_coeffs(c, n)) == falling_poly_product(c, n).coeffs
+            assert tuple(_falling_coeffs(c, n)) == coeffs(falling_poly_product(c, n))
 
 
 def test_binom_poly_matches_binom_rat_pointwise():
@@ -127,7 +141,7 @@ def test_falling_coeffs_type_contract():
 
 
 def test_binom_poly_examples():
-    assert binomial_poly(0, 2) == Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
+    assert binomial_poly(0, 2) == poly([0, Fraction(-1, 2), Fraction(1, 2)])
     assert binomial_poly(0, 0) == Polynomial([1])
     assert binomial_poly(-1, 1) == sub(X, 1)
 
@@ -216,36 +230,85 @@ denominators = st.integers(min_value=-720, max_value=720).filter(bool)
 
 @given(numerator_lists, denominators)
 @settings(max_examples=200)
-def test_over_matches_fraction_constructor(nums, den):
-    p = Polynomial.over(nums, den)
-    q = Polynomial(Fraction(c, den) for c in nums)
+def test_constructor_matches_fraction_view(nums, den):
+    p = Polynomial(nums, den)
+    q = poly(Fraction(c, den) for c in nums)
     assert p == q and hash(p) == hash(q)
-    assert p.coeffs == q.coeffs
-    assert all(type(c) is Fraction for c in p.coeffs)
-    assert p.to_strings() == [format_rational(c) for c in p.coeffs]
+    assert coeffs(p) == tuple(Fraction(c, den) for c in nums[: len(p.nums)])
+    assert p.to_strings() == [str(c) for c in coeffs(p)]
+    assert p.to_strings() == [Ratio(c, p.den).to_string() for c in p.nums]
     # canonical form: no trailing zero, den > 0, nothing left to cancel
     assert not p.nums or p.nums[-1] != 0
     assert p.den > 0 and gcd(p.den, *p.nums) == 1
-    assert all(p.coefficient(k) == Fraction(c, den) for k, c in enumerate(nums))
+    for k, c in enumerate(nums):
+        assert type(p.coefficient(k)) is Ratio and p.coefficient(k) == Ratio(c, den)
+        assert frac(p.coefficient(k)) == Fraction(c, den)
+    # zero outside the stored range, as top_coeff_checks reads it
+    assert p.coefficient(-1) == p.coefficient(len(nums)) == Ratio(0)
 
 
-def test_over_canonical_examples():
-    assert (Polynomial.over([0, 0], -7).nums, Polynomial.over([0, 0], -7).den) == ((), 1)
-    p = Polynomial.over([4, -6, 0], -8)
+def test_constructor_canonical_examples():
+    assert (Polynomial([0, 0], -7).nums, Polynomial([0, 0], -7).den) == ((), 1)
+    p = Polynomial([4, -6, 0], -8)
     assert (p.nums, p.den) == ((-2, 3), 4)
-    assert p.coeffs == (Fraction(-1, 2), Fraction(3, 4))
-    p = Polynomial.over([3, -2], -1)
+    assert coeffs(p) == (Fraction(-1, 2), Fraction(3, 4))
+    p = Polynomial([3, -2], -1)
     assert (p.nums, p.den) == ((-3, 2), 1)
-    assert Polynomial.over([6], 3) == 2 and hash(Polynomial.over([6], 3)) == hash(2)
+    p = Polynomial([6], 3)
+    assert p == Polynomial([2]) and hash(p) == hash(Polynomial([2]))
     with pytest.raises(ZeroDivisionError):
-        Polynomial.over([1], 0)
+        Polynomial([1], 0)
+    # the numerators are ints: a rational goes through the view, ``poly``
+    for bad in ([Fraction(1, 2)], [Fraction(2)], [0.5]):
+        with pytest.raises(TypeError):
+            Polynomial(bad)
 
 
 def test_rational_serialization_round_trip():
-    assert format_rational(Fraction(3, 1)) == "3"
-    assert format_rational(Fraction(-5, 2)) == "-5/2"
+    assert Ratio(3, 1).to_string() == "3"
+    assert Ratio(-5, 2).to_string() == "-5/2"
+    assert Ratio(10, -4).to_string() == "-5/2"
     for x in (Fraction(-5, 2), Fraction(7), Fraction(0)):
-        assert Fraction(format_rational(x)) == x
+        text = Ratio(x.numerator, x.denominator).to_string()
+        assert Fraction(text) == x
+        assert text == str(x)
+
+
+ratio_pairs = st.tuples(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.integers(min_value=-10**12, max_value=10**12).filter(bool),
+)
+
+
+@given(ratio_pairs, ratio_pairs)
+@settings(max_examples=300)
+def test_ratio_matches_fraction(a, b):
+    # Fraction is the oracle of the reduced form, of == and of the text
+    x, y = Ratio(*a), Ratio(*b)
+    fx, fy = Fraction(*a), Fraction(*b)
+    assert (x.num, x.den) == (fx.numerator, fx.denominator)
+    assert frac(x) == fx
+    assert (x == y) is (fx == fy) and (x != y) is (fx != fy)
+    if x == y:
+        assert hash(x) == hash(y)
+    expected = f"{fx.numerator}/{fx.denominator}" if fx.denominator != 1 else f"{fx.numerator}"
+    assert x.to_string() == expected
+
+
+def test_ratio_equals_only_a_ratio():
+    assert Ratio(0) == Ratio(0, -9) and (Ratio(0).num, Ratio(0).den) == (0, 1)
+    assert Ratio(6, -4) == Ratio(-3, 2) and hash(Ratio(6, -4)) == hash(Ratio(-3, 2))
+    for other in (3, Fraction(3), (3, 1), Polynomial([3]), "3", 3.0):
+        assert Ratio(3) != other and other != Ratio(3)
+        assert Ratio(3).__eq__(other) is NotImplemented
+    assert len({Ratio(3), Fraction(3), (3, 1), Polynomial([3])}) == 4
+    assert repr(Ratio(-6, 4)) == "Ratio(-3, 2)"
+    with pytest.raises(ZeroDivisionError):
+        Ratio(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        Ratio(0, 0)
+    with pytest.raises(TypeError):
+        Ratio(Fraction(1, 2))
 
 
 def _digits_by_chunks(x):
@@ -263,22 +326,34 @@ def test_int_str_has_no_digit_limit():
               3**60000, 7**30000 * 10**1000, 10**1000 + 1):
         assert int_str(x) == _digits_by_chunks(x)
         assert int_str(-x) == ("-" if x else "") + _digits_by_chunks(x)
-    big = Fraction(3**20000, 2**20000 + 1)
-    assert format_rational(big) == f"{_digits_by_chunks(3**20000)}/{_digits_by_chunks(2**20000 + 1)}"
-    p = Polynomial.over([-(3**20000), 0, 5], 2)
+    big = Ratio(3**20000, 2**20000 + 1)
+    assert big.to_string() == f"{_digits_by_chunks(3**20000)}/{_digits_by_chunks(2**20000 + 1)}"
+    assert repr(big) == f"Ratio({_digits_by_chunks(3**20000)}, {_digits_by_chunks(2**20000 + 1)})"
+    assert render_side(big.to_string()) == big.to_string()
+    p = Polynomial([-(3**20000), 0, 5], 2)
     assert p.to_strings() == [f"-{_digits_by_chunks(3**20000)}/2", "0", "5/2"]
     assert render_side(p.to_strings()) == f"5/2·X^2 - {_digits_by_chunks(3**20000)}/2"
     # about the size of the sides of CONJ3(n=20,r=10,s=10000)
     big = 10**36000 - 1
     digits = _digits_by_chunks(big // 3)
-    text = render_side(Polynomial.over([7, 0, -big, big], 3).to_strings())
+    text = render_side(Polynomial([7, 0, -big, big], 3).to_strings())
     assert text == f"{digits}·X^3 - {digits}·X^2 + 7/3"
 
 
+def test_a_scalar_side_past_the_digit_limit_is_written_in_full():
+    # the sides of CONJ3(n=20,r=10,s=10000) have about 36 000 digits, and
+    # CONST_TERM's are as long and negative at odd r
+    for lhs, rhs in (conj3_sides(20, 10, 10**4), const_term_sides(7, 3, 10**4)):
+        assert lhs == rhs and frac(lhs).denominator == 1
+        expected = ("-" if lhs.num < 0 else "") + _digits_by_chunks(abs(frac(lhs).numerator))
+        assert len(expected) > 4300
+        assert lhs.to_string() == rhs.to_string() == expected
+
+
 def test_polynomial_serialization_round_trip():
-    p = Polynomial([Fraction(-1, 2), 0, 3])
+    p = poly([Fraction(-1, 2), 0, 3])
     assert p.to_strings() == ["-1/2", "0", "3"]
-    assert Polynomial(Fraction(s) for s in p.to_strings()) == p
+    assert poly(Fraction(s) for s in p.to_strings()) == p
     assert Polynomial().to_strings() == []
 
 
@@ -293,32 +368,38 @@ def test_render_style(monkeypatch):
     degree_300 = binomial_type_sides(300, 10**4)[0]
     expected = render(degree_300)
 
-    def refuse(self):
-        raise AssertionError("render read the Fraction view")
+    def refuse(*args):
+        raise AssertionError("render built a Ratio")
 
     def shown(p):
         return render_side(p.to_strings())
 
-    # a side is written from its integer numerators, never one Fraction per term
-    monkeypatch.setattr(Polynomial, "coeffs", property(refuse))
-    p = Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
+    # a side is written from its integer numerators, never one rational
+    # object per term
+    p = poly([0, Fraction(-1, 2), Fraction(1, 2)])
+    scalars = [(x, render(x)) for x in (Ratio(-7, 3), Ratio(0), Ratio(1))]
+    monkeypatch.setattr(Polynomial, "coefficient", refuse)
+    monkeypatch.setattr(Ratio, "__init__", refuse)
     assert shown(p) == "1/2·X^2 - 1/2·X"
     assert repr(p) == "Polynomial('1/2·X^2 - 1/2·X')"
     assert shown(Polynomial()) == "0"
-    assert shown(Polynomial([Fraction(-7, 3)])) == "-7/3"
+    assert shown(Polynomial([-7], 3)) == "-7/3"
     assert shown(Polynomial([-1, 1, -1, 1])) == "X^3 - X^2 + X - 1"
-    assert shown(Polynomial([Fraction(1, 2), Fraction(-1, 2), 0, -1])) == "-X^3 - 1/2·X + 1/2"
+    assert shown(Polynomial([1, -1, 0, -2], 2)) == "-X^3 - 1/2·X + 1/2"
     assert shown(X) == "X"
     assert shown(Polynomial([-1, 1])) == "X - 1"
     assert shown(Polynomial([0, -1])) == "-X"
     assert shown(degree_300) == expected
     # a scalar's text comes back as it is
     assert render_side("-7/3") == "-7/3" and render_side("0") == "0"
+    for scalar, line in scalars:
+        assert render_side(scalar.to_string()) == line
 
 
 def test_substitute_neg_x():
     p = Polynomial([1, 2, 3])
     assert neg_x(p) == Polynomial([1, -2, 3])
+    assert neg_x(Ratio(3, 2)) == Polynomial([3], 2)
 
 
 def test_negative_n_rejected():

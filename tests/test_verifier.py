@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from partition_identities import verifier
 from partition_identities.identities import Form, IdentityCase, IdentityId
-from partition_identities.polynomials import Polynomial
+from partition_identities.polynomials import Polynomial, Ratio
 from partition_identities.verifier import (
     STATUS_COUNTEREXAMPLE,
     STATUS_SKIPPED,
@@ -94,14 +94,20 @@ def test_equal_sides_are_serialized_once(monkeypatch):
         assert sum(calls.values()) == sides, text
         if sides == 1:
             assert res.rhs is res.lhs
-    # equal values of different types keep each side's own text
-    const = Polynomial.over([3], 1)
-    for pair, texts in (((const, Fraction(3)), (["3"], "3")), ((Fraction(3), const), ("3", ["3"]))):
+    # a constant polynomial and the scalar it holds are values of two types,
+    # so they are unequal: the verdict is a counterexample, and each side
+    # keeps its own text
+    const = Polynomial([3])
+    for pair, texts in (((const, Ratio(3)), (["3"], "3")), ((Ratio(3), const), ("3", ["3"]))):
         calls.clear()
         res = CaseResult.judge(IdentityCase.parse("CONJ3(n=3,r=2,s=1)"), [pair], time.perf_counter())
-        assert res.status == STATUS_VERIFIED
+        assert res.status == STATUS_COUNTEREXAMPLE
         assert (res.lhs, res.rhs) == texts
-        assert calls == Counter({"Polynomial": 1, "Fraction": 1})
+        assert calls == Counter({"Polynomial": 1, "Ratio": 1})
+    # a side is a Polynomial or a Ratio: a rational of another type is refused
+    for value in (Fraction(3), 3):
+        with pytest.raises(TypeError):
+            real(value)
 
 
 def test_skipped_conventions():
