@@ -20,7 +20,6 @@ from .verifier import (
     EXIT_OK,
     STATUS_COUNTEREXAMPLE,
     CaseResult,
-    ConfigError,
     Report,
     SweepConfig,
     run_sweep,
@@ -90,10 +89,7 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        ids = tuple(IdentityId(tok.strip()) for tok in args.ids.split(","))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    ids = tuple(IdentityId(tok.strip()) for tok in args.ids.split(","))
     form = None if args.form == "BOTH" else Form(args.form)
     config = SweepConfig(
         identity_ids=ids,

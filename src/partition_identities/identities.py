@@ -56,7 +56,7 @@ from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import partitions
-from .polynomials import Polynomial, Ratio
+from .polynomials import Polynomial, Ratio, Value
 
 #: the largest s a case takes.  The row (i)_s, i <= 60, grows with s: at
 #: s = 10**4 its recurrence takes about 8 ms on a 2-core Xeon, paid once per
@@ -88,14 +88,16 @@ class Form(Enum):
 _INT_OR_NONE = (int, type(None))
 
 
-class IdentityCase:
+class IdentityCase(Value):
     """One identity plus its integer parameters, checked when built.
 
-    Immutable and equal by value, like a frozen record, but not a tuple:
-    every instance went through the checks, and none equals a bare tuple.
+    Immutable and equal by value (``polynomials.Value``), like a frozen
+    record, but not a tuple: every instance went through the checks, and
+    none equals a bare tuple.
     """
 
-    __slots__ = ("identity_id", "n", "r", "s", "form")
+    __slots__ = ()
+    _fields = ("identity_id", "n", "r", "s", "form")
 
     def __init__(
         self,
@@ -124,48 +126,28 @@ class IdentityCase:
             raise ValueError(f"{name}: r must be >= 1")
         if s is not None and not spec.s_min <= s <= MAX_S:
             raise ValueError(f"{name}: s must be in {spec.s_min}..{MAX_S}")
-        for key, value in zip(self.__slots__, (identity_id, n, r, s, form)):
-            object.__setattr__(self, key, value)
-
-    def __setattr__(self, key: str, value) -> None:
-        raise AttributeError(f"IdentityCase is immutable: cannot assign {key!r}")
-
-    def __delattr__(self, key: str) -> None:
-        raise AttributeError(f"IdentityCase is immutable: cannot delete {key!r}")
-
-    def _key(self) -> tuple:
-        return (self.identity_id, self.n, self.r, self.s, self.form)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not IdentityCase:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        self._values = (identity_id, n, r, s, form)
 
     def __repr__(self) -> str:
-        pairs = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        pairs = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values))
         return f"IdentityCase({pairs})"
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a copy or an unpickled case is checked too
-        return IdentityCase, self._key()
 
     @property
     def skipped(self) -> bool:
         """True when the case is evaluated but reported SKIPPED, not judged."""
-        return self.r == 1 and IDENTITIES[self.identity_id].skip_r1
+        identity_id, _, r, _, _ = self._values
+        return r == 1 and IDENTITIES[identity_id].skip_r1
 
     def __str__(self) -> str:
-        fields = [f"n={self.n}"]
-        if self.r is not None:
-            fields.append(f"r={self.r}")
-        if self.s is not None:
-            fields.append(f"s={self.s}")
-        if self.form is not None:
-            fields.append(f"form={self.form.value}")
-        return f"{self.identity_id.value}({','.join(fields)})"
+        identity_id, n, r, s, form = self._values
+        fields = [f"n={n}"]
+        if r is not None:
+            fields.append(f"r={r}")
+        if s is not None:
+            fields.append(f"s={s}")
+        if form is not None:
+            fields.append(f"form={form.value}")
+        return f"{identity_id.value}({','.join(fields)})"
 
     _CASE_RE = re.compile(r"^\s*([A-Z_0-9]+)\s*\(([^)]*)\)\s*$")
 
@@ -561,8 +543,17 @@ IDENTITIES: Dict[IdentityId, IdentitySpec] = {
 }
 
 
+#: where each builder's parameters sit in a case's ``_values``, found once
+#: by name, so ``case_sides`` reads a tuple rather than a property per field
+_PLACES = {
+    iid: tuple(IdentityCase._fields.index(name) for name in spec.params)
+    for iid, spec in IDENTITIES.items()
+}
+
+
 def case_sides(case: IdentityCase) -> List[SidePair]:
     """All (lhs, rhs) pairs for one case; a single pair except TOP_COEFF."""
-    spec = IDENTITIES[case.identity_id]
-    sides = spec.build(*[getattr(case, name) for name in spec.params])
+    values = case._values
+    identity_id = values[0]
+    sides = IDENTITIES[identity_id].build(*[values[i] for i in _PLACES[identity_id]])
     return sides if isinstance(sides, list) else [sides]

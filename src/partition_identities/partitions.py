@@ -25,6 +25,8 @@ from math import factorial
 from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .polynomials import Value
+
 #: textual form of the empty partition
 EMPTY_SYMBOL = "ε"
 
@@ -33,23 +35,29 @@ EMPTY_SYMBOL = "ε"
 MAX_PARTITIONS = 10**6
 
 
-class Partition:
+class Partition(Value):
     """A weakly decreasing sequence of positive integers.
 
-    Immutable value object; the empty partition is the unique partition
-    of 0.
+    Immutable value object (``polynomials.Value``) with the one field
+    ``parts``, a tuple of ``int``s; the empty partition is the unique
+    partition of 0.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
+    _fields = ("parts",)
 
     def __init__(self, parts: Sequence[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
         for i, p in enumerate(parts):
+            # exact int, so a float, a bool or a digit string is refused,
+            # not truncated or converted into a partition nobody asked about
+            if type(p) is not int:
+                raise TypeError(f"parts must be int, got {p!r}")
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p}")
             if i > 0 and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
-        self.parts = parts
+        self._values = (parts,)
 
     @property
     def weight(self) -> int:
@@ -83,20 +91,15 @@ class Partition:
         return cls(parts)
 
     def __str__(self) -> str:
-        if not self.parts:
+        # the listing writes every partition of n: one slot read, not two
+        # property reads
+        (parts,) = self._values
+        if not parts:
             return EMPTY_SYMBOL
-        return "+".join(str(p) for p in self.parts)
+        return "+".join(str(p) for p in parts)
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)

@@ -23,6 +23,13 @@ terms, every integer through ``int_str``, which has no digit limit;
 the numerators, both go through it.  ``render`` lays out what they wrote,
 a scalar's text or a polynomial's coefficient texts, as one human line,
 so a side written once for a report is never written again to be shown.
+
+One value contract.  ``Value`` is the base of ``Ratio`` and
+``Polynomial`` here, of ``partitions.Partition`` and of
+``identities.IdentityCase``: a value keeps its fields as one tuple in one
+slot, reads each through a read-only property, is equal to a value of its
+own exact type with an equal tuple, hashes as that tuple, and is copied and
+pickled through its constructor.
 """
 from __future__ import annotations
 
@@ -63,7 +70,44 @@ def _ratio_str(p: int, q: int) -> str:
     return f"{int_str(p // g)}/{int_str(q // g)}"
 
 
-class Ratio:
+class Value:
+    """An immutable value whose fields are one tuple, ``_values``.
+
+    A subclass names its fields once, in ``_fields``, in the order its
+    constructor takes them, declares ``__slots__ = ()`` and stores the
+    tuple once it has checked it.  Each field is a read-only property, and
+    there is no other attribute, so assigning or deleting any attribute
+    but ``_values`` raises ``AttributeError``.  A value equals only a value
+    of its own exact type with an equal tuple, never the bare tuple, and
+    hashes as the tuple.  A copy or an unpickled value is built again by
+    the constructor from the tuple, so it is checked and canonical again.
+    Code that reads many fields on a hot path unpacks ``_values`` instead:
+    a property read costs several slot reads.
+    """
+
+    __slots__ = ("_values",)
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        for i, name in enumerate(cls._fields):
+            field = property(lambda self, i=i: self._values[i])
+            field.__set_name__(cls, name)  # so a refused assignment names it
+            setattr(cls, name, field)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class Ratio(Value):
     """An exact rational num / den, as a value.
 
     Reduced by ``_lowest``, as a polynomial is: den > 0, gcd(num, den) = 1,
@@ -71,39 +115,34 @@ class Ratio:
     never an int, a rational of another type or a constant ``Polynomial``.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
+    _fields = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        (self.num,), self.den = _lowest((num,), den)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Ratio:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        (num,), den = _lowest((num,), den)
+        self._values = (num, den)
 
     def to_string(self) -> str:
         """Serialized form: "p/q", or just "p" when den is 1."""
-        return _ratio_str(self.num, self.den)
+        return _ratio_str(*self._values)
 
     def __repr__(self) -> str:
         return f"Ratio({int_str(self.num)}, {int_str(self.den)})"
 
 
-class Polynomial:
+class Polynomial(Value):
     """Dense univariate polynomial with exact rational coefficients, as a value.
 
     Stored as integer numerators ``nums`` over one denominator ``den``: the
     coefficient of X^k is nums[k] / den.  The zero polynomial is ((), 1).
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
+    _fields = ("nums", "den")
 
     def __init__(self, nums: Iterable[int] = (), den: int = 1):
         """sum_k nums[k] X^k / den, for integer numerators and den != 0."""
-        self.nums, self.den = _canonical(list(nums), den)
+        self._values = _canonical(list(nums), den)
 
     @property
     def degree(self) -> float:
@@ -114,24 +153,18 @@ class Polynomial:
 
     def coefficient(self, k: int) -> Ratio:
         """Coefficient of X^k (zero outside the stored range)."""
-        if k < 0 or k >= len(self.nums):
+        nums, den = self._values
+        if k < 0 or k >= len(nums):
             return Ratio(0)
-        return Ratio(self.nums[k], self.den)
+        return Ratio(nums[k], den)
 
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.nums == other.nums and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
     def to_strings(self) -> List[str]:
         """Serialized form: coefficient strings, constant term first."""
-        return [_ratio_str(c, self.den) for c in self.nums]
+        nums, den = self._values
+        return [_ratio_str(c, den) for c in nums]
 
     def __repr__(self) -> str:
         return f"Polynomial({render(self.to_strings())!r})"

@@ -306,7 +306,10 @@ def test_malformed_input_exits_2(capsys):
     assert run(capsys, "identity", "CONJ3(n=3,n=4,r=2,s=1)")[0] == 2
     assert run(capsys, "identity", "CLASSICAL(form=SIGNED)")[0] == 2
     assert run(capsys, "sweep", "--ids", "CONJ1", "--n", "3..1")[0] == 2
-    assert run(capsys, "sweep", "--ids", "NOPE", "--n", "1..2")[0] == 2
+    assert run(capsys, "sweep", "--ids", "NOPE", "--n", "1..2")[::2] == (
+        2,
+        "error: 'NOPE' is not a valid IdentityId\n",
+    )
     # the sweep has no hidden test flags
     assert run(capsys, "sweep", "--ids", "CLASSICAL", "--n", "1", "--perturb")[0] == 2
     assert run(capsys, "unknown-subcommand")[0] == 2

@@ -25,6 +25,7 @@ from partition_identities.identities import (
     hockey_stick_sides,
     top_coeff_checks,
 )
+from partition_identities.partitions import Partition
 from partition_identities.polynomials import Polynomial, Ratio
 from partition_identities.verifier import SweepConfig, expand_cases, run_sweep
 
@@ -576,7 +577,6 @@ def test_case_sides_build_no_polynomial_products():
 def test_left_hand_sides_read_the_class_table(monkeypatch):
     # one row of (i)_s per s, and no Partition object on the hot path
     from partition_identities import identities
-    from partition_identities.partitions import Partition
 
     def refuse(*args, **kwargs):
         raise AssertionError("a builder used a Partition object")
@@ -857,33 +857,61 @@ def test_case_refuses_fields_of_the_wrong_type(fields):
         IdentityCase(*fields)
 
 
-def test_case_is_an_immutable_value():
-    case = IdentityCase(IdentityId.CONJ1, 5, 3, 2, Form.SIGNED)
-    for key in ("identity_id", "n", "form", "other"):
+#: (a value, an equal one built another way, an unequal one of its type,
+#: its fields by name), one per value type
+VALUES = [
+    pytest.param(
+        IdentityCase(IdentityId.CONJ1, 5, 3, 2, Form.SIGNED),
+        IdentityCase(identity_id=IdentityId.CONJ1, n=5, r=3, s=2, form=Form.SIGNED),
+        IdentityCase(IdentityId.CONJ1, 5, 3, 2, Form.UNSIGNED),
+        {"identity_id": IdentityId.CONJ1, "n": 5, "r": 3, "s": 2, "form": Form.SIGNED},
+        id="IdentityCase",
+    ),
+    pytest.param(
+        Partition([3, 1]), Partition((3, 1)), Partition([3]), {"parts": (3, 1)}, id="Partition"
+    ),
+    # a pickled Ratio(2, 4) comes back as 1/2
+    pytest.param(
+        Ratio(1, 2), pickle.loads(pickle.dumps(Ratio(2, 4))), Ratio(1, 3), {"num": 1, "den": 2},
+        id="Ratio",
+    ),
+    pytest.param(
+        Polynomial([1, 2], 3), Polynomial([-2, -4, 0], -6), Polynomial([1, 2]),
+        {"nums": (1, 2), "den": 3}, id="Polynomial",
+    ),
+]
+
+#: one value of each type, for the checks across types
+FOREIGN = (IdentityCase(IdentityId.HOCKEY_STICK, 3, 2), Partition([3]), Ratio(3), Polynomial([3]))
+
+
+@pytest.mark.parametrize("value, same, other, named", VALUES)
+def test_value_contract(value, same, other, named):
+    fields = tuple(named.values())
+    assert tuple(getattr(value, key) for key in named) == fields
+    bag = {value}
+    for key in (*named, "other"):
         with pytest.raises(AttributeError):
-            setattr(case, key, 4)
+            setattr(value, key, 4)
         with pytest.raises(AttributeError):
-            delattr(case, key)
-    assert (case.n, case.form) == (5, Form.SIGNED)
-    # equal, and hash-equal, by value, also when built by keyword
-    same = IdentityCase(identity_id=IdentityId.CONJ1, n=5, r=3, s=2, form=Form.SIGNED)
-    assert same is not case and same == case and hash(same) == hash(case)
-    assert case != IdentityCase(IdentityId.CONJ1, 5, 3, 2, Form.UNSIGNED)
+            delattr(value, key)
+    # nothing was changed, so the value is still found where it was put
+    assert tuple(getattr(value, key) for key in named) == fields
+    assert value in bag and same in bag
+    # equal, and hash-equal, by value, also when built another way
+    assert same is not value and same == value and hash(same) == hash(value)
+    assert value != other and other not in bag
     # but not equal to the bare tuple of its fields, either way round
-    fields = (IdentityId.CONJ1, 5, 3, 2, Form.SIGNED)
-    assert case != fields and fields != case
-    assert case.__eq__(fields) is NotImplemented
-    # keyword construction leaves the fields an identity does not take None
-    hockey = IdentityCase(IdentityId.HOCKEY_STICK, n=5, r=2)
-    assert (hockey.s, hockey.form) == (None, None)
-    assert hockey == IdentityCase(IdentityId.HOCKEY_STICK, 5, 2, None, None)
-    assert repr(hockey) == (
-        "IdentityCase(identity_id=<IdentityId.HOCKEY_STICK: 'HOCKEY_STICK'>, "
-        "n=5, r=2, s=None, form=None)"
-    )
-    # a copy is built through the checks, as the original was
-    for copied in (copy.copy(case), copy.deepcopy(case), pickle.loads(pickle.dumps(case))):
-        assert copied == case and type(copied) is IdentityCase
+    assert value != fields and fields != value
+    assert value.__eq__(fields) is NotImplemented
+    # nor to a value of another type: Ratio(3) is not Polynomial([3])
+    for foreign in FOREIGN:
+        if type(foreign) is not type(value):
+            assert value != foreign and foreign != value
+    # a copy is built by the constructor from the fields, and so checked
+    assert value.__reduce__() == (type(value), fields)
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert copied == value and type(copied) is type(value)
 
 
 def test_spec_params_are_the_builder_parameters():
@@ -894,6 +922,14 @@ def test_spec_params_are_the_builder_parameters():
 
 
 def test_case_text_round_trip():
+    # keyword construction leaves the fields an identity does not take None
+    hockey = IdentityCase(IdentityId.HOCKEY_STICK, n=5, r=2)
+    assert (hockey.s, hockey.form) == (None, None)
+    assert hockey == IdentityCase(IdentityId.HOCKEY_STICK, 5, 2, None, None)
+    assert repr(hockey) == (
+        "IdentityCase(identity_id=<IdentityId.HOCKEY_STICK: 'HOCKEY_STICK'>, "
+        "n=5, r=2, s=None, form=None)"
+    )
     case = IdentityCase(IdentityId.CONJ1, n=5, r=3, s=2, form=Form.SIGNED)
     assert str(case) == "CONJ1(n=5,r=3,s=2,form=SIGNED)"
     assert IdentityCase.parse(str(case)) == case

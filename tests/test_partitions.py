@@ -89,6 +89,10 @@ def test_partition_validation():
         Partition([3, 0])
     with pytest.raises(ValueError):
         Partition([-1])
+    # parts are exact ints: nothing is truncated or converted
+    for parts in ([2.7, 1.2], [2.0], [True], [2, True], ["3"], ["3", "1"]):
+        with pytest.raises(TypeError):
+            Partition(parts)
 
 
 def test_weight_length():
