@@ -22,9 +22,13 @@ packed into single ints, with a slot width from ``_slot_bits(n)``.  A
 case with a single (n, r) still pays for the whole n.  Both tables refuse
 n > ``partitions.MAX_N`` before they allocate, and each memo has room for
 every n they accept.
-Every case then takes one dot product per length with its row of (i)_s,
-which stops at the vector's n + 1 entries.  The vectors are rearranged
-sums over the partitions, never closed forms.
+Each LHS key then takes one dot product per length with its row of
+(i)_s, which stops at the vector's n + 1 entries.  Those totals are kept
+in ``_length_totals`` once per (n, r, s) for CONJ1, (n, s) for CONJ2 and
+n for CLASSICAL, so both forms of a case share them; the sign and the
+shift stay per case.  The forms of a key are adjacent in grid order, so
+the memo has four slots, at most about 4 MB at n = 60, s = MAX_S.  The
+vectors are rearranged sums over the partitions, never closed forms.
 
 Each other factor of a case is also built once per key it depends on, in
 a bounded memo: the row (i)_s for every i <= ``partitions.MAX_N`` once per
@@ -33,18 +37,31 @@ s in ``_rising_row``, built whole from the recurrence
 r! (binom(X+a, r) - binom(X+b, r)) of the CONJ1, CONJ2 and TOP_COEFF
 right-hand sides once per (r, s, form) in
 ``_conj1_bracket``, where n enters that side only through its integer
-prefactor; and s! and (s-1)! of the right-hand sides in ``_rhs_factorial``.
+prefactor; the products under those brackets once per (lo, r) in
+``_rising_product``, below; and s! and (s-1)! of the right-hand sides in
+``_rhs_factorial``.  TOP_COEFF reads the two entries k = r-1 and r-2 of
+the SIGNED bracket and builds only those two coefficients of the RHS.
 CONJ1, CONJ3 and CONJ4 return their zero pair for r > n before they read a
 table or build a row.
 
 Every falling factorial [X+c]_n with an integer c, in the right-hand
 sides of CLASSICAL, CONJ1, CONJ2 and TOP_COEFF and on the BINOMIAL_TYPE
-left-hand side, is the integer list ``_falling_coeffs(c, n)`` over a known
-denominator, and every scalar factorial is ``math.factorial``, ``perm`` or
-``comb`` at integer arguments.  So every side is integers over a
-denominator the builder knows: a ``Polynomial`` for the polynomial sides,
-and a ``Ratio`` for the scalar ones (CONJ3, CONJ4, CONST_TERM, TOP_COEFF
-and HOCKEY_STICK), over r, n, 2 r! or 1.
+left-hand side, comes from one construction: the product
+P(lo, r) = (X+lo)(X+lo+1) ... (X+lo+r-1) as integer coefficients, kept in
+``_rising_product`` keyed by (lo, r) and built from P(lo, r-1) with one
+linear factor, which is O(r) integer work.  Its ``maxsize`` of 66 keeps
+every chain of a sweep over r with an s axis of up to 32 values, and the
+largest product, P(MAX_S, 400), is about 0.17 MB, so the memo holds at
+most about 11 MB.  [X+c]_n is P(c-n+1, n), the list
+``_falling_coeffs(c, n)``.  The CONJ1 brackets of both forms read the
+same two products, P(s, r) and P(0, r), the latter shared by every s:
+UNSIGNED is P(s, r) - P(0, r), and SIGNED, [X]_r - [X-s]_r, follows by
+the reflection [X+c]_r(X) = (-1)^r P(-c, r)(-X) (Graham, Knuth and
+Patashnik, Concrete Mathematics, (2.52)).  Every scalar factorial is
+``math.factorial``, ``perm`` or ``comb`` at integer arguments.  So every
+side is integers over a denominator the builder knows: a ``Polynomial``
+for the polynomial sides, and a ``Ratio`` for the scalar ones (CONJ3,
+CONJ4, CONST_TERM, TOP_COEFF and HOCKEY_STICK), over r, n, 2 r! or 1.
 """
 from __future__ import annotations
 
@@ -52,7 +69,7 @@ import re
 from enum import Enum
 from functools import lru_cache
 from math import comb, factorial, perm
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import partitions
@@ -301,53 +318,78 @@ def _covering_table(n: int) -> Tuple[Moments, ...]:
     return tuple(tuple(by_length[l][r] for l in range(r)) for r in range(1, n + 1))
 
 
-def _class_sum(
-    n: int,
-    r: int,
-    shift: int,
-    form: Form,
-    moments: Moments,
-    row: Optional[Tuple[int, ...]],
-) -> Polynomial:
+#: the totals of one LHS key, which both forms of a case read.  The two
+#: forms of a key are adjacent cases in grid order, so four slots serve a
+#: sweep.  A total at n = 60, s = MAX_S is about 15 KB, so the largest entry,
+#: 60 of them, is about 0.9 MB, and the memo holds at most about 4 MB
+@lru_cache(maxsize=4)
+def _length_totals(n: int, r: Optional[int], s: Optional[int]) -> Tuple[int, ...]:
+    """[l-1] = sum over mu |- n, l(mu) = l of (n!/z_mu) w(mu) sum_i (mu_i)_s.
+
+    w(mu) is <mu, r> for an r (CONJ1, from ``_covering_table(n)``), and 1
+    otherwise (CONJ2 and CLASSICAL, from ``_class_tables(n)``).  Each
+    length's total is its moment vector dotted with ``_rising_row(s)``.
+    With no s (CLASSICAL) the sum_i is dropped: sum_i m_i(mu) = l(mu), so
+    the vector's sum over l is the total.  The key is the identity's own
+    parameters, None where it has none; the sign and the shift of the
+    form are the case's, in ``_class_sum``.
+    """
+    moments = _class_tables(n)[0] if r is None else _covering_table(n)[r - 1]
+    if s is None:
+        return tuple(sum(vector) // length for length, vector in enumerate(moments, start=1))
+    row = _rising_row(s)
+    return tuple(sum(map(mul, vector, row)) for vector in moments)
+
+
+def _class_sum(n: int, r: int, shift: int, form: Form, totals: Tuple[int, ...]) -> Polynomial:
     """sum over mu |- n of w(mu) [sum_i (mu_i)_s] X^(l(mu) - shift) / z_mu.
 
-    ``moments`` holds (n!/z_mu) w(mu) m_i(mu) per length, and each length's
-    total is its vector dotted with ``row``, the case's
-    ``_rising_row(s)``.  With no row (CLASSICAL) the term is w(mu) alone:
-    sum_i m_i(mu) = l(mu), so the vector's sum over l is the total.
-    n!/z_mu is the size of the conjugacy class of cycle type mu, so every
-    term is an integer numerator over the single denominator n!.  In the
-    SIGNED form a term carries (-1)^(r - l(mu)).
+    ``totals`` are ``_length_totals``, (n!/z_mu) times the rest summed per
+    length.  n!/z_mu is the size of the conjugacy class of cycle type mu,
+    so every term is an integer numerator over the single denominator n!.
+    In the SIGNED form a term carries (-1)^(r - l(mu)).
     """
-    n_fact = factorial(n)
-    coeffs = [0] * (n + 1)
-    for length, vector in enumerate(moments, start=1):
-        total = sum(vector) // length if row is None else sum(map(mul, vector, row))
-        if form is Form.SIGNED and (r - length) % 2 == 1:
-            total = -total
-        coeffs[length] = total
-    return Polynomial(coeffs[shift:], n_fact)
+    nums = [0] * (1 - shift)
+    if form is Form.SIGNED:
+        nums += [-t if (r - l) % 2 else t for l, t in enumerate(totals, start=1)]
+    else:
+        nums += totals
+    return Polynomial(nums, factorial(n))
+
+
+#: one product per (lo, r).  A sweep over r extends each product by one
+#: factor, and building P(s, r) touches P(s, r-1) too, so a chain holds two
+#: products per s and two of P(0, .): 66 keep every chain of an s axis of
+#: up to 32 values, the row memo's width.  The largest product,
+#: P(MAX_S, 400) at TOP_COEFF's largest r, is about 0.17 MB, so the memo
+#: holds at most about 11 MB
+@lru_cache(maxsize=66)
+def _rising_product(lo: int, r: int) -> Tuple[int, ...]:
+    """Coefficients of P(lo, r) = (X+lo)(X+lo+1) ... (X+lo+r-1), constant term first.
+
+    P(lo, r) is P(lo, r-1), read from the memo, times X + lo + r - 1, which
+    maps old to new[k] = old[k-1] + (lo+r-1) old[k]: O(r) integer work.  A
+    cold product recurses down to the longest one the memo holds, which at
+    worst rebuilds all r factors.  Every entry is an int: a shifted signed
+    Stirling number of the first kind.
+    """
+    if not r:
+        return (1,)
+    prev = _rising_product(lo, r - 1)
+    c = lo + r - 1
+    return tuple([a * c + b for a, b in zip(prev + (0,), (0,) + prev)])
 
 
 def _falling_coeffs(c: int, n: int) -> List[int]:
-    """Coefficients of [X+c]_n, constant term first, one factor at a time.
-
-    Multiplying by (X + c - i) maps old to new[k] = old[k-1] + (c-i) old[k],
-    so every entry is an int: a shifted signed Stirling number of the first
-    kind.
-    """
+    """Coefficients of [X+c]_n = (X+c)(X+c-1) ... (X+c-n+1) = P(c-n+1, n)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    coeffs = [1]
-    for i in range(n):
-        shift = c - i
-        coeffs = [a * shift + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
+    return list(_rising_product(c - n + 1, n))
 
 
 def classical_sides(n: int, form: Form) -> SidePair:
     """The classical expansion of binom(X, n), or of binom(X+n-1, n) UNSIGNED."""
-    lhs = _class_sum(n, n, 0, form, _class_tables(n)[0], None)
+    lhs = _class_sum(n, n, 0, form, _length_totals(n, None, None))
     c = 0 if form is Form.SIGNED else n - 1
     return lhs, Polynomial(_falling_coeffs(c, n), factorial(n))
 
@@ -374,9 +416,17 @@ def _conj1_prefactor(n: int, r: int, s: int) -> int:
 #: memo holds at most about 44 MB
 @lru_cache(maxsize=256)
 def _conj1_bracket(r: int, s: int, form: Form) -> Tuple[int, ...]:
-    """r! (binom(X+a, r) - binom(X+b, r)) as integers, constant term first."""
-    a, b = (0, -s) if form is Form.SIGNED else (r + s - 1, r - 1)
-    return tuple(x - y for x, y in zip(_falling_coeffs(a, r), _falling_coeffs(b, r)))
+    """r! (binom(X+a, r) - binom(X+b, r)) as integers, constant term first.
+
+    Both forms read the products P(s, r) and P(0, r).  UNSIGNED is
+    [X+r+s-1]_r - [X+r-1]_r = P(s, r) - P(0, r).  SIGNED is
+    [X]_r - [X-s]_r, and by the reflection [X+c]_r(X) = (-1)^r P(-c, r)(-X)
+    its coefficient k is (-1)^(r-k) (P(0, r)_k - P(s, r)_k).
+    """
+    difference = map(sub, _rising_product(s, r), _rising_product(0, r))
+    if form is Form.UNSIGNED:
+        return tuple(difference)
+    return tuple(d if (r - k) % 2 else -d for k, d in enumerate(difference))
 
 
 def _conj1_rhs(r: int, s: int, form: Form, prefactor: int) -> Polynomial:
@@ -389,13 +439,13 @@ def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
     if r > n:
         return Polynomial(), Polynomial()
     # terms with l(mu) > r vanish (row-covering coefficient is zero)
-    lhs = _class_sum(n, r, 1, form, _covering_table(n)[r - 1], _rising_row(s))
+    lhs = _class_sum(n, r, 1, form, _length_totals(n, r, s))
     return lhs, _conj1_rhs(r, s, form, _conj1_prefactor(n, r, s))
 
 
 def conj2_sides(n: int, s: int, form: Form) -> SidePair:
     """Conjecture 2, the r = n specialization with the covering count gone."""
-    lhs = _class_sum(n, n, 1, form, _class_tables(n)[0], _rising_row(s))
+    lhs = _class_sum(n, n, 1, form, _length_totals(n, None, s))
     return lhs, _conj1_rhs(n, s, form, _rhs_factorial(s - 1))
 
 
@@ -457,18 +507,21 @@ def top_coeff_checks(n: int, r: int, s: int) -> List[SidePair]:
     """Leading coefficients of the conjecture-1 RHS against closed forms.
 
     Returns (extracted, closed-form) pairs for X^{r-1} and, when r >= 2,
-    X^{r-2}.  Both carry the full (s-1)! binom(n+s-1, n-r) prefactor, so
-    every pair is zero for r > n.
+    X^{r-2}.  The extracted ones are the prefactor times those two entries
+    of the SIGNED ``_conj1_bracket`` over r!, which is what ``_conj1_rhs``
+    holds there, without building its other coefficients.  Both carry the
+    full (s-1)! binom(n+s-1, n-r) prefactor, so every pair is zero for
+    r > n.
     """
     prefactor = _conj1_prefactor(n, r, s)
     if not prefactor:
         return [(Ratio(0), Ratio(0))] * min(r, 2)
-    rhs = _conj1_rhs(r, s, Form.SIGNED, prefactor)
+    bracket = _conj1_bracket(r, s, Form.SIGNED)
     r_fact = factorial(r)
-    pairs = [(rhs.coefficient(r - 1), Ratio(prefactor * r * s, r_fact))]
+    pairs = [(Ratio(prefactor * bracket[r - 1], r_fact), Ratio(prefactor * r * s, r_fact))]
     if r >= 2:
         closed = Ratio(-prefactor * r * (r - 1) * s * (r + s - 1), 2 * r_fact)
-        pairs.append((rhs.coefficient(r - 2), closed))
+        pairs.append((Ratio(prefactor * bracket[r - 2], r_fact), closed))
     return pairs
 
 

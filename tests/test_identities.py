@@ -130,7 +130,8 @@ def test_length_r_sum_matches_reference():
 
 def _clear_moment_caches():
     # every memo the builders read: the two moment tables, the rows of
-    # (i)_s, the CONJ1 right-hand-side brackets and the factorials of s
+    # (i)_s, the LHS totals, the CONJ1 right-hand-side brackets and the
+    # products under them, and the factorials of s
     from partition_identities import identities
 
     for value in vars(identities).values():
@@ -161,6 +162,12 @@ def test_memoized_sides_match_cold_builds():
     # bracket per (r, s, form), r <= 10, serves every n, form and identity
     assert identities._rising_row.cache_info().misses == 6
     assert identities._conj1_bracket.cache_info().misses == 10 * 5 * 2
+    # both forms of a bracket read one product per (lo, r): lo = 0 and each
+    # s = 1..5, extended one factor at a time over r = 0..10
+    assert identities._rising_product.cache_info().misses == 6 * 11
+    # both forms of a CONJ1 case read one totals entry per (n, r, s), r <= n,
+    # and those of a CONJ2 case one per (n, s)
+    assert identities._length_totals.cache_info().misses == 55 * 5 + 10 * 5
     for case, sides in zip(cases, warm):
         _clear_moment_caches()
         assert typed(case_sides(case)) == sides, str(case)
@@ -504,6 +511,37 @@ def test_top_coeff_agreement_on_grid():
                     assert extracted == closed
 
 
+def test_conj1_brackets_match_binom_rat_pointwise():
+    # r! (binom(X+a, r) - binom(X+b, r)), SIGNED (a, b) = (0, -s) and
+    # UNSIGNED (r+s-1, r-1), has degree at most r and so equals the
+    # reference difference of binomials if it does at r + 1 points
+    from partition_identities.identities import _conj1_bracket
+
+    _clear_moment_caches()
+    for s in (*range(1, 11), MAX_S):
+        for r in range(1, 13):
+            for form, a, b in ((Form.SIGNED, 0, -s), (Form.UNSIGNED, r + s - 1, r - 1)):
+                bracket = _conj1_bracket(r, s, form)
+                assert len(bracket) == r + 1 and bracket[r] == 0
+                for x in range(-r // 2, r - r // 2 + 1):
+                    value = sum(c * x**k for k, c in enumerate(bracket))
+                    expected = oracles.binom_rat(x + a, r) - oracles.binom_rat(x + b, r)
+                    assert Fraction(value, factorial(r)) == expected, (r, s, form, x)
+
+
+def test_top_coeff_reads_the_conj1_rhs():
+    # the two extracted coefficients are those of the CONJ1 RHS builder
+    from partition_identities.identities import _conj1_prefactor, _conj1_rhs
+
+    points = [(n, r, s) for n in range(1, 9) for r in range(1, n + 1) for s in range(1, 6)]
+    points += [(12, 7, MAX_S), (40, 40, MAX_S), (400, 3, 2)]
+    for n, r, s in points:
+        prefactor = _conj1_prefactor(n, r, s)
+        rhs = _conj1_rhs(r, s, Form.SIGNED, prefactor)
+        extracted = [pair[0] for pair in top_coeff_checks(n, r, s)]
+        assert extracted == [rhs.coefficient(k) for k in range(r - 1, max(r - 3, -1), -1)]
+
+
 def test_hockey_stick_examples():
     assert hockey_stick_sides(5, 2) == (Ratio(10), Ratio(10))
     assert hockey_stick_sides(4, 3) == (Ratio(4), Ratio(4))
@@ -544,12 +582,25 @@ def test_binomial_type_sides(monkeypatch):
         calls.append((c, n))
         return real(c, n)
 
+    # and the one product under it, P(s-n+1, n), extends the memo's longest
+    # P(s-n+1, k) one factor at a time: every product it reads has that lo
+    products = []
+    real_product = identities._rising_product
+
+    def recording_product(lo, r):
+        products.append((lo, r))
+        return real_product(lo, r)
+
     monkeypatch.setattr(identities, "_falling_coeffs", recording)
+    monkeypatch.setattr(identities, "_rising_product", recording_product)
     for n in range(13):
         for s in (1, 3):
             calls.clear()
+            products.clear()
             assert binomial_type_sides(n, s)[0] == oracles.falling_poly_product(s, n)
             assert calls == [(s, n)]
+            assert products[0] == (s - n + 1, n)
+            assert {lo for lo, _ in products} == {s - n + 1}
 
 
 def test_case_sides_build_no_polynomial_products():
@@ -591,8 +642,10 @@ def test_left_hand_sides_read_the_class_table(monkeypatch):
         (lambda: conj3_sides(n, r, s), 1),
         (lambda: conj4_sides(n, r, s), 1),
     ):
-        # the row is built on a cold memo and read back at the same s
+        # the row is built on a cold memo and read back at the same s, or
+        # not at all once the case's LHS totals are kept
         identities._rising_row.cache_clear()
+        identities._length_totals.cache_clear()
         for rows_built in (expected, 0):
             before = identities._rising_row.cache_info().misses
             lhs, rhs = build()
@@ -721,8 +774,9 @@ def test_sign_flip_against_oracle():
 
 def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
     # r > n makes the prefactor binom(n+s-1, n-r) zero, so neither side
-    # builds anything of degree r; CONJ1, CONJ3 and CONJ4 read no row of
-    # (i)_s and no table either
+    # builds anything of degree r, neither a bracket nor a product under it;
+    # CONJ1, CONJ3 and CONJ4 read no row of (i)_s, no LHS totals and no
+    # table either
     from partition_identities import identities
 
     def refuse(name):
@@ -732,7 +786,17 @@ def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
         return refused
 
     _clear_moment_caches()
-    for name in ("_falling_coeffs", "_rising_row", "_class_tables", "_covering_table"):
+    real_bracket = identities._conj1_bracket
+    memos = (
+        "_falling_coeffs",
+        "_rising_product",
+        "_conj1_bracket",
+        "_rising_row",
+        "_length_totals",
+        "_class_tables",
+        "_covering_table",
+    )
+    for name in memos:
         monkeypatch.setattr(identities, name, refuse(name))
     n = 5
     for r in (n + 1, 5000):
@@ -747,6 +811,13 @@ def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
     # the refusals are live
     with pytest.raises(AssertionError, match="_rising_row"):
         conj3_sides(n, n, 1)
+    with pytest.raises(AssertionError, match="_length_totals"):
+        conj1_sides(n, n, 1, Form.SIGNED)
+    with pytest.raises(AssertionError, match="_conj1_bracket"):
+        top_coeff_checks(n, n, 1)
+    monkeypatch.setattr(identities, "_conj1_bracket", real_bracket)
+    with pytest.raises(AssertionError, match="_rising_product"):
+        top_coeff_checks(n, n, 1)
 
 
 def test_scalar_ids_above_n_build_no_factorial(monkeypatch):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_identities.identities import (
+    MAX_S,
     _falling_coeffs,
+    _rising_product,
     binomial_type_sides,
     conj3_sides,
     const_term_sides,
@@ -130,6 +132,47 @@ def test_binom_poly_matches_binom_rat_pointwise():
             assert p.degree == r
             for x in range(-3, r - 2):
                 assert evaluate(p, x) == binom_rat(x + c, r)
+
+
+def test_rising_product_matches_product_oracle():
+    # P(lo, r) = [X+lo+r-1]_r, against the literal product of its factors
+    # taken in the other order, from the top one down; negative lo is
+    # BINOMIAL_TYPE's s-n+1 and CLASSICAL's 1-n
+    _rising_product.cache_clear()
+    for lo in (-298, -59, -1, 0, 5):
+        for r in range(61):
+            expected = falling_poly_product(lo + r - 1, r)
+            assert Polynomial(_rising_product(lo, r)) == expected, (lo, r)
+
+
+def test_rising_product_at_r_400_matches_pointwise():
+    # degree 400, checked at a few points against the product of its values;
+    # lo = MAX_S is TOP_COEFF's largest, 2-300 BINOMIAL_TYPE's lowest
+    _rising_product.cache_clear()
+    for lo in (-399, -298, 0, 3, MAX_S):
+        product = Polynomial(_rising_product(lo, 400))
+        assert product.degree == 400
+        for x in (-lo - 400, -lo, -3, 0, 2, 7):
+            assert evaluate(product, x) == rising(x + lo, 400), (lo, x)
+
+
+def test_rising_product_does_not_depend_on_fill_order():
+    # a product extended from a memo entry equals one built cold, whatever
+    # order the memo was filled in, and whatever it evicted on the way
+    import random
+
+    keys = [(lo, r) for lo in (-5, 0, 3, MAX_S) for r in range(41)]
+    cold = {}
+    for key in keys:
+        _rising_product.cache_clear()
+        cold[key] = _rising_product(*key)
+    shuffled = keys[:]
+    random.Random(7).shuffle(shuffled)
+    for order in (keys, keys[::-1], shuffled):
+        _rising_product.cache_clear()
+        filled = {key: _rising_product(*key) for key in order}
+        assert filled == cold
+        assert all(type(c) is tuple and all(type(k) is int for k in c) for c in filled.values())
 
 
 def test_falling_coeffs_type_contract():
