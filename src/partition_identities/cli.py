@@ -17,6 +17,7 @@ from .polynomials import int_str, render
 from .verifier import (
     EXIT_CONFIG_ERROR,
     EXIT_COUNTEREXAMPLE,
+    EXIT_FAILURE,
     EXIT_OK,
     STATUS_COUNTEREXAMPLE,
     CaseResult,
@@ -187,6 +188,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception:
+        # Python's own exit status for it would be 1, a counterexample
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

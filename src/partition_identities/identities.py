@@ -49,11 +49,8 @@ sides of CLASSICAL, CONJ1, CONJ2 and TOP_COEFF and on the BINOMIAL_TYPE
 left-hand side, comes from one construction: the product
 P(lo, r) = (X+lo)(X+lo+1) ... (X+lo+r-1) as integer coefficients, kept in
 ``_rising_product`` keyed by (lo, r) and built from P(lo, r-1) with one
-linear factor, which is O(r) integer work.  Its ``maxsize`` of 66 keeps
-every chain of a sweep over r with an s axis of up to 32 values, and the
-largest product, P(MAX_S, 400), is about 0.17 MB, so the memo holds at
-most about 11 MB.  [X+c]_n is P(c-n+1, n), the list
-``_falling_coeffs(c, n)``.  The CONJ1 brackets of both forms read the
+linear factor, which is O(r) integer work.  [X+c]_n is P(c-n+1, n), the
+list ``_falling_coeffs(c, n)``.  The CONJ1 brackets of both forms read the
 same two products, P(s, r) and P(0, r), the latter shared by every s:
 UNSIGNED is P(s, r) - P(0, r), and SIGNED, [X]_r - [X-s]_r, follows by
 the reflection [X+c]_r(X) = (-1)^r P(-c, r)(-X) (Graham, Knuth and
@@ -62,6 +59,15 @@ Patashnik, Concrete Mathematics, (2.52)).  Every scalar factorial is
 side is integers over a denominator the builder knows: a ``Polynomial``
 for the polynomial sides, and a ``Ratio`` for the scalar ones (CONJ3,
 CONJ4, CONST_TERM, TOP_COEFF and HOCKEY_STICK), over r, n, 2 r! or 1.
+
+A sweep reads its s axis cyclically inside each r, so the three memos that
+keep factors per s, ``_rising_row``, ``_rhs_factorial`` and
+``_rising_product``, are sized from one width, ``S_AXIS``: each keeps every
+entry of an s axis of up to ``S_AXIS`` values.  On a wider axis the row of
+each s, and in a sweep over r its products, are evicted just before the s
+comes round again, and rebuilt.  Their largest entries are a row at
+s = ``MAX_S``, about 0.95 MB, ``MAX_S``!, about 16 KB, and
+P(``MAX_S``, 400), about 0.17 MB.
 """
 from __future__ import annotations
 
@@ -79,6 +85,10 @@ from .polynomials import Polynomial, Ratio, Value
 #: s = 10**4 its recurrence takes about 8 ms on a 2-core Xeon, paid once per
 #: s per process while ``_rising_row`` keeps the row
 MAX_S = 10**4
+
+#: the widest s axis whose per-s factors stay memoized through a sweep: the
+#: width of ``_rising_row``, ``_rhs_factorial`` and ``_rising_product``
+S_AXIS = 32
 
 SideValue = Union[Polynomial, Ratio]
 SidePair = Tuple[SideValue, SideValue]
@@ -124,7 +134,10 @@ class IdentityCase(Value):
         s: Optional[int] = None,
         form: Optional[Form] = None,
     ) -> None:
-        spec = IDENTITIES[identity_id]
+        try:
+            spec = IDENTITIES[identity_id]
+        except (KeyError, TypeError):
+            raise TypeError(f"identity_id must be an IdentityId, got {identity_id!r}") from None
         name = identity_id.value
         # exact types, so a bool, a float or a form's name is refused here,
         # not taken for another value or failed on inside a builder
@@ -197,10 +210,9 @@ class IdentityCase(Value):
         return cls(identity_id, **kwargs)
 
 
-#: one row per s, which every n and identity of a sweep shares: 32 rows hold
-#: a sweep's s axis of up to 32 values.  The largest row, (i)_MAX_S for
-#: i <= 60, is about 0.95 MB, so the memo holds at most about 30 MB
-@lru_cache(maxsize=32)
+#: one row per s, which every n and identity of a sweep shares.  The largest
+#: row, (i)_MAX_S for i <= 60, is about 0.95 MB
+@lru_cache(maxsize=S_AXIS)
 def _rising_row(s: int) -> Tuple[int, ...]:
     """R[i] = (i)_s for i <= ``partitions.MAX_N``, so sum_i (mu_i)_s = sum_i m_i R[i].
 
@@ -359,11 +371,9 @@ def _class_sum(n: int, r: int, shift: int, form: Form, totals: Tuple[int, ...]) 
 
 #: one product per (lo, r).  A sweep over r extends each product by one
 #: factor, and building P(s, r) touches P(s, r-1) too, so a chain holds two
-#: products per s and two of P(0, .): 66 keep every chain of an s axis of
-#: up to 32 values, the row memo's width.  The largest product,
-#: P(MAX_S, 400) at TOP_COEFF's largest r, is about 0.17 MB, so the memo
-#: holds at most about 11 MB
-@lru_cache(maxsize=66)
+#: products per s and two of P(0, .).  The largest product, P(MAX_S, 400)
+#: at TOP_COEFF's largest r, is about 0.17 MB
+@lru_cache(maxsize=2 * S_AXIS + 2)
 def _rising_product(lo: int, r: int) -> Tuple[int, ...]:
     """Coefficients of P(lo, r) = (X+lo)(X+lo+1) ... (X+lo+r-1), constant term first.
 
@@ -394,11 +404,10 @@ def classical_sides(n: int, form: Form) -> SidePair:
     return lhs, Polynomial(_falling_coeffs(c, n), factorial(n))
 
 
-#: s! and (s-1)! for the right-hand sides, two keys per s: 64 hold a sweep's
-#: s axis of up to 32 values.  MAX_S! is about 16 KB, so the memo holds at
-#: most about 1 MB.  The row of (i)_s computes its own s!, so an error in
-#: either shows as a mismatch between the sides instead of scaling both
-_rhs_factorial = lru_cache(maxsize=64)(factorial)
+#: s! and (s-1)! for the right-hand sides, two keys per s.  MAX_S! is about
+#: 16 KB.  The row of (i)_s computes its own s!, so an error in either shows
+#: as a mismatch between the sides instead of scaling both
+_rhs_factorial = lru_cache(maxsize=2 * S_AXIS)(factorial)
 
 
 def _conj1_prefactor(n: int, r: int, s: int) -> int:

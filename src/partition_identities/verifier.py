@@ -33,6 +33,9 @@ from .polynomials import Polynomial, Ratio
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_CONFIG_ERROR = 2
+#: any other error, such as a sweep worker killed before it sent its
+#: verdicts: no verdict was reached, so it is not EXIT_COUNTEREXAMPLE
+EXIT_FAILURE = 3
 
 STATUS_VERIFIED = "VERIFIED"
 STATUS_COUNTEREXAMPLE = "COUNTEREXAMPLE"

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from partition_identities.cli import _parse_range, main
 from partition_identities.identities import IDENTITIES, MAX_S, IdentityCase, IdentityId, case_sides
 from partition_identities.partitions import Partition
 from partition_identities.polynomials import Polynomial, render
-from partition_identities.verifier import serialize_side
+from partition_identities.verifier import EXIT_COUNTEREXAMPLE, EXIT_FAILURE, serialize_side
 
 #: the fields of an IdentityCase after its id, in order
 CASE_FIELDS = ("n", "r", "s", "form")
@@ -335,8 +336,32 @@ def test_sweep_refuses_an_unwritable_out_before_any_case(capsys, monkeypatch, tm
     code, _, err = run(capsys, "sweep", "--ids", "CONJ1", "--n", "3..1", "--out", missing)
     assert code == 2 and "empty n range" in err
     # the spy is wired: with a writable --out the sweep reaches it
-    with pytest.raises(AssertionError, match="evaluated"):
-        main(["sweep", "--ids", "CONJ1", "--n", "1..3", "--out", str(tmp_path / "r.json")])
+    code, _, err = run(capsys, "sweep", "--ids", "CONJ1", "--n", "1..3",
+                       "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_FAILURE and "AssertionError: evaluated" in err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sweep_whose_worker_is_killed_is_no_counterexample(capsys, monkeypatch, tmp_path):
+    # a worker killed mid-sweep, as by the OOM killer, leaves no verdict
+    # for its cases: exit 1 would report a counterexample
+    real = verifier.case_sides
+    fatal = IdentityCase.parse("CONJ1(n=4,r=2,s=1,form=SIGNED)")
+
+    def killed(case):
+        if case == fatal:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(case)
+
+    monkeypatch.setattr(verifier, "case_sides", killed)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    code, _, err = run(capsys, "sweep", "--ids", "CONJ1", "--n", "1..6", "--r", "1..6",
+                       "--s", "1..2", "--workers", "2", "--out", str(tmp_path / "f.json"))
+    assert code == EXIT_FAILURE != EXIT_COUNTEREXAMPLE
+    assert "RuntimeError: a sweep worker exited with status -9" in err
+    # no child is left, reaped or not
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _child_env() -> dict:
@@ -437,8 +462,8 @@ def test_sweep_walks_only_what_cases_use(capsys, monkeypatch):
 
     monkeypatch.setattr(partitions, "_partitions_of", refuse)
     # the spy is wired: a listing reaches it
-    with pytest.raises(AssertionError):
-        main(["partitions", "3"])
+    code, _, err = run(capsys, "partitions", "3")
+    assert code == EXIT_FAILURE and "AssertionError: enumerated the partitions of 3" in err
     # HOCKEY_STICK is scalar binomials only; p(200) is never needed
     assert run(capsys, "sweep", "--ids", "HOCKEY_STICK", "--n", "200", "--r", "2")[0] == 0
 
@@ -506,8 +531,8 @@ def test_sweep_refuses_enumeration_limit_before_any_case(capsys, monkeypatch):
     monkeypatch.setattr(partitions, "_partitions_of", refuse)
     monkeypatch.setattr(verifier, "case_sides", evaluate)
     # the spy is wired: a case within the limits reaches it
-    with pytest.raises(AssertionError, match="evaluated"):
-        main(["sweep", "--ids", "HOCKEY_STICK", "--n", "2", "--r", "2"])
+    code, _, err = run(capsys, "sweep", "--ids", "HOCKEY_STICK", "--n", "2", "--r", "2")
+    assert code == EXIT_FAILURE and "AssertionError: evaluated" in err
     for iid, spec in IDENTITIES.items():
         # every identity takes n, then some of r, s and form, in that order
         assert spec.params[0] == "n", iid

@@ -11,6 +11,7 @@ import pytest
 from partition_identities.identities import (
     IDENTITIES,
     MAX_S,
+    S_AXIS,
     Form,
     IdentityCase,
     IdentityId,
@@ -654,8 +655,8 @@ def test_left_hand_sides_read_the_class_table(monkeypatch):
 
 
 def test_rising_values_are_computed_once_per_s(monkeypatch):
-    # 48 (n, s) pairs per identity, more than the memo's 32 slots: a row per
-    # (n, s) was rebuilt for every n and again for CONJ4
+    # 48 (n, s) pairs per identity, more than the memo's S_AXIS slots: a row
+    # per (n, s) was rebuilt for every n and again for CONJ4
     from partition_identities import identities
 
     def refuse(*args):
@@ -675,6 +676,16 @@ def test_rising_values_are_computed_once_per_s(monkeypatch):
     case_sides(IdentityCase(IdentityId.CONJ3, 3, 2, MAX_S))
     case_sides(IdentityCase(IdentityId.CONJ4, 6, 2, MAX_S))
     assert identities._rising_row.cache_info().misses == 9
+    # a full-width s axis, read once per (n, r): each row, and each s!, is
+    # still held when its s comes round again
+    _clear_moment_caches()
+    grid = SweepConfig((IdentityId.CONJ3,), (1, 3), (1, 3), (1, S_AXIS))
+    assert run_sweep(grid).summary["counterexamples"] == 0
+    readers = [case for case in expand_cases(grid) if case.r <= case.n]
+    assert len(readers) > S_AXIS
+    for memo in (identities._rising_row, identities._rhs_factorial):
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (S_AXIS, len(readers) - S_AXIS), memo
 
 
 def test_rhs_factorials_are_computed_once_per_key():
@@ -921,6 +932,9 @@ def test_case_validation():
         (IdentityId.CONJ3, True, 1, 2, None),
         (IdentityId.CONJ3, 5, True, 2, None),
         (IdentityId.CONJ3, 5, 3, False, None),
+        # an id's name, or no id, is not an IdentityId: both were a KeyError
+        ("CONJ1", 5, 3, 2, Form.SIGNED),
+        (None, 5),
     ],
 )
 def test_case_refuses_fields_of_the_wrong_type(fields):

@@ -9,6 +9,7 @@ import pytest
 
 import partition_identities
 from partition_identities import partitions
+from partition_identities.identities import S_AXIS
 from partition_identities.partitions import (
     MAX_N,
     MAX_PARTITIONS,
@@ -224,3 +225,8 @@ def test_every_memo_is_bounded():
     # one slot for every n the tables accept
     assert memos["identities._class_tables"] == MAX_N + 1
     assert memos["identities._covering_table"] == MAX_N + 1
+    # the memos kept per s hold an s axis of S_AXIS values: a row, two
+    # factorials, and two products plus the chain of P(0, .) per s
+    assert memos["identities._rising_row"] == S_AXIS
+    assert memos["identities._rhs_factorial"] == 2 * S_AXIS
+    assert memos["identities._rising_product"] == 2 * S_AXIS + 2
