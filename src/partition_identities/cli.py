@@ -7,7 +7,6 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 from typing import Optional, Sequence, TextIO, Tuple
 
 from .genbinom import gen_binom
@@ -21,7 +20,6 @@ from .verifier import (
     EXIT_OK,
     STATUS_COUNTEREXAMPLE,
     CaseResult,
-    Report,
     SweepConfig,
     run_sweep,
 )
@@ -102,17 +100,40 @@ def _cmd_sweep(args) -> int:
     )
     # a bad config, then an unwritable --out, is refused before any case runs
     config.validate()
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as sink:
-        report = run_sweep(config)
-        _emit_report(report, args, sink)
-    return report.exit_code
+    if not args.out:
+        return _sweep_into(config, args, None)
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        # a directory, a device or a pipe holds no report to keep: open
+        # refuses the first and writes straight through to the others
+        with open(args.out, "w", encoding="utf-8") as sink:
+            return _sweep_into(config, args, sink)
+    # the report goes to a new file beside --out, or beside the file it
+    # links to, which it replaces only once it is written whole: a sweep
+    # that fails or is interrupted leaves an existing report as it was
+    target = os.path.realpath(args.out)
+    partial = f"{target}.{os.getpid()}.partial"
+    try:
+        fd = os.open(partial, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    except OSError as exc:  # named by --out, the path that was given
+        raise OSError(exc.errno, exc.strerror, args.out) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as sink:
+            code = _sweep_into(config, args, sink)
+        os.replace(partial, target)
+    except BaseException:
+        os.unlink(partial)
+        raise
+    return code
 
 
-def _emit_report(report: Report, args, sink: Optional[TextIO]) -> None:
+def _sweep_into(config: SweepConfig, args, sink: Optional[TextIO]) -> int:
+    """Run the sweep and write its report to ``sink``, else to stdout."""
+    report = run_sweep(config)
     writers = {"csv": report.to_csv, "human": report.to_human, "json": report.to_json}
     writers[args.format](sink or sys.stdout)
     if sink is None and args.format == "json":
         sys.stdout.write("\n")
+    return report.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,13 @@ Builders never compare: they return (lhs, rhs) value pairs so the sweep
 engine can show both sides verbatim when they disagree.  The registry
 ``IDENTITIES`` holds each identity's builder, and the parameters an
 identity takes are that builder's parameter names, a subsequence of n, r,
-s and form; ``case_sides`` passes a case's fields by those names.
+s and form.  From those names two tables are derived once, at import:
+``_CHECKS``, each identity's spec and which of r, s and form its cases
+have, which ``IdentityCase`` compares with the fields it is given as one
+tuple; and ``_BUILDERS``, each identity's builder and an ``itemgetter`` of
+its arguments from a case's field tuple, so ``case_sides`` makes one
+lookup per case.  Both are keyed by ``IdentityId``, whose members hash by
+identity in C, not by name in Python.
 
 The left-hand sides sum a class weight w(mu) times sum_i (mu_i)_s over
 mu |- n.  Since sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, such a sum is
@@ -41,8 +47,10 @@ prefactor; the products under those brackets once per (lo, r) in
 ``_rising_product``, below; and s! and (s-1)! of the right-hand sides in
 ``_rhs_factorial``.  TOP_COEFF reads the two entries k = r-1 and r-2 of
 the SIGNED bracket and builds only those two coefficients of the RHS.
-CONJ1, CONJ3 and CONJ4 return their zero pair for r > n before they read a
-table or build a row.
+For r > n, every identity that takes r returns at once, before it reads
+a table, builds a row or computes a prefactor, and hands back one
+module-level zero pair, ``_ZERO_POLYNOMIALS`` or ``_ZERO_RATIOS``, shared
+by every such case: values are immutable, so no caller can change it.
 
 Every falling factorial [X+c]_n with an integer c, in the right-hand
 sides of CLASSICAL, CONJ1, CONJ2 and TOP_COEFF and on the BINOMIAL_TYPE
@@ -75,7 +83,7 @@ import re
 from enum import Enum
 from functools import lru_cache
 from math import comb, factorial, perm
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import partitions
@@ -93,8 +101,25 @@ S_AXIS = 32
 SideValue = Union[Polynomial, Ratio]
 SidePair = Tuple[SideValue, SideValue]
 
+#: the sides of every case with r > n, shared: values are immutable, so one
+#: pair serves every such case instead of new zeros built for each
+_ZERO_POLYNOMIALS: SidePair = (Polynomial(), Polynomial())
+_ZERO_RATIOS: SidePair = (Ratio(0), Ratio(0))
 
-class IdentityId(Enum):
+
+class _Member(Enum):
+    """An enum whose members hash by identity, in C.
+
+    ``Enum.__hash__``, hash of the member's name, is a Python call, paid at
+    every dict or memo lookup keyed by a member: a case's registry read, and
+    the ``_conj1_bracket`` memo keyed by a form.  Members are singletons and
+    equal only to themselves, so identity is a hash consistent with equality.
+    """
+
+    __hash__ = object.__hash__
+
+
+class IdentityId(_Member):
     CLASSICAL = "CLASSICAL"
     CONJ1 = "CONJ1"
     CONJ2 = "CONJ2"
@@ -106,7 +131,7 @@ class IdentityId(Enum):
     HOCKEY_STICK = "HOCKEY_STICK"
 
 
-class Form(Enum):
+class Form(_Member):
     SIGNED = "SIGNED"
     UNSIGNED = "UNSIGNED"
 
@@ -135,27 +160,30 @@ class IdentityCase(Value):
         form: Optional[Form] = None,
     ) -> None:
         try:
-            spec = IDENTITIES[identity_id]
+            spec, present = _CHECKS[identity_id]
         except (KeyError, TypeError):
             raise TypeError(f"identity_id must be an IdentityId, got {identity_id!r}") from None
-        name = identity_id.value
         # exact types, so a bool, a float or a form's name is refused here,
         # not taken for another value or failed on inside a builder
         if type(n) is not int or type(r) not in _INT_OR_NONE or type(s) not in _INT_OR_NONE:
-            raise TypeError(f"{name}: n, r and s must be int")
+            raise TypeError(f"{identity_id.value}: n, r and s must be int")
         if form is not None and type(form) is not Form:
-            raise TypeError(f"{name}: form must be a Form, got {form!r}")
+            raise TypeError(f"{identity_id.value}: form must be a Form, got {form!r}")
         if not 1 <= n <= spec.max_n:
-            raise ValueError(f"{name}: n must be in 1..{spec.max_n}")
-        optional = (("parameter r", "r", r), ("parameter s", "s", s), ("form", "form", form))
-        for label, key, value in optional:
-            wanted = key in spec.params
-            if wanted != (value is not None):
-                raise ValueError(f"{name}: {label} {'required' if wanted else 'not applicable'}")
+            raise ValueError(f"{identity_id.value}: n must be in 1..{spec.max_n}")
+        given = (r is not None, s is not None, form is not None)
+        if given != present:
+            # the first field that is present where it should not be, or
+            # the other way round, words the error
+            for label, wanted, has in zip(("parameter r", "parameter s", "form"), present, given):
+                if wanted != has:
+                    raise ValueError(
+                        f"{identity_id.value}: {label} {'required' if wanted else 'not applicable'}"
+                    )
         if r is not None and r < 1:
-            raise ValueError(f"{name}: r must be >= 1")
+            raise ValueError(f"{identity_id.value}: r must be >= 1")
         if s is not None and not spec.s_min <= s <= MAX_S:
-            raise ValueError(f"{name}: s must be in {spec.s_min}..{MAX_S}")
+            raise ValueError(f"{identity_id.value}: s must be in {spec.s_min}..{MAX_S}")
         self._values = (identity_id, n, r, s, form)
 
     def __repr__(self) -> str:
@@ -411,11 +439,12 @@ _rhs_factorial = lru_cache(maxsize=2 * S_AXIS)(factorial)
 
 
 def _conj1_prefactor(n: int, r: int, s: int) -> int:
-    """(s-1)! binom(n+s-1, n-r), the integer in front of the conjecture-1 RHS.
+    """(s-1)! binom(n+s-1, n-r), r <= n, the integer in front of the conjecture-1 RHS.
 
-    It is zero exactly when r > n, and then so is every side that carries it.
+    It would be zero for r > n, and so would every side that carries it:
+    its callers return their zero pair there instead.
     """
-    return _rhs_factorial(s - 1) * comb(n + s - 1, n - r) if r <= n else 0
+    return _rhs_factorial(s - 1) * comb(n + s - 1, n - r)
 
 
 #: one bracket per (r, s, form), which every n >= r of a sweep shares: 256
@@ -446,7 +475,7 @@ def _conj1_rhs(r: int, s: int, form: Form, prefactor: int) -> Polynomial:
 def conj1_sides(n: int, r: int, s: int, form: Form) -> SidePair:
     """Conjecture 1: degree r-1 polynomial identity; zero on both sides for r > n."""
     if r > n:
-        return Polynomial(), Polynomial()
+        return _ZERO_POLYNOMIALS
     # terms with l(mu) > r vanish (row-covering coefficient is zero)
     lhs = _class_sum(n, r, 1, form, _length_totals(n, r, s))
     return lhs, _conj1_rhs(r, s, form, _conj1_prefactor(n, r, s))
@@ -474,7 +503,7 @@ def conj3_sides(n: int, r: int, s: int) -> SidePair:
     No partition of n has r > n parts, and binom(n+s-1, n-r) is then zero.
     """
     if r > n:
-        return Ratio(0), Ratio(0)
+        return _ZERO_RATIOS
     lhs = _length_r_sum(n, r, _rising_row(s))
     return lhs, Ratio(_rhs_factorial(s) * comb(n + s - 1, n - r))
 
@@ -485,7 +514,7 @@ def conj4_sides(n: int, r: int, s: int) -> SidePair:
     Both sides are empty sums for r > n.
     """
     if r > n:
-        return Ratio(0), Ratio(0)
+        return _ZERO_RATIOS
     row = _rising_row(s)
     lhs = _length_r_sum(n, r, row)
     # for r >= 2 every upper index n-i-1 is >= r-2 >= 0; at r = 1 the lower
@@ -504,9 +533,9 @@ def const_term_sides(n: int, r: int, s: int) -> SidePair:
     binom(-s, r) = (-1)^r binom(r+s-1, r).  Both are zero for r > n.  As
     n >= 1, (n)_s = perm(n+s-1, s).
     """
+    if r > n:
+        return _ZERO_RATIOS
     prefactor = _conj1_prefactor(n, r, s)
-    if not prefactor:
-        return Ratio(0), Ratio(0)
     sign = -1 if r % 2 == 1 else 1
     lhs = Ratio(sign * comb(n, r) * perm(n + s - 1, s), n)
     return lhs, Ratio(sign * prefactor * comb(r + s - 1, r))
@@ -522,9 +551,9 @@ def top_coeff_checks(n: int, r: int, s: int) -> List[SidePair]:
     full (s-1)! binom(n+s-1, n-r) prefactor, so every pair is zero for
     r > n.
     """
+    if r > n:  # so r >= 2
+        return [_ZERO_RATIOS, _ZERO_RATIOS]
     prefactor = _conj1_prefactor(n, r, s)
-    if not prefactor:
-        return [(Ratio(0), Ratio(0))] * min(r, 2)
     bracket = _conj1_bracket(r, s, Form.SIGNED)
     r_fact = factorial(r)
     pairs = [(Ratio(prefactor * bracket[r - 1], r_fact), Ratio(prefactor * r * s, r_fact))]
@@ -537,8 +566,11 @@ def top_coeff_checks(n: int, r: int, s: int) -> List[SidePair]:
 def hockey_stick_sides(n: int, r: int) -> SidePair:
     """Column-sum identity C(N, k) = sum_{i=1}^{N-1} C(i, k-1), with (N, k) = (n, r).
 
-    Fails at k = 1 under the usual conventions; meaningful for k >= 2.
+    Fails at k = 1 under the usual conventions; meaningful for k >= 2.  For
+    k > N, C(N, k) and every C(i, k-1) with i < N are zero.
     """
+    if r > n:
+        return _ZERO_RATIOS
     rhs = sum(comb(i, r - 1) for i in range(1, n))
     return Ratio(comb(n, r)), Ratio(rhs)
 
@@ -605,17 +637,35 @@ IDENTITIES: Dict[IdentityId, IdentitySpec] = {
 }
 
 
-#: where each builder's parameters sit in a case's ``_values``, found once
-#: by name, so ``case_sides`` reads a tuple rather than a property per field
-_PLACES = {
-    iid: tuple(IdentityCase._fields.index(name) for name in spec.params)
+#: each identity's spec and which of r, s and form its cases have, derived
+#: once, so ``IdentityCase`` checks a case after one lookup and one tuple
+#: comparison
+_CHECKS = {
+    iid: (spec, tuple(key in spec.params for key in ("r", "s", "form")))
     for iid, spec in IDENTITIES.items()
 }
+
+
+def _arguments(params: Tuple[str, ...]) -> Callable[[tuple], tuple]:
+    """A getter of the fields named ``params`` from a case's ``_values``, as a tuple.
+
+    ``itemgetter`` of one index returns the item itself, so a single field
+    is read as a slice of length one.
+    """
+    places = [IdentityCase._fields.index(name) for name in params]
+    if len(places) == 1:
+        return itemgetter(slice(places[0], places[0] + 1))
+    return itemgetter(*places)
+
+
+#: each identity's builder and the getter of its arguments, derived once, so
+#: ``case_sides`` makes one lookup per case
+_BUILDERS = {iid: (spec.build, _arguments(spec.params)) for iid, spec in IDENTITIES.items()}
 
 
 def case_sides(case: IdentityCase) -> List[SidePair]:
     """All (lhs, rhs) pairs for one case; a single pair except TOP_COEFF."""
     values = case._values
-    identity_id = values[0]
-    sides = IDENTITIES[identity_id].build(*[values[i] for i in _PLACES[identity_id]])
+    build, arguments = _BUILDERS[values[0]]
+    sides = build(*arguments(values))
     return sides if isinstance(sides, list) else [sides]

@@ -199,13 +199,16 @@ def _canonical(nums: List[int], den: int) -> Tuple[Tuple[int, ...], int]:
 
 
 def _lowest(nums: Sequence[int], den: int) -> Tuple[Tuple[int, ...], int]:
-    """Divide out gcd(den, *nums) with den's sign, so that den > 0."""
+    """Divide out gcd(den, *nums) with den's sign, so that den > 0.
+
+    When that divisor is 1, as it is for every den of 1, the numerators
+    are returned as they are, with no division pass.
+    """
     if not den:
         raise ZeroDivisionError("denominator is zero")
     g = gcd(den, *nums)
+    if g == 1 and den > 0:
+        return tuple(nums), den
     if den < 0:
         g = -g
-    if g != 1:
-        nums = [c // g for c in nums]
-        den //= g
-    return tuple(nums), den
+    return tuple([c // g for c in nums]), den // g

@@ -1,9 +1,11 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -339,6 +341,49 @@ def test_sweep_refuses_an_unwritable_out_before_any_case(capsys, monkeypatch, tm
     code, _, err = run(capsys, "sweep", "--ids", "CONJ1", "--n", "1..3",
                        "--out", str(tmp_path / "r.json"))
     assert code == EXIT_FAILURE and "AssertionError: evaluated" in err
+
+
+def test_failed_sweep_leaves_an_existing_out_as_it_was(capsys, monkeypatch, tmp_path):
+    # the report is written beside --out and moved onto it only when whole,
+    # so a sweep that raises, or is interrupted, keeps the old report's bytes
+    # and leaves no other file behind
+    prior = b'{"an earlier": "report"}'
+    out_file = tmp_path / "r.json"
+    out_file.write_bytes(prior)
+    args = ["sweep", "--ids", "CONJ1", "--n", "1..3", "--out", str(out_file)]
+    for raised in (RuntimeError("case failed"), KeyboardInterrupt()):
+        def evaluate(case, raised=raised):
+            raise raised
+
+        monkeypatch.setattr(verifier, "case_sides", evaluate)
+        if isinstance(raised, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(args)
+        else:
+            code, out, err = run(capsys, *args)
+            assert code == EXIT_FAILURE and out == "" and "RuntimeError: case failed" in err
+        assert out_file.read_bytes() == prior
+        assert os.listdir(tmp_path) == ["r.json"]
+    # a directory, which no report could replace, is refused before any case
+    code, out, err = run(capsys, "sweep", "--ids", "CONJ1", "--n", "1..3", "--out", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert os.strerror(errno.EISDIR) in err and repr(str(tmp_path)) in err
+    assert os.listdir(tmp_path) == ["r.json"]
+    # a sweep that ends replaces it whole; through a link, the file it
+    # links to, and the link stays
+    monkeypatch.undo()
+    link = tmp_path / "link.json"
+    link.symlink_to(out_file)
+    for path in (out_file, link):
+        code, _, _ = run(capsys, *args[:-1], str(path))
+        assert code == 0 and json.loads(out_file.read_bytes())["summary"]["verified"] > 0
+        out_file.write_bytes(prior)
+    assert link.is_symlink() and sorted(os.listdir(tmp_path)) == ["link.json", "r.json"]
+    # a device holds no report: the report is written straight to it
+    code, _, _ = run(capsys, *args[:-1], os.devnull)
+    assert code == 0 and stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert not any(name.startswith(os.path.basename(os.devnull) + ".")
+                   for name in os.listdir(os.path.dirname(os.devnull)))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

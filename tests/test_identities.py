@@ -28,7 +28,7 @@ from partition_identities.identities import (
 )
 from partition_identities.partitions import Partition
 from partition_identities.polynomials import Polynomial, Ratio
-from partition_identities.verifier import SweepConfig, expand_cases, run_sweep
+from partition_identities.verifier import SweepConfig, expand_cases, run_sweep, serialize_side
 
 import oracles
 from oracles import coeffs, frac, poly, sign_flip_check
@@ -1029,14 +1029,88 @@ def test_case_text_round_trip():
 
 
 def test_case_sides_dispatch():
-    for text, expect_pairs in [
-        ("CLASSICAL(n=3,form=SIGNED)", 1),
-        ("CONJ1(n=3,r=2,s=1,form=UNSIGNED)", 1),
-        ("TOP_COEFF(n=3,r=2,s=1)", 2),
-        ("HOCKEY_STICK(n=5,r=2)", 1),
-        ("BINOMIAL_TYPE(n=3,s=2)", 1),
-    ]:
+    # every id reaches its own builder with its own fields, in order
+    cases = [
+        ("CLASSICAL(n=3,form=SIGNED)", classical_sides, (3, Form.SIGNED), 1),
+        ("CONJ1(n=3,r=2,s=1,form=UNSIGNED)", conj1_sides, (3, 2, 1, Form.UNSIGNED), 1),
+        ("CONJ2(n=3,s=2,form=UNSIGNED)", conj2_sides, (3, 2, Form.UNSIGNED), 1),
+        ("CONJ3(n=5,r=2,s=3)", conj3_sides, (5, 2, 3), 1),
+        ("CONJ4(n=5,r=3,s=2)", conj4_sides, (5, 3, 2), 1),
+        ("CONST_TERM(n=4,r=3,s=2)", const_term_sides, (4, 3, 2), 1),
+        ("TOP_COEFF(n=3,r=2,s=1)", top_coeff_checks, (3, 2, 1), 2),
+        ("HOCKEY_STICK(n=5,r=2)", hockey_stick_sides, (5, 2), 1),
+        ("BINOMIAL_TYPE(n=3,s=2)", binomial_type_sides, (3, 2), 1),
+    ]
+    assert {IdentityCase.parse(text).identity_id for text, *_ in cases} == set(IdentityId)
+    for text, build, args, expect_pairs in cases:
         pairs = case_sides(IdentityCase.parse(text))
         assert len(pairs) == expect_pairs
+        built = build(*args)
+        assert pairs == (built if isinstance(built, list) else [built]), text
         for lhs, rhs in pairs:
             assert lhs == rhs
+
+
+def test_arguments_getter_returns_a_tuple_for_one_field():
+    # itemgetter of a single index would return the field itself
+    from partition_identities.identities import _arguments
+
+    values = (IdentityId.CONJ1, 5, 3, 2, Form.SIGNED)
+    assert _arguments(("n",))(values) == (5,)
+    assert _arguments(("s",))(values) == (2,)
+    assert _arguments(("n", "form"))(values) == (5, Form.SIGNED)
+    assert _arguments(("n", "r", "s", "form"))(values) == values[1:]
+
+
+def test_cases_above_n_share_one_zero_pair():
+    # every id that takes r returns the module's zero pair itself for r > n,
+    # a pair equal to fresh zeros and written as them
+    from partition_identities import identities
+
+    polynomials = identities._ZERO_POLYNOMIALS
+    ratios = identities._ZERO_RATIOS
+    assert polynomials == (Polynomial(), Polynomial())
+    assert ratios == (Ratio(0), Ratio(0))
+    assert [serialize_side(v) for v in polynomials] == [[], []]
+    assert [serialize_side(v) for v in ratios] == ["0", "0"]
+    taking_r = [iid for iid, spec in IDENTITIES.items() if "r" in spec.params]
+    assert set(taking_r) == {
+        IdentityId.CONJ1, IdentityId.CONJ3, IdentityId.CONJ4, IdentityId.CONST_TERM,
+        IdentityId.TOP_COEFF, IdentityId.HOCKEY_STICK,
+    }
+    for n in (1, 4):
+        for r in (n + 1, 50):
+            for s in (1, 3):
+                for form in Form:
+                    case = IdentityCase(IdentityId.CONJ1, n, r, s, form)
+                    assert case_sides(case)[0] is polynomials
+                for iid in (IdentityId.CONJ3, IdentityId.CONJ4, IdentityId.CONST_TERM):
+                    assert case_sides(IdentityCase(iid, n, r, s))[0] is ratios
+                pairs = case_sides(IdentityCase(IdentityId.TOP_COEFF, n, r, s))
+                assert len(pairs) == 2 and all(pair is ratios for pair in pairs)
+            assert case_sides(IdentityCase(IdentityId.HOCKEY_STICK, n, r))[0] is ratios
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((IdentityId.CONJ1, 5, None, None, None), "CONJ1: parameter r required"),
+        ((IdentityId.CONJ1, 5, 3, None, Form.SIGNED), "CONJ1: parameter s required"),
+        ((IdentityId.CONJ1, 5, 3, 2, None), "CONJ1: form required"),
+        ((IdentityId.CONJ2, 5, 3, None, None), "CONJ2: parameter r not applicable"),
+        ((IdentityId.CONJ2, 5, None, 2, None), "CONJ2: form required"),
+        ((IdentityId.CONJ3, 5, 3, 2, Form.SIGNED), "CONJ3: form not applicable"),
+        ((IdentityId.HOCKEY_STICK, 5, 3, 2, None), "HOCKEY_STICK: parameter s not applicable"),
+        ((IdentityId.CLASSICAL, 5, None, None, None), "CLASSICAL: form required"),
+        ((IdentityId.BINOMIAL_TYPE, 5, 0, 0, None), "BINOMIAL_TYPE: parameter r not applicable"),
+        # n is checked before the fields' presence, and presence before r and s
+        ((IdentityId.CONJ1, 0, None, None, None), "CONJ1: n must be in 1..60"),
+        ((IdentityId.CONJ2, 5, 0, 0, Form.SIGNED), "CONJ2: parameter r not applicable"),
+        ((IdentityId.CONJ3, 5, 0, None, None), "CONJ3: parameter s required"),
+        ((IdentityId.CONJ3, 5, 0, -1, None), "CONJ3: r must be >= 1"),
+    ],
+)
+def test_case_presence_refusals_name_the_first_wrong_field(fields, message):
+    with pytest.raises(ValueError) as info:
+        IdentityCase(*fields)
+    assert str(info.value) == message
