@@ -5,6 +5,7 @@ import argparse
 import gc
 import json
 import os
+import signal
 import sys
 import time
 from typing import Optional, Sequence, TextIO, Tuple
@@ -111,11 +112,22 @@ def _cmd_sweep(args) -> int:
     # links to, which it replaces only once it is written whole: a sweep
     # that fails or is interrupted leaves an existing report as it was
     target = os.path.realpath(args.out)
-    partial = f"{target}.{os.getpid()}.partial"
+    parent = os.getpid()
+    partial = f"{target}.{parent}.partial"
+
+    def interrupt(signum, frame) -> None:
+        # SIGTERM ends the sweep as Ctrl-C does, so the new file goes too.
+        # A forked worker inherits this handler; it still dies of the signal
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+
     try:
         fd = os.open(partial, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     except OSError as exc:  # named by --out, the path that was given
         raise OSError(exc.errno, exc.strerror, args.out) from None
+    previous = signal.signal(signal.SIGTERM, interrupt)
     try:
         with open(fd, "w", encoding="utf-8") as sink:
             code = _sweep_into(config, args, sink)
@@ -123,6 +135,8 @@ def _cmd_sweep(args) -> int:
     except BaseException:
         os.unlink(partial)
         raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return code
 
 

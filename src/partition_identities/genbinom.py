@@ -6,9 +6,10 @@
 of degree <= r, in ``_row_coeffs``; the coefficient of t^r is the answer.
 It is zero, with no product, unless l(lam) <= r <= |lam|, and refused when
 |lam| r is above ``MAX_WORK``.  ``_row_coeffs`` keeps no memo; the CONJ1
-table of ``identities.py`` does not call it, and multiplies packed rows
-instead.  The literal subset count it is checked against is
-``covering_count`` in the tests' oracles.
+table of ``identities.py`` does not call it, and builds no row of a
+partition: it takes every row's sum at once from the exponential formula.
+The literal subset count it is checked against is ``covering_count`` in
+the tests' oracles.
 """
 from __future__ import annotations
 

@@ -15,26 +15,32 @@ identity in C, not by name in Python.
 The left-hand sides sum a class weight w(mu) times sum_i (mu_i)_s over
 mu |- n.  Since sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, such a sum is
 sum_i (i)_s M[i] with the moment vector M[i] = sum_mu w(mu) m_i(mu), which
-depends on neither s nor the form.  Each table is filled in one walk over
-the partitions of n, which stores no partition.  ``partitions._partitions_of``
-hands over each mu with z_mu, prod m_i! and l(mu) built up one
-multiplicity block at a time, so no mu's parts are recounted, and a leaf
-adds one term per distinct part.  Each table is keyed by n alone:
+depends on neither s nor the form.  Each table is keyed by n alone.
 ``_class_tables(n)`` holds the per-length vectors of CLASSICAL, CONJ2,
 CONJ3 and CONJ4, M above W in one int per entry with a split from
-``_length_bits(n)``, and ``_covering_table(n)`` those of CONJ1 for every
-r <= n.  The CONJ1 table carries every r at once in polynomials in t
-packed into single ints, with a slot width from ``_slot_bits(n)``.  A
-case with a single (n, r) still pays for the whole n.  Both tables refuse
-n > ``partitions.MAX_N`` before they allocate, and each memo has room for
-every n they accept.
+``_length_bits(n)``.  It is filled in one walk over the partitions of n,
+which stores no partition: ``partitions._partitions_of`` hands over each
+mu with z_mu, prod m_i! and l(mu) built up one multiplicity block at a
+time, so no mu's parts are recounted, and a leaf adds one term per
+distinct part.  Its vectors are rearranged sums over the partitions,
+never closed forms.  ``_covering_table(n)`` holds those of CONJ1 for
+every r <= n at once, in polynomials in t packed into single ints, with a
+slot width from ``_slot_bits(n)``.  It visits no partition: it sums over
+the permutations of n points by cycle type, with a recurrence from the
+exponential formula.  So the CONJ1 left-hand side rests on that theorem.
+It never uses the closed form (s-1)! binom(n+s-1, r+s-1)
+binom(r-j+s-1, r-j) of c_j(n), the coefficient of binom(X+j-1, j) in the
+UNSIGNED left-hand side, which turns that side into the conjectured
+right-hand side term by term (Graham, Knuth and Patashnik, Concrete
+Mathematics, (5.21) and (5.26)).  A case with a single (n, r) still pays
+for the whole n.  Both tables refuse n > ``partitions.MAX_N`` before they
+allocate, and each memo has room for every n they accept.
 Each LHS key then takes one dot product per length with its row of
 (i)_s, which stops at the vector's n + 1 entries.  Those totals are kept
 in ``_length_totals`` once per (n, r, s) for CONJ1, (n, s) for CONJ2 and
 n for CLASSICAL, so both forms of a case share them; the sign and the
 shift stay per case.  The forms of a key are adjacent in grid order, so
-the memo has four slots, at most about 4 MB at n = 60, s = MAX_S.  The
-vectors are rearranged sums over the partitions, never closed forms.
+the memo has four slots, at most about 4 MB at n = 60, s = MAX_S.
 
 Each other factor of a case is also built once per key it depends on, in
 a bounded memo: the row (i)_s for every i <= ``partitions.MAX_N`` once per
@@ -279,7 +285,7 @@ def _class_tables(n: int) -> Tuple[Moments, Moments]:
     # sums[l][i], for l = 1..n; no partition of n > 0 has length 0
     sums = [[0] * (n + 1) for _ in range(n + 1)]
 
-    def add(blocks: List[Tuple[int, int]], length: int, z: int, mult_factorial: int, _: int) -> None:
+    def add(blocks: List[Tuple[int, int]], length: int, z: int, mult_factorial: int) -> None:
         # n!/z_mu, the number of permutations of cycle type mu in S_n, above
         # the multinomial l!/prod m_j!
         packed = (n_fact // z) << width | length_fact[length] // mult_factorial
@@ -310,8 +316,8 @@ def _slot_bits(n: int) -> int:
 
     An entry sum over mu of (n!/z_mu) <mu, r> m_i(mu) is at most n! 2^n n:
     the class sizes add up to n!, <mu, r> <= prod_i (2^mu_i - 1) < 2^n and
-    m_i <= n.  Every term is >= 0, so each slot, and each partial sum in
-    it, stays below 2^width and never carries into the next one.
+    m_i <= n.  ``_covering_table`` forms no slot above that bound, so none
+    reaches 2^width or carries into the next one.
     """
     return (factorial(n) * n << n).bit_length()
 
@@ -320,42 +326,47 @@ def _slot_bits(n: int) -> int:
 def _covering_table(n: int) -> Tuple[Moments, ...]:
     """[r-1][l-1][i] = sum over l(mu) = l of (n!/z_mu) <mu, r> m_i(mu), r <= n.
 
-    <mu, r> is zero for l(mu) > r, so row r holds the lengths l <= r.  A
+    <mu, r> is the t^r coefficient of prod_j g(mu_j), g(k) = (1+t)^k - 1,
+    and zero for l(mu) > r, so row r holds the lengths l <= r.  A
     polynomial in t with nonnegative coefficients below 2^width is packed
     into one int, its value at t = 2^width (Kronecker substitution), so C
     bigint arithmetic adds and multiplies it without a carry between slots.
-    mu's row prod_i ((1+t)^mu_i - 1) is a product of packed factors, which
-    the partition walk multiplies in one multiplicity block at a time; a
-    part 1 contributes t, a shift.  One packed sum per (l, i) takes
-    (n!/z_mu) m_i(mu) times the row, for every r at once, and is unpacked
-    once at the end.
+
+    No partition is visited.  n!/z_mu counts the permutations of cycle
+    type mu, so e[m][l] = sum over mu |- m, l(mu) = l of
+    (m!/z_mu) prod_j g(mu_j) weighs each permutation of m points with l
+    cycles by its cycle lengths.  The cycle through the last point has some
+    length k, and [m-1]_{k-1} ways to take its other points in order, so
+    e[m][l] = sum_k [m-1]_{k-1} g(k) e[m-k][l-1], with e[0][0] = 1: the
+    exponential formula (Stanley, EC2 5.1; Macdonald, I.2).  Marking one
+    cycle of length i, which (i-1)! C(n, i) ways place, gives the packed
+    entry (l, i) = (i-1)! C(n, i) g(i) e[n-i][l-1], for every r at once,
+    unpacked once at the end.  Every term is nonnegative, so slot by slot a
+    partial sum is at most its total and a product at most the sum it is a
+    term of; e[n-i][l-1] is at most entry (l, i) one slot up, as every
+    coefficient of g(i) above t^0 is >= 1; and a factor [m-1]_{k-1} g(k)
+    is below (n-1)! 2^n.  So no slot formed exceeds the bound on the
+    entries that ``_slot_bits`` sets.
     """
-    partitions.check_enumerable(n)  # before n + 1 factors of up to n * width bits
+    # no enumeration: the p(n) limit bounds the cost, about a second at n = 60
+    partitions.check_enumerable(n)
     width = _slot_bits(n)
-    n_fact = factorial(n)
-    factors = [((1 << width) + 1) ** a - 1 for a in range(n + 1)]
-    sums = [[0] * (n + 1) for _ in range(n)]
-
-    def add(blocks: List[Tuple[int, int]], length: int, z: int, _: int, row: int) -> None:
-        # row is the product of the factors of mu's parts above 1; ones,
-        # the last block, are a shift
-        weighted = n_fact // z * row
-        part, ones = blocks[-1]
-        if part == 1:
-            weighted <<= width * ones
-        vector = sums[length - 1]
-        for i, m in blocks:
-            vector[i] += weighted * m
-
-    partitions._partitions_of(n, add, factors)
+    g = [((1 << width) + 1) ** k - 1 for k in range(n + 1)]
+    # e[m][l] for m < n and l <= n; it is zero for l > m, and for l = 0 < m
+    e = [[1] + [0] * n]
+    for m in range(1, n):
+        terms = [perm(m - 1, k - 1) * g[k] for k in range(1, m + 1)]
+        # terms[k-1] pairs with e[m-k], for k = 1..m
+        e.append([0] + [sum(t * prev[l] for t, prev in zip(terms, reversed(e))) for l in range(n)])
+    # a marked cycle of length i = 1..n, placed in (i-1)! C(n, i) = [n]_i / i ways
+    marked = [perm(n, i) // i * g[i] for i in range(1, n + 1)]
+    sums = [[0] + [c * e[n - i][l] for i, c in enumerate(marked, 1)] for l in range(n)]
+    # sums[l-1][i] holds the length-l entries of every row r in its slot r
     mask = (1 << width) - 1
-    shifts = range(0, (n + 1) * width, width)
-    # by_length[l-1][r] is the length-l vector of row r: slot r of each sum
-    by_length = [
-        list(zip(*[[packed >> k & mask for k in shifts] for packed in vector]))
-        for vector in sums
-    ]
-    return tuple(tuple(by_length[l][r] for l in range(r)) for r in range(1, n + 1))
+    return tuple(
+        tuple(tuple(packed >> r * width & mask for packed in sums[l]) for l in range(r))
+        for r in range(1, n + 1)
+    )
 
 
 #: the totals of one LHS key, which both forms of a case read.  The two
@@ -600,8 +611,9 @@ class IdentitySpec(NamedTuple):
     r = 1 but reported SKIPPED: a boundary convention makes the identity
     fail there.  ``max_n`` is the largest n a case takes, checked by
     ``IdentityCase`` and ``SweepConfig.validate`` alike: the p(n)
-    enumeration limit for builders that read the partitions of n, and for
-    the others the n at which one case, at its worst r and s <= ``MAX_S``,
+    enumeration limit for builders that read a moment table (CONJ1's table
+    enumerates nothing, but takes about a second at that n), and for the
+    others the n at which one case, at its worst r and s <= ``MAX_S``,
     takes about a second on a 2-core Xeon.  r needs no bound: every builder
     gives zero for r > n without building anything of size r.
     """

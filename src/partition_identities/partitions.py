@@ -3,26 +3,26 @@
 ``_partitions_of(n, leaf)`` walks the partitions of n in decreasing
 lexicographic order and keeps none of them.  It goes depth first over
 multiplicity blocks (part i, multiplicity m), so each tree edge extends
-z_mu, prod m_i!, l(mu) and an optional product of per-part factors by one
-block, and a leaf gets them without recounting its parts (Knuth, TAOCP
-4A, 7.2.1.4, generates partitions in this multiplicity form).  An edge
-reads its factors of z_mu and prod m_i! from lists built once per n, and
-the twos and ones that end each partition come from tails precomputed per
-remaining sum, in a loop rather than a recursive call.  It refuses
-n > ``MAX_N`` before its first leaf.  ``MAX_N`` is derived once, at
-import, from Euler's pentagonal-number recurrence for p(n), so the
-refusal is one comparison.  The moment tables of ``identities.py``
-and ``for_each_partition`` are its only callers.  ``Partition``, whose
-``z_value`` and ``multiplicities`` recount a partition's parts,
-``for_each_partition``, which hands each partition on as the walk reaches
-it, and ``enumerate_partitions``, which lists them, are the public API.
+z_mu, prod m_i! and l(mu) by one block, and a leaf gets them without
+recounting its parts (Knuth, TAOCP 4A, 7.2.1.4, generates partitions in
+this multiplicity form).  An edge reads its factors of z_mu and prod m_i!
+from lists built once per n, and the twos and ones that end each
+partition come from tails precomputed per remaining sum, in a loop rather
+than a recursive call.  It refuses n > ``MAX_N`` before its first leaf.
+``MAX_N`` is derived once, at import, from Euler's pentagonal-number
+recurrence for p(n), so the refusal is one comparison.
+``identities._class_tables`` and ``for_each_partition`` are its only
+callers: the CONJ1 table comes from a recurrence and visits no partition.
+``Partition``, whose ``z_value`` and ``multiplicities`` recount a
+partition's parts, ``for_each_partition``, which hands each partition on
+as the walk reaches it, and ``enumerate_partitions``, which lists them,
+are the public API.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, count, repeat
+from itertools import count
 from math import factorial
-from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polynomials import Value
@@ -138,11 +138,11 @@ def check_enumerable(n: int) -> None:
         )
 
 
-#: ``leaf(blocks, length, z, mult_factorial, row)``, called once per partition
-Leaf = Callable[[List[Tuple[int, int]], int, int, int, int], None]
+#: ``leaf(blocks, length, z, mult_factorial)``, called once per partition
+Leaf = Callable[[List[Tuple[int, int]], int, int, int], None]
 
 
-def _partitions_of(n: int, leaf: Leaf, factors: Optional[Sequence[int]] = None) -> None:
+def _partitions_of(n: int, leaf: Leaf) -> None:
     """Call ``leaf`` once for each partition of n, in decreasing lexicographic order.
 
     Refuses n > MAX_N before the first call.  The walk is depth first over
@@ -152,24 +152,20 @@ def _partitions_of(n: int, leaf: Leaf, factors: Optional[Sequence[int]] = None) 
     largest part first; it is the walk's own list and changes once ``leaf``
     returns.  Each tree edge (i, m) multiplies z = prod i^m m! by i^m m! and
     ``mult_factorial`` = prod m! by m!, both read from lists built once per
-    call, adds m to ``length`` and multiplies ``row`` by ``factors[i]`` ** m,
-    which it takes from a chain of one multiply per edge; with no factors
-    ``row`` is 1.  A recursive call places the parts above 2.  The twos and
-    ones that end a path are placed by a loop over tails precomputed per
-    sum, each adding its blocks, length and factors of z and prod m! at
-    once.  A block of ones is always the last, and leaves ``row`` alone:
-    ``row`` is the product over the parts above 1.
+    call, and adds m to ``length``.  A recursive call places the parts
+    above 2.  The twos and ones that end a path are placed by a loop over
+    tails precomputed per sum, each adding its blocks, length and factors
+    of z and prod m! at once.
     """
     check_enumerable(n)
     mult_fact = [factorial(m) for m in range(n + 1)]
     # z_edge[i][m] = i^m m!, for every m <= n // i
     z_edge = [[]] + [[i**m * mult_fact[m] for m in range(n // i + 1)] for i in range(1, n + 1)]
     # tails[rest]: each tail of m >= 1 twos and rest - 2m ones, m decreasing,
-    # as (m, its blocks, its length, its factor of z, its factor of prod m!)
+    # as (its blocks, its length, its factor of z, its factor of prod m!)
     tails = [
         [
             (
-                m,
                 ((2, m), (1, rest - 2 * m)) if rest > 2 * m else ((2, m),),
                 rest - m,
                 z_edge[2][m] * mult_fact[rest - 2 * m],
@@ -179,44 +175,36 @@ def _partitions_of(n: int, leaf: Leaf, factors: Optional[Sequence[int]] = None) 
         ]
         for rest in range(n + 1)
     ]
-    ones = [1] * (n + 1)
     blocks: List[Tuple[int, int]] = []
     push, extend, pop = blocks.append, blocks.extend, blocks.pop
 
-    def grow(rest: int, top: int, length: int, z: int, mult_factorial: int, row: int) -> None:
+    def grow(rest: int, top: int, length: int, z: int, mult_factorial: int) -> None:
         # the parts still to place add up to rest > 0, and none is above top
         for i in range(min(rest, top), 2, -1):
             z_i = z_edge[i]
-            # row * factors[i] ** m for m = 0, 1, ..., one multiply each
-            row_i = ones if factors is None else [
-                *accumulate(repeat(factors[i], rest // i), mul, initial=row)
-            ]
             for m in range(rest // i, 0, -1):
                 push((i, m))
                 left = rest - i * m
                 edge_z, edge_mf = z * z_i[m], mult_factorial * mult_fact[m]
                 if left:
-                    grow(left, i - 1, length + m, edge_z, edge_mf, row_i[m])
+                    grow(left, i - 1, length + m, edge_z, edge_mf)
                 else:
-                    leaf(blocks, length + m, edge_z, edge_mf, row_i[m])
+                    leaf(blocks, length + m, edge_z, edge_mf)
                 pop()
         if rest > 1:
-            row_2 = ones if factors is None else [
-                *accumulate(repeat(factors[2], rest // 2), mul, initial=row)
-            ]
             depth = len(blocks)
-            for m, tail, tail_length, tail_z, tail_mf in tails[rest]:
+            for tail, tail_length, tail_z, tail_mf in tails[rest]:
                 extend(tail)
-                leaf(blocks, length + tail_length, z * tail_z, mult_factorial * tail_mf, row_2[m])
+                leaf(blocks, length + tail_length, z * tail_z, mult_factorial * tail_mf)
                 del blocks[depth:]
         push((1, rest))
-        leaf(blocks, length + rest, z * mult_fact[rest], mult_factorial * mult_fact[rest], row)
+        leaf(blocks, length + rest, z * mult_fact[rest], mult_factorial * mult_fact[rest])
         pop()
 
     if n == 0:
-        leaf(blocks, 0, 1, 1, 1)
+        leaf(blocks, 0, 1, 1)
     else:
-        grow(n, n, 0, 1, 1, 1)
+        grow(n, n, 0, 1, 1)
 
 
 def for_each_partition(

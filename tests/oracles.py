@@ -3,11 +3,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, zip_longest
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from partition_identities import identities
 from partition_identities.genbinom import _row_coeffs
 from partition_identities.identities import Form
+from partition_identities.partitions import _partitions_of
 from partition_identities.polynomials import Polynomial, Ratio
 
 
@@ -217,6 +218,37 @@ def covering_table(n: int) -> tuple:
             for i, m in Counter(mu).items():
                 vector[i] += class_size * row[r] * m
     return tuple(tuple(map(tuple, lengths)) for lengths in table)
+
+
+def walked_covering_table(n: int) -> tuple:
+    """The CONJ1 table [r-1][l-1][i], summed over the partition walk.
+
+    Each mu's row prod_i ((1+t)^mu_i - 1) is a product of packed factors,
+    one per part above 1, and a shift for the ones, which are always the
+    last block.  (n!/z_mu) m_i(mu) times it is added to one packed sum per
+    (l, i): the packed polynomials of ``identities._covering_table``, but
+    summed over the partitions, with no exponential formula, and fast
+    enough for n <= 50.  A slot holds n! n 2^n, the largest entry's bound.
+    """
+    n_fact = factorial(n)
+    width = (n_fact * n * 2**n).bit_length()
+    factors = [((1 << width) + 1) ** a - 1 for a in range(n + 1)]
+    sums = [[0] * (n + 1) for _ in range(n)]
+
+    def add(blocks, length, z, _):
+        weighted = n_fact // z * prod([factors[i] ** m for i, m in blocks if i > 1])
+        part, ones = blocks[-1]
+        if part == 1:
+            weighted <<= width * ones
+        for i, m in blocks:
+            sums[length - 1][i] += weighted * m
+
+    _partitions_of(n, add)
+    mask = (1 << width) - 1
+    return tuple(
+        tuple(tuple(packed >> (r * width) & mask for packed in sums[l]) for l in range(r))
+        for r in range(1, n + 1)
+    )
 
 
 def partition_sum(n: int, weight, shift: int, sign_r=None) -> dict:

@@ -415,6 +415,61 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
+def test_terminated_sweep_leaves_an_existing_out_as_it_was(tmp_path):
+    # a real SIGTERM mid-sweep ends it as Ctrl-C does: the file it was
+    # writing goes, and --out keeps its earlier bytes.  The grid takes
+    # seconds; the signal is sent as soon as the sweep's own file appears
+    prior = b"an earlier report\n"
+    out_file = tmp_path / "F"
+    out_file.write_bytes(prior)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "partition_identities.cli", "sweep", "--ids", "CONJ1",
+         "--n", "57..60", "--r", "1..60", "--out", str(out_file)],
+        env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(os.listdir(tmp_path)) == 1 and child.poll() is None:
+            assert time.monotonic() < deadline, "the sweep wrote no file of its own"
+            time.sleep(0.01)
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=60) != 0
+    finally:
+        child.kill()
+        child.wait()
+    assert out_file.read_bytes() == prior
+    assert os.listdir(tmp_path) == ["F"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sweep_whose_worker_is_terminated_is_no_counterexample(capsys, monkeypatch, tmp_path):
+    # a forked worker inherits the parent's SIGTERM handler, but still dies
+    # of the signal: the sweep fails as for any worker that exits early
+    real = verifier.case_sides
+    fatal = IdentityCase.parse("CONJ1(n=4,r=2,s=1,form=SIGNED)")
+
+    def terminated(case):
+        if case == fatal:
+            os.kill(os.getpid(), signal.SIGTERM)
+        return real(case)
+
+    monkeypatch.setattr(verifier, "case_sides", terminated)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    prior = b"an earlier report\n"
+    out_file = tmp_path / "F"
+    out_file.write_bytes(prior)
+    handler = signal.getsignal(signal.SIGTERM)
+    code, _, err = run(capsys, "sweep", "--ids", "CONJ1", "--n", "1..6", "--r", "1..6",
+                       "--s", "1..2", "--workers", "2", "--out", str(out_file))
+    assert code == EXIT_FAILURE != EXIT_COUNTEREXAMPLE
+    assert f"RuntimeError: a sweep worker exited with status {-signal.SIGTERM}" in err
+    assert out_file.read_bytes() == prior and os.listdir(tmp_path) == ["F"]
+    # the sweep put back the handler it found
+    assert signal.getsignal(signal.SIGTERM) == handler
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_closed_stdout_exits_2_without_traceback():
     # `partid partitions 40 | head -1`: 1 would mean a counterexample
     child = subprocess.Popen(

@@ -248,8 +248,9 @@ def test_moment_tables_match_bruteforce_oracle():
 
 
 def test_each_moment_table_is_built_once(monkeypatch):
-    # every r, s and form of one n reads one table: the partitions of n are
-    # walked once per table, and each mu enters the table once
+    # every r, s and form of one n reads one table: the CONJ1 table is built
+    # once and visits no partition; the class tables walk the partitions of
+    # n once, and each mu enters them once
     from partition_identities import genbinom, identities, partitions
 
     _clear_moment_caches()
@@ -257,14 +258,14 @@ def test_each_moment_table_is_built_once(monkeypatch):
     rows = []
     real_partitions_of = partitions._partitions_of
 
-    def counted_partitions_of(n, leaf, factors=None):
+    def counted_partitions_of(n, leaf):
         walks[n] += 1
 
         def counted_leaf(blocks, *state):
             rows.append(tuple(i for i, m in blocks for _ in range(m)))
             leaf(blocks, *state)
 
-        real_partitions_of(n, counted_leaf, factors)
+        real_partitions_of(n, counted_leaf)
 
     def refuse_row_coeffs(*args):
         raise AssertionError("the CONJ1 table called _row_coeffs")
@@ -277,9 +278,9 @@ def test_each_moment_table_is_built_once(monkeypatch):
         for s in range(1, 5):
             for form in Form:
                 conj1_sides(n, r, s, form)
-    assert len(rows) == oracles.partition_count(n) == 30
-    assert sorted(rows) == sorted(oracles.partitions(n))
-    assert walks == Counter({n: 1})
+    assert walks == Counter() and rows == []
+    assert identities._covering_table.cache_info().misses == 1
+    assert identities._covering_table.cache_info().currsize == 1
 
     _clear_moment_caches()
     walks.clear()
@@ -302,6 +303,38 @@ def test_packed_covering_table_matches_unpacked_oracle():
 
     for n in range(1, 21):
         assert _covering_table(n) == oracles.covering_table(n), f"n={n}"
+
+
+def test_covering_table_matches_the_partition_walk():
+    # the recurrence from the exponential formula against the sum over the
+    # partitions, table for table
+    from partition_identities.identities import _covering_table
+
+    for n in range(1, 41):
+        assert _covering_table(n) == oracles.walked_covering_table(n), f"n={n}"
+
+
+def test_corrupted_recurrence_fails_the_partition_walk(monkeypatch):
+    # a twin whose [m-1]_{k-1} is wrong at one argument, [5]_2, which
+    # e[6] reads, must give a table unlike the walk's at every n >= 7: the
+    # entries with i = n - 6 read e[6]
+    from partition_identities import identities
+
+    real_perm = identities.perm
+
+    def perm(a, b):
+        return real_perm(a, b) + ((a, b) == (5, 2))
+
+    identities._covering_table.cache_clear()
+    monkeypatch.setattr(identities, "perm", perm)
+    try:
+        differ = [
+            n for n in range(1, 13)
+            if identities._covering_table(n) != oracles.walked_covering_table(n)
+        ]
+    finally:
+        identities._covering_table.cache_clear()
+    assert differ == list(range(7, 13))
 
 
 def test_packed_slots_are_wide_enough():
@@ -335,6 +368,8 @@ def test_packed_class_sums_are_wide_enough():
 
 
 def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
+    # the class tables walk the partitions; the CONJ1 table, from the
+    # exponential formula, never does
     from partition_identities import identities, partitions
 
     def refuse(n, *_):
@@ -342,14 +377,13 @@ def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
 
     _clear_moment_caches()
     monkeypatch.setattr(partitions, "_partitions_of", refuse)
-    tables = (identities._class_tables, identities._covering_table)
-    for table in tables:
-        with pytest.raises(AssertionError, match="partitions of 7"):
-            table(7)
+    with pytest.raises(AssertionError, match="partitions of 7"):
+        identities._class_tables(7)
+    assert identities._covering_table(7) == oracles.covering_table(7)
     monkeypatch.undo()
     # the p(n) limit applies to both tables, before either allocates its
-    # O(n^2) vectors or packed factors
-    for table in tables:
+    # O(n^2) vectors or packed polynomials
+    for table in (identities._class_tables, identities._covering_table):
         with pytest.raises(ValueError, match="partitions"):
             table(61)
         tracemalloc.start()

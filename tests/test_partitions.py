@@ -177,18 +177,15 @@ def test_negative_lengths_rejected():
         enumerate_partitions(-1)
 
 
-PRIMES = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
-
-
-def _walk(n, factors=None):
-    """What the walk hands each leaf, as (parts, length, z, prod m_i!, row)."""
+def _walk(n):
+    """What the walk hands each leaf, as (parts, length, z, prod m_i!)."""
     leaves = []
 
-    def record(blocks, length, z, mult_factorial, row):
+    def record(blocks, length, z, mult_factorial):
         parts = tuple(i for i, m in blocks for _ in range(m))
-        leaves.append((parts, length, z, mult_factorial, row))
+        leaves.append((parts, length, z, mult_factorial))
 
-    partitions._partitions_of(n, record, factors)
+    partitions._partitions_of(n, record)
     return leaves
 
 
@@ -196,21 +193,15 @@ def test_walk_matches_oracles():
     # the block walk against statistics recounted from each mu's parts:
     # every mu once, in the oracle's decreasing lex order
     for n in range(0, 21):
-        # a distinct prime per part, so a product names its parts
-        factors = PRIMES[:n + 1]
-        leaves = _walk(n, factors)
+        leaves = _walk(n)
         assert [parts for parts, *_ in leaves] == list(oracles.partitions(n))
         assert len(leaves) == partition_count(n)
-        for parts, length, z, mult_factorial, row in leaves:
+        for parts, length, z, mult_factorial in leaves:
             assert length == len(parts)
             assert z == z_value(parts)
             assert mult_factorial == prod(factorial(m) for m in Counter(parts).values())
-            # parts 1 are the caller's to apply
-            assert row == prod(factors[i] for i in parts if i > 1)
-        # with no factors the row is 1
-        assert [leaf[:4] + (1,) for leaf in leaves] == _walk(n)
     # the class sizes of S_n add up to n!
-    assert sum(factorial(10) // z for _, _, z, _, _ in _walk(10)) == factorial(10)
+    assert sum(factorial(10) // z for _, _, z, _ in _walk(10)) == factorial(10)
 
 
 def test_every_memo_is_bounded():
