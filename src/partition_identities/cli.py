@@ -114,14 +114,17 @@ def _cmd_sweep(args) -> int:
     target = os.path.realpath(args.out)
     parent = os.getpid()
     partial = f"{target}.{parent}.partial"
+    terminated = False
 
     def interrupt(signum, frame) -> None:
-        # SIGTERM ends the sweep as Ctrl-C does, so the new file goes too.
-        # A forked worker inherits this handler; it still dies of the signal
+        # SIGTERM ends the sweep as Ctrl-C does, so the new file goes too;
+        # then the sweep dies of the signal.  A forked worker inherits this
+        # handler, and dies of it at once
+        nonlocal terminated
         if os.getpid() == parent:
+            terminated = True
             raise KeyboardInterrupt
-        signal.signal(signum, signal.SIG_DFL)
-        os.kill(os.getpid(), signum)
+        _die_of(signum)
 
     try:
         fd = os.open(partial, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
@@ -134,10 +137,18 @@ def _cmd_sweep(args) -> int:
         os.replace(partial, target)
     except BaseException:
         os.unlink(partial)
+        if terminated:
+            _die_of(signal.SIGTERM)
         raise
     finally:
         signal.signal(signal.SIGTERM, previous)
     return code
+
+
+def _die_of(signum: int) -> None:
+    """End this process by the signal ``signum``, as its default action does."""
+    signal.signal(signum, signal.SIG_DFL)
+    os.kill(os.getpid(), signum)
 
 
 def _sweep_into(config: SweepConfig, args, sink: Optional[TextIO]) -> int:

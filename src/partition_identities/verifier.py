@@ -2,15 +2,19 @@
 
 Cases are independent pure computations, so a sweep with more than one
 worker parallelizes across cases only and merges results back into the
-deterministic grid order.  The workers are children forked after the cases
-are expanded: they inherit the case list and its slices, so a task is one
-slice number, taken from a pipe shared by all workers, and a result is the
-slice's (status, lhs, rhs, elapsed_ms) tuples, marshalled to the worker's
-own pipe.  marshal takes builtin values only, so no case object or other
-program object crosses the process boundary.  Slices end only where
-(identity, n) changes, so one identity's table for one n is built by one
-worker.  The first error in a worker kills every worker and is raised by
-the sweep; where there is no fork, a sweep runs in-process.
+deterministic grid order.  ``--workers N`` runs N processes: the sweep's
+own and N - 1 children forked after the cases are expanded.  The children
+inherit the case list and its slices, so a task is one slice number, taken
+from a pipe shared by all N processes.  The sweep's own process judges the
+slices it takes in place; a child's result is the slice's (status, lhs,
+rhs, elapsed_ms) tuples, marshalled to the child's own pipe.  marshal
+takes builtin values only, so no case object or other program object
+crosses the process boundary.  Slices end only where (identity, n)
+changes, so one identity's table for one n is built by one worker.  The
+sweep's own process checks its children between its slices, so the first
+error in a child is met within one of those slices: every child is then
+killed and the error raised by the sweep.  Where there is no fork, a
+sweep runs in-process.
 
 A report writes itself to a text sink, a file or stdout, in any of its
 three formats; its JSON is encoded a batch of rows at a time, so the
@@ -397,26 +401,53 @@ def _work(
 
 def _fork_pool(
     cases: Sequence[IdentityCase], slices: Sequence[Tuple[int, int]], workers: int
-) -> List[Verdict]:
-    """The verdicts of ``cases``, judged slice by slice in ``workers`` forked
-    children.  Each child inherits ``cases`` and ``slices`` and takes the next
-    slice number whenever it is free.  On the first error, or a child that
-    exits before it sends its verdicts, every child is killed and the
-    sweep raises."""
+) -> List[CaseResult]:
+    """The results of ``cases``, judged slice by slice in ``workers``
+    processes: this one and ``workers - 1`` forked children.  Each child
+    inherits ``cases`` and ``slices``, and every process takes the next
+    slice number whenever it is free.  This process keeps the results of
+    its own slices as they are; only the children's verdicts are read back
+    and rebuilt.  Between its own slices it checks the children without
+    blocking, so a child's error or early exit is met within one of this
+    process's slices: every child is then killed and the sweep raises."""
     import select
 
-    by_slice: List[Optional[List[Verdict]]] = [None] * len(slices)
+    by_slice: List[Optional[List[CaseResult]]] = [None] * len(slices)
     children: Dict[int, int] = {}  # a child's result pipe -> its pid, until reaped
     streams: Dict[int, List[bytes]] = {}
     tasks, feed = os.pipe()
     held = [tasks, feed]  # the pipe ends this process has to close
+
+    def collect(ready: List[int]) -> None:
+        for fd in ready:
+            chunk = os.read(fd, 1 << 16)
+            if chunk:
+                streams[fd].append(chunk)
+                continue
+            code = os.waitstatus_to_exitcode(os.waitpid(children[fd], 0)[1])
+            del children[fd]
+            if code:
+                raise RuntimeError(
+                    f"a sweep worker exited with status {code} before sending its verdicts"
+                )
+            sent = marshal.loads(b"".join(streams.pop(fd)))
+            if isinstance(sent, bytes):
+                import pickle
+
+                raise pickle.loads(sent)
+            for i, verdicts in sent:
+                lo, hi = slices[i]
+                by_slice[i] = [
+                    CaseResult(c, *v) for c, v in zip(cases[lo:hi], verdicts, strict=True)
+                ]
+
     try:
         # at most 8 slices a worker, of 4 bytes each: far below a pipe's
         # capacity, so every number is written before the first child starts
         os.write(feed, b"".join(i.to_bytes(_TASK_BYTES, "little") for i in range(len(slices))))
         os.close(feed)
         held.remove(feed)
-        for _ in range(workers):
+        for _ in range(workers - 1):
             fd, out = os.pipe()
             held += (fd, out)
             pid = children[fd] = os.fork()
@@ -425,25 +456,16 @@ def _fork_pool(
             os.close(out)
             held.remove(out)
             streams[fd] = []
+        while number := os.read(tasks, _TASK_BYTES):
+            i = int.from_bytes(number, "little")
+            lo, hi = slices[i]
+            by_slice[i] = list(map(compare_case, cases[lo:hi]))
+            # the pipes are read until none is ready, so a child that failed
+            # and exited before this slice ended is met now, not a slice later
+            while children and (ready := select.select(list(children), [], [], 0)[0]):
+                collect(ready)
         while children:
-            for fd in select.select(list(children), [], [])[0]:
-                chunk = os.read(fd, 1 << 16)
-                if chunk:
-                    streams[fd].append(chunk)
-                    continue
-                code = os.waitstatus_to_exitcode(os.waitpid(children[fd], 0)[1])
-                del children[fd]
-                if code:
-                    raise RuntimeError(
-                        f"a sweep worker exited with status {code} before sending its verdicts"
-                    )
-                sent = marshal.loads(b"".join(streams.pop(fd)))
-                if isinstance(sent, bytes):
-                    import pickle
-
-                    raise pickle.loads(sent)
-                for i, verdicts in sent:
-                    by_slice[i] = verdicts
+            collect(select.select(list(children), [], [])[0])
     finally:
         if children:
             import signal
@@ -454,7 +476,7 @@ def _fork_pool(
                 os.waitpid(pid, 0)
         for fd in held:
             os.close(fd)
-    return [v for part in by_slice for v in part]
+    return [r for part in by_slice for r in part]
 
 
 def run_sweep(config: SweepConfig) -> Report:
@@ -462,7 +484,7 @@ def run_sweep(config: SweepConfig) -> Report:
     config.validate()
     cases = expand_cases(config)
     start = time.perf_counter()
-    # never more processes than usable CPUs or slices, as every worker is
+    # never more processes than usable CPUs or slices, as every child is
     # forked up front; one, in-process, where there is no fork
     workers = min(config.worker_count, _usable_cpus() if hasattr(os, "fork") else 1)
     slices = _slices(cases, max(1, len(cases) // (workers * 4))) if workers > 1 else []
@@ -470,7 +492,6 @@ def run_sweep(config: SweepConfig) -> Report:
     if workers <= 1:
         results = [compare_case(c) for c in cases]
     else:
-        verdicts = _fork_pool(cases, slices, workers)
-        results = [CaseResult(case, *v) for case, v in zip(cases, verdicts, strict=True)]
+        results = _fork_pool(cases, slices, workers)
     total_ms = (time.perf_counter() - start) * 1000.0
     return Report(config=config, results=results, total_ms=total_ms)

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -31,3 +32,34 @@ def corrupt_rhs(monkeypatch):
 
     for module in (verifier, cli):
         monkeypatch.setattr(module, "case_sides", corrupted)
+
+
+@pytest.fixture
+def fault_in_child(monkeypatch):
+    """Make a two-worker sweep run ``fault()`` at its forked child's cases.
+
+    Call the fixture with ``fault``.  Two CPUs are then usable, so such a
+    sweep forks one child.  At each case this process judges, it first
+    waits until a child has exited, without reaping it: the child surely
+    takes a slice, the fault fires there only, and this process meets the
+    child's end only after that case's slice.
+    """
+    if not hasattr(os, "waitid"):
+        pytest.skip("needs os.waitid")
+    from partition_identities import verifier
+
+    real = verifier.case_sides
+    parent = os.getpid()
+
+    def install(fault):
+        def sides(case):
+            if os.getpid() != parent:
+                fault()
+            else:
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            return real(case)
+
+        monkeypatch.setattr(verifier, "case_sides", sides)
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+
+    return install

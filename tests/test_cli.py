@@ -387,19 +387,10 @@ def test_failed_sweep_leaves_an_existing_out_as_it_was(capsys, monkeypatch, tmp_
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_sweep_whose_worker_is_killed_is_no_counterexample(capsys, monkeypatch, tmp_path):
+def test_sweep_whose_worker_is_killed_is_no_counterexample(capsys, fault_in_child, tmp_path):
     # a worker killed mid-sweep, as by the OOM killer, leaves no verdict
     # for its cases: exit 1 would report a counterexample
-    real = verifier.case_sides
-    fatal = IdentityCase.parse("CONJ1(n=4,r=2,s=1,form=SIGNED)")
-
-    def killed(case):
-        if case == fatal:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(case)
-
-    monkeypatch.setattr(verifier, "case_sides", killed)
-    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    fault_in_child(lambda: os.kill(os.getpid(), signal.SIGKILL))
     code, _, err = run(capsys, "sweep", "--ids", "CONJ1", "--n", "1..6", "--r", "1..6",
                        "--s", "1..2", "--workers", "2", "--out", str(tmp_path / "f.json"))
     assert code == EXIT_FAILURE != EXIT_COUNTEREXAMPLE
@@ -417,15 +408,17 @@ def _child_env() -> dict:
 
 def test_terminated_sweep_leaves_an_existing_out_as_it_was(tmp_path):
     # a real SIGTERM mid-sweep ends it as Ctrl-C does: the file it was
-    # writing goes, and --out keeps its earlier bytes.  The grid takes
-    # seconds; the signal is sent as soon as the sweep's own file appears
+    # writing goes, and --out keeps its earlier bytes.  Then the sweep dies
+    # of SIGTERM, without a traceback, so its status says what ended it.
+    # The grid takes seconds; the signal is sent as soon as the sweep's own
+    # file appears
     prior = b"an earlier report\n"
     out_file = tmp_path / "F"
     out_file.write_bytes(prior)
     child = subprocess.Popen(
         [sys.executable, "-m", "partition_identities.cli", "sweep", "--ids", "CONJ1",
          "--n", "57..60", "--r", "1..60", "--out", str(out_file)],
-        env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     try:
         deadline = time.monotonic() + 60
@@ -433,28 +426,22 @@ def test_terminated_sweep_leaves_an_existing_out_as_it_was(tmp_path):
             assert time.monotonic() < deadline, "the sweep wrote no file of its own"
             time.sleep(0.01)
         child.send_signal(signal.SIGTERM)
-        assert child.wait(timeout=60) != 0
+        _, err = child.communicate(timeout=60)
     finally:
         child.kill()
         child.wait()
+        child.stderr.close()
+    assert child.returncode == -signal.SIGTERM, err
+    assert "Traceback" not in err
     assert out_file.read_bytes() == prior
     assert os.listdir(tmp_path) == ["F"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_sweep_whose_worker_is_terminated_is_no_counterexample(capsys, monkeypatch, tmp_path):
+def test_sweep_whose_worker_is_terminated_is_no_counterexample(capsys, fault_in_child, tmp_path):
     # a forked worker inherits the parent's SIGTERM handler, but still dies
     # of the signal: the sweep fails as for any worker that exits early
-    real = verifier.case_sides
-    fatal = IdentityCase.parse("CONJ1(n=4,r=2,s=1,form=SIGNED)")
-
-    def terminated(case):
-        if case == fatal:
-            os.kill(os.getpid(), signal.SIGTERM)
-        return real(case)
-
-    monkeypatch.setattr(verifier, "case_sides", terminated)
-    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    fault_in_child(lambda: os.kill(os.getpid(), signal.SIGTERM))
     prior = b"an earlier report\n"
     out_file = tmp_path / "F"
     out_file.write_bytes(prior)

@@ -180,7 +180,8 @@ def test_config_refuses_badly_typed_fields(fields, message):
 @pytest.mark.parametrize("cpus, expected", [(64, [2]), (3, [2]), (None, []), (1, [])])
 def test_worker_count_capped(monkeypatch, cpus, expected):
     # four cases in two (identity, n) slices; a huge request must never
-    # reach the pool, nor start more children than slices or usable CPUs.
+    # reach the pool, nor give it more workers than slices or usable CPUs.
+    # The sweep's own process is one of them, so it forks one child fewer.
     # cpus is what sched_getaffinity allows, on a machine of 64 CPUs;
     # None is a platform without it, whose os.cpu_count() is unknown
     sizes, started = [], []
@@ -209,7 +210,7 @@ def test_worker_count_capped(monkeypatch, cpus, expected):
     report = run_sweep(config)
     assert len(report.results) == 4
     assert sizes == expected
-    assert len(started) == sum(expected)
+    assert len(started) == sum(w - 1 for w in expected)
     assert report.summary["verified"] == 4
     assert report.to_dict()["config"]["worker_count"] == 10**6
 
@@ -230,15 +231,16 @@ def test_pool_ships_index_slices_and_tuples(monkeypatch):
 
     def marshalling_pool(cases, slices, workers):
         sizes.append(workers)
-        verdicts = []
+        results = []
         for number in range(len(slices)):
             task = marshal.loads(marshal.dumps(number))
             assert type(task) is int, task
             tasks.append(task)
-            result = marshal.loads(marshal.dumps(verifier._judge_slice(cases, slices[task])))
-            _assert_plain(result)
-            verdicts += result
-        return verdicts
+            lo, hi = slices[task]
+            verdicts = marshal.loads(marshal.dumps(verifier._judge_slice(cases, (lo, hi))))
+            _assert_plain(verdicts)
+            results += [CaseResult(c, *v) for c, v in zip(cases[lo:hi], verdicts, strict=True)]
+        return results
 
     monkeypatch.setattr(verifier, "_fork_pool", marshalling_pool)
     monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
@@ -360,17 +362,8 @@ def test_worker_error_stops_the_sweep(monkeypatch):
 
 
 @needs_fork
-def test_worker_dying_without_verdicts_fails_the_sweep(monkeypatch):
-    real = verifier.case_sides
-    fatal = IdentityCase.parse("CONJ1(n=4,r=2,s=1,form=SIGNED)")
-
-    def dying(case):
-        if case == fatal:
-            os._exit(3)
-        return real(case)
-
-    monkeypatch.setattr(verifier, "case_sides", dying)
-    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+def test_worker_dying_without_verdicts_fails_the_sweep(fault_in_child):
+    fault_in_child(lambda: os._exit(3))
     config = SweepConfig((IdentityId.CONJ1,), (1, 5), (1, 3), (1, 2), worker_count=2)
     with pytest.raises(RuntimeError, match="status 3"):
         run_sweep(config)
@@ -378,22 +371,92 @@ def test_worker_dying_without_verdicts_fails_the_sweep(monkeypatch):
 
 
 @needs_fork
+def test_child_error_is_met_within_the_slice_in_hand(monkeypatch, fault_in_child):
+    # the child fails at its first case while this process waits at its
+    # own first case; once that slice ends, the child's error is raised,
+    # and this process takes no later slice
+    def fail():
+        raise RuntimeError("failed in a child")
+
+    fault_in_child(fail)
+    faulty, judged = verifier.case_sides, []
+    # a child appends to its own copy of the list
+    monkeypatch.setattr(verifier, "case_sides", lambda case: judged.append(case) or faulty(case))
+    config = SweepConfig((IdentityId.CONJ1,), (1, 8), (1, 8), (1, 4), worker_count=2)
+    cases = expand_cases(config)
+    slices = verifier._slices(cases, len(cases) // 8)
+    assert len(slices) == 8
+    with pytest.raises(RuntimeError, match="failed in a child"):
+        run_sweep(config)
+    _assert_no_child()
+    assert [cases[lo:hi] for lo, hi in slices].count(judged) == 1
+
+
+@needs_fork
+def test_sweep_process_is_one_of_its_workers(monkeypatch):
+    # at two workers on two usable CPUs, one child is forked, and this
+    # process judges whole slices itself.  The child's cases are slowed,
+    # so this process surely takes a slice however the two are scheduled
+    base = dict(identity_ids=(IdentityId.CONJ1, IdentityId.CONJ3), n_range=(1, 6),
+                r_range=(1, 6), s_range=(1, 3))
+    report1 = run_sweep(SweepConfig(worker_count=1, **base))
+    real_fork, real_compare = os.fork, verifier.compare_case
+    parent, forks, judged = os.getpid(), [], []
+
+    def counting_fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    def compare(case):
+        if os.getpid() == parent:
+            judged.append(case)
+        else:
+            time.sleep(0.001)
+        return real_compare(case)
+
+    monkeypatch.setattr(verifier.os, "fork", counting_fork)
+    monkeypatch.setattr(verifier, "compare_case", compare)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    report2 = run_sweep(SweepConfig(worker_count=2, **base))
+    assert len(forks) == 1
+    assert report2.content_dict() == report1.content_dict()
+    cases = expand_cases(SweepConfig(**base))
+    slices = verifier._slices(cases, len(cases) // 8)
+    mine = [cases[lo:hi] for lo, hi in slices if cases[lo] in judged]
+    assert mine and judged == [case for part in mine for case in part]
+    _assert_no_child()
+
+
+@needs_fork
 def test_interrupted_sweep_leaves_no_process(monkeypatch):
-    # a child's verdicts and the end of its pipe are two reads, so the
-    # sweep waits twice at least; the second wait is interrupted.  The pool
-    # imports select when it starts, so the patch is on the module itself
+    # a child's verdicts and the end of its pipe are two reads.  This
+    # process waits at its first case until the child judges one, and the
+    # child's cases are slow, so the child is still in its slice when this
+    # process has judged all the others and blocks: it waits twice at
+    # least, and the second blocking wait is interrupted.  The checks
+    # between slices do not block, and are not counted.  The pool imports
+    # select when it starts, so the patch is on the module itself
     real = verifier.case_sides
     real_select = select.select
-    waits = []
+    parent, waits = os.getpid(), []
+    started = multiprocessing.get_context("fork").Value("i", 0)
 
     def slow(case):
-        time.sleep(0.001)
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 30
+            while started.value == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+        else:
+            started.value = 1
+            time.sleep(0.005)
         return real(case)
 
     def interrupted_select(*args):
-        waits.append(args)
-        if len(waits) > 1:
-            raise KeyboardInterrupt
+        if args[3:] != (0,):
+            waits.append(args)
+            if len(waits) > 1:
+                raise KeyboardInterrupt
         return real_select(*args)
 
     monkeypatch.setattr(verifier, "case_sides", slow)
