@@ -8,7 +8,7 @@ import os
 import signal
 import sys
 import time
-from typing import Optional, Sequence, TextIO, Tuple
+from typing import Callable, Optional, Sequence, TextIO, Tuple
 
 from .genbinom import gen_binom
 from .identities import Form, IdentityCase, IdentityId, case_sides
@@ -126,13 +126,18 @@ def _cmd_sweep(args) -> int:
             raise KeyboardInterrupt
         _die_of(signum)
 
+    # SIGINT and SIGTERM wait from before the file exists until the try
+    # that removes it: one that came in between would leave it behind
+    release = _hold_interrupts()
     try:
         fd = os.open(partial, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     except OSError as exc:  # named by --out, the path that was given
+        release()
         raise OSError(exc.errno, exc.strerror, args.out) from None
     previous = signal.signal(signal.SIGTERM, interrupt)
     try:
         with open(fd, "w", encoding="utf-8") as sink:
+            release()  # a signal held meanwhile is handled here
             code = _sweep_into(config, args, sink)
         os.replace(partial, target)
     except BaseException:
@@ -143,6 +148,18 @@ def _cmd_sweep(args) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous)
     return code
+
+
+def _hold_interrupts() -> Callable[[], object]:
+    """Block SIGINT and SIGTERM, where ``signal.pthread_sigmask`` exists.
+
+    Returns what restores the mask it found, and so delivers a signal that
+    came meanwhile; where the platform has no mask, both do nothing.
+    """
+    if not hasattr(signal, "pthread_sigmask"):
+        return lambda: None
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+    return lambda: signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 def _die_of(signum: int) -> None:

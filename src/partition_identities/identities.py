@@ -15,26 +15,32 @@ identity in C, not by name in Python.
 The left-hand sides sum a class weight w(mu) times sum_i (mu_i)_s over
 mu |- n.  Since sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, such a sum is
 sum_i (i)_s M[i] with the moment vector M[i] = sum_mu w(mu) m_i(mu), which
-depends on neither s nor the form.  Each table is keyed by n alone.
-``_class_tables(n)`` holds the per-length vectors of CLASSICAL, CONJ2,
-CONJ3 and CONJ4, M above W in one int per entry with a split from
-``_length_bits(n)``.  It is filled in one walk over the partitions of n,
-which stores no partition: ``partitions._partitions_of`` hands over each
-mu with z_mu, prod m_i! and l(mu) built up one multiplicity block at a
-time, so no mu's parts are recounted, and a leaf adds one term per
-distinct part.  Its vectors are rearranged sums over the partitions,
-never closed forms.  ``_covering_table(n)`` holds those of CONJ1 for
-every r <= n at once, in polynomials in t packed into single ints, with a
-slot width from ``_slot_bits(n)``.  It visits no partition: it sums over
-the permutations of n points by cycle type, with a recurrence from the
-exponential formula.  So the CONJ1 left-hand side rests on that theorem.
-It never uses the closed form (s-1)! binom(n+s-1, r+s-1)
-binom(r-j+s-1, r-j) of c_j(n), the coefficient of binom(X+j-1, j) in the
-UNSIGNED left-hand side, which turns that side into the conjectured
-right-hand side term by term (Graham, Knuth and Patashnik, Concrete
-Mathematics, (5.21) and (5.26)).  A case with a single (n, r) still pays
-for the whole n.  Both tables refuse n > ``partitions.MAX_N`` before they
-allocate, and each memo has room for every n they accept.
+depends on neither s nor the form.  Three tables hold these vectors,
+each keyed by n alone.  Two come from one recurrence,
+``_marked_cycle_sums(n, g)``, which sums over the permutations of n points
+by cycle type, with one cycle marked, by the exponential formula, and
+visits no partition.  ``_class_table(n)`` holds the class-size vectors M of
+CLASSICAL and CONJ2, at weight g = 1.  ``_covering_table(n)`` holds those
+of CONJ1 for every r <= n at once, at g(k) = (1+t)^k - 1, in polynomials in
+t packed into single ints, with a slot width from ``_slot_bits(n)``.  So
+the CLASSICAL, CONJ1 and CONJ2 left-hand sides rest on that theorem, while
+the CLASSICAL right-hand side is a product of linear factors.  CONJ2 reads
+the class table, never the CONJ1 row r = n that equals it (<mu, n> = 1), so
+it is no copy of CONJ1 there.  The CONJ1 table never uses the closed form
+(s-1)! binom(n+s-1, r+s-1) binom(r-j+s-1, r-j) of c_j(n), the coefficient
+of binom(X+j-1, j) in the UNSIGNED left-hand side, which turns that side
+into the conjectured right-hand side term by term (Graham, Knuth and
+Patashnik, Concrete Mathematics, (5.21) and (5.26)).  ``_length_table(n)``
+holds the vectors W of CONJ3 and CONJ4, weighted by the multinomial
+l!/prod m_i!, one int per entry.  It is filled in one walk over the
+partitions of n, which stores no partition: ``partitions._partitions_of``
+hands over each mu with prod m_i! and l(mu) built up one multiplicity
+block at a time, so no mu's parts are recounted, and a leaf adds one term
+per distinct part.  W is a rearranged sum over the partitions, never its
+closed form, the composition count l binom(n-i-1, l-2), which is the CONJ4
+right-hand side.  A case with a single (n, r) still pays for the whole n.
+Every table refuses n > ``partitions.MAX_N`` before it allocates, and each
+memo has room for every n it accepts.
 Each LHS key then takes one dot product per length with its row of
 (i)_s, which stops at the vector's n + 1 entries.  Those totals are kept
 in ``_length_totals`` once per (n, r, s) for CONJ1, (n, s) for CONJ2 and
@@ -265,50 +271,67 @@ def _rising_row(s: int) -> Tuple[int, ...]:
 Moments = Tuple[Tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=partitions.MAX_N + 1)
-def _class_tables(n: int) -> Tuple[Moments, Moments]:
-    """(M, W) for l = 1..n: sums over mu |- n with l(mu) = l of w(mu) m_i(mu).
+def _marked_cycle_sums(n: int, g: List[int]) -> List[List[int]]:
+    """[l-1][i] = sum over mu |- n, l(mu) = l of (n!/z_mu) prod_j g[mu_j] m_i(mu).
 
-    M_l has w = n!/z_mu (CLASSICAL, CONJ2) and W_l has w = l!/prod_j m_j!
-    (CONJ3, CONJ4).  Neither reads <mu, r>, so CONJ2 never calls gen_binom,
-    and W_l is summed over the partitions, never from its closed form
-    l binom(n-i-1, l-2), which is the CONJ4 right-hand side.  Both are
-    summed at once: one int per (l, i) holds M above W, shifted by
-    ``_length_bits(n)``, so a leaf packs its two weights once and adds one
-    multiple of the pair per distinct part.  The sums are split once, at
-    the end.
+    No partition is visited.  n!/z_mu counts the permutations of cycle
+    type mu, so e[m][l] = sum over mu |- m, l(mu) = l of
+    (m!/z_mu) prod_j g[mu_j] weighs each permutation of m points with l
+    cycles by its cycle lengths.  The cycle through the last point has some
+    length k, and [m-1]_{k-1} ways to take its other points in order, so
+    e[m][l] = sum_k [m-1]_{k-1} g[k] e[m-k][l-1], with e[0][0] = 1: the
+    exponential formula (Stanley, EC2 5.1; Macdonald, I.2).  Marking one
+    cycle of length i, which (i-1)! C(n, i) ways place, gives the entry
+    (l, i) = (i-1)! C(n, i) g[i] e[n-i][l-1].  Every term is an integer.
+    """
+    # e[m][l] for m < n and l <= n, summed for l <= m only: it is zero for
+    # l > m, and for l = 0 < m
+    e = [[1] + [0] * n]
+    for m in range(1, n):
+        terms = [perm(m - 1, k - 1) * g[k] for k in range(1, m + 1)]
+        # e[m][l+1] pairs terms[k-1] with entry l of e[m-k], zero for k > m - l
+        row = [sum(t * prev[l] for t, prev in zip(terms[: m - l], reversed(e))) for l in range(m)]
+        e.append([0] + row + [0] * (n - m))
+    # a marked cycle of length i = 1..n, placed in (i-1)! C(n, i) = [n]_i / i ways
+    marked = [perm(n, i) // i * g[i] for i in range(1, n + 1)]
+    return [[0] + [c * e[n - i][l] for i, c in enumerate(marked, 1)] for l in range(n)]
+
+
+@lru_cache(maxsize=partitions.MAX_N + 1)
+def _class_table(n: int) -> Moments:
+    """M_l for l = 1..n: sums over mu |- n with l(mu) = l of (n!/z_mu) m_i(mu).
+
+    The moments of CLASSICAL and CONJ2: ``_marked_cycle_sums`` at g = 1,
+    over the permutations of n points by cycle type.  No <mu, r> enters, so
+    CONJ2 never calls gen_binom or reads the CONJ1 table, although
+    <mu, n> = 1 makes that table's row n equal to this one.
+    """
+    partitions.check_enumerable(n)  # the limit of every table, before it allocates
+    return tuple(map(tuple, _marked_cycle_sums(n, [1] * (n + 1))))
+
+
+@lru_cache(maxsize=partitions.MAX_N + 1)
+def _length_table(n: int) -> Moments:
+    """W_l for l = 1..n: sums over mu |- n with l(mu) = l of (l!/prod_j m_j!) m_i(mu).
+
+    The moments of CONJ3 and CONJ4, filled in one walk over the partitions
+    of n, never from the closed form l binom(n-i-1, l-2) of the composition
+    count, which is the CONJ4 right-hand side.  A leaf divides once for its
+    multinomial and adds one multiple of it per distinct part.
     """
     partitions.check_enumerable(n)  # before the O(n^2) vectors are allocated
-    n_fact = factorial(n)
-    width = _length_bits(n)
     length_fact = [factorial(l) for l in range(n + 1)]
     # sums[l][i], for l = 1..n; no partition of n > 0 has length 0
     sums = [[0] * (n + 1) for _ in range(n + 1)]
 
-    def add(blocks: List[Tuple[int, int]], length: int, z: int, mult_factorial: int) -> None:
-        # n!/z_mu, the number of permutations of cycle type mu in S_n, above
-        # the multinomial l!/prod m_j!
-        packed = (n_fact // z) << width | length_fact[length] // mult_factorial
+    def add(blocks: List[Tuple[int, int]], length: int, mult_factorial: int) -> None:
+        multinomial = length_fact[length] // mult_factorial
         vector = sums[length]
         for i, m in blocks:
-            vector[i] += packed * m
+            vector[i] += multinomial * m
 
     partitions._partitions_of(n, add)
-    mask = (1 << width) - 1
-    classes = tuple(tuple(packed >> width for packed in vector) for vector in sums[1:])
-    lengths = tuple(tuple(packed & mask for packed in vector) for vector in sums[1:])
-    return classes, lengths
-
-
-def _length_bits(n: int) -> int:
-    """Bits below the class sizes in a packed ``_class_tables`` sum at n.
-
-    Summed over mu |- n with l(mu) = l, l!/prod_j m_j! counts the
-    compositions of n into l parts, binom(n-1, l-1) < 2^(n-1) of them, and
-    m_i(mu) <= n, so every W entry, and each partial sum of it, is below
-    n 2^(n-1) and never carries into the M entry above it.
-    """
-    return (n << (n - 1)).bit_length()
+    return tuple(map(tuple, sums[1:]))
 
 
 def _slot_bits(n: int) -> int:
@@ -331,36 +354,20 @@ def _covering_table(n: int) -> Tuple[Moments, ...]:
     polynomial in t with nonnegative coefficients below 2^width is packed
     into one int, its value at t = 2^width (Kronecker substitution), so C
     bigint arithmetic adds and multiplies it without a carry between slots.
+    ``_marked_cycle_sums`` takes the packed g and sums every r at once; the
+    sums are unpacked once, at the end.
 
-    No partition is visited.  n!/z_mu counts the permutations of cycle
-    type mu, so e[m][l] = sum over mu |- m, l(mu) = l of
-    (m!/z_mu) prod_j g(mu_j) weighs each permutation of m points with l
-    cycles by its cycle lengths.  The cycle through the last point has some
-    length k, and [m-1]_{k-1} ways to take its other points in order, so
-    e[m][l] = sum_k [m-1]_{k-1} g(k) e[m-k][l-1], with e[0][0] = 1: the
-    exponential formula (Stanley, EC2 5.1; Macdonald, I.2).  Marking one
-    cycle of length i, which (i-1)! C(n, i) ways place, gives the packed
-    entry (l, i) = (i-1)! C(n, i) g(i) e[n-i][l-1], for every r at once,
-    unpacked once at the end.  Every term is nonnegative, so slot by slot a
-    partial sum is at most its total and a product at most the sum it is a
-    term of; e[n-i][l-1] is at most entry (l, i) one slot up, as every
-    coefficient of g(i) above t^0 is >= 1; and a factor [m-1]_{k-1} g(k)
-    is below (n-1)! 2^n.  So no slot formed exceeds the bound on the
-    entries that ``_slot_bits`` sets.
+    Every term of that recurrence is nonnegative, so slot by slot a partial
+    sum is at most its total and a product at most the sum it is a term of;
+    e[n-i][l-1] is at most entry (l, i) one slot up, as every coefficient
+    of g(i) above t^0 is >= 1; and a factor [m-1]_{k-1} g(k) is below
+    (n-1)! 2^n.  So no slot formed exceeds the bound on the entries that
+    ``_slot_bits`` sets.
     """
     # no enumeration: the p(n) limit bounds the cost, about a second at n = 60
     partitions.check_enumerable(n)
     width = _slot_bits(n)
-    g = [((1 << width) + 1) ** k - 1 for k in range(n + 1)]
-    # e[m][l] for m < n and l <= n; it is zero for l > m, and for l = 0 < m
-    e = [[1] + [0] * n]
-    for m in range(1, n):
-        terms = [perm(m - 1, k - 1) * g[k] for k in range(1, m + 1)]
-        # terms[k-1] pairs with e[m-k], for k = 1..m
-        e.append([0] + [sum(t * prev[l] for t, prev in zip(terms, reversed(e))) for l in range(n)])
-    # a marked cycle of length i = 1..n, placed in (i-1)! C(n, i) = [n]_i / i ways
-    marked = [perm(n, i) // i * g[i] for i in range(1, n + 1)]
-    sums = [[0] + [c * e[n - i][l] for i, c in enumerate(marked, 1)] for l in range(n)]
+    sums = _marked_cycle_sums(n, [((1 << width) + 1) ** k - 1 for k in range(n + 1)])
     # sums[l-1][i] holds the length-l entries of every row r in its slot r
     mask = (1 << width) - 1
     return tuple(
@@ -378,14 +385,14 @@ def _length_totals(n: int, r: Optional[int], s: Optional[int]) -> Tuple[int, ...
     """[l-1] = sum over mu |- n, l(mu) = l of (n!/z_mu) w(mu) sum_i (mu_i)_s.
 
     w(mu) is <mu, r> for an r (CONJ1, from ``_covering_table(n)``), and 1
-    otherwise (CONJ2 and CLASSICAL, from ``_class_tables(n)``).  Each
+    otherwise (CONJ2 and CLASSICAL, from ``_class_table(n)``).  Each
     length's total is its moment vector dotted with ``_rising_row(s)``.
     With no s (CLASSICAL) the sum_i is dropped: sum_i m_i(mu) = l(mu), so
     the vector's sum over l is the total.  The key is the identity's own
     parameters, None where it has none; the sign and the shift of the
     form are the case's, in ``_class_sum``.
     """
-    moments = _class_tables(n)[0] if r is None else _covering_table(n)[r - 1]
+    moments = _class_table(n) if r is None else _covering_table(n)[r - 1]
     if s is None:
         return tuple(sum(vector) // length for length, vector in enumerate(moments, start=1))
     row = _rising_row(s)
@@ -502,10 +509,10 @@ def _length_r_sum(n: int, r: int, row: Tuple[int, ...]) -> Ratio:
     """(r-1)! sum over |mu|=n, l(mu)=r of [sum_i m_i (i)_s] / [prod_i m_i!], r <= n.
 
     r!/prod_i m_i! is a multinomial coefficient, so the sum is the integer
-    W_r . R over r, with W_r from ``_class_tables(n)`` and R = row =
+    W_r . R over r, with W_r from ``_length_table(n)`` and R = row =
     _rising_row(s).
     """
-    return Ratio(sum(map(mul, _class_tables(n)[1][r - 1], row)), r)
+    return Ratio(sum(map(mul, _length_table(n)[r - 1], row)), r)
 
 
 def conj3_sides(n: int, r: int, s: int) -> SidePair:
@@ -611,10 +618,11 @@ class IdentitySpec(NamedTuple):
     r = 1 but reported SKIPPED: a boundary convention makes the identity
     fail there.  ``max_n`` is the largest n a case takes, checked by
     ``IdentityCase`` and ``SweepConfig.validate`` alike: the p(n)
-    enumeration limit for builders that read a moment table (CONJ1's table
-    enumerates nothing, but takes about a second at that n), and for the
-    others the n at which one case, at its worst r and s <= ``MAX_S``,
-    takes about a second on a 2-core Xeon.  r needs no bound: every builder
+    enumeration limit for builders that read a moment table (only the
+    length table enumerates, but the CONJ1 table takes about a second at
+    that n), and for the others the n at which one case, at its worst r and
+    s <= ``MAX_S``, takes about a second on a 2-core Xeon.  r needs no
+    bound: every builder
     gives zero for r > n without building anything of size r.
     """
 

@@ -3,16 +3,17 @@
 ``_partitions_of(n, leaf)`` walks the partitions of n in decreasing
 lexicographic order and keeps none of them.  It goes depth first over
 multiplicity blocks (part i, multiplicity m), so each tree edge extends
-z_mu, prod m_i! and l(mu) by one block, and a leaf gets them without
-recounting its parts (Knuth, TAOCP 4A, 7.2.1.4, generates partitions in
-this multiplicity form).  An edge reads its factors of z_mu and prod m_i!
-from lists built once per n, and the twos and ones that end each
-partition come from tails precomputed per remaining sum, in a loop rather
-than a recursive call.  It refuses n > ``MAX_N`` before its first leaf.
-``MAX_N`` is derived once, at import, from Euler's pentagonal-number
-recurrence for p(n), so the refusal is one comparison.
-``identities._class_tables`` and ``for_each_partition`` are its only
-callers: the CONJ1 table comes from a recurrence and visits no partition.
+prod m_i! and l(mu) by one block, and a leaf gets them without recounting
+its parts (Knuth, TAOCP 4A, 7.2.1.4, generates partitions in this
+multiplicity form).  An edge reads its factor of prod m_i! from a list
+built once per n, and the twos and ones that end each partition come from
+tails precomputed per remaining sum, in a loop rather than a recursive
+call.  It refuses n > ``MAX_N`` before its first leaf.  ``MAX_N`` is
+derived once, at import, from Euler's pentagonal-number recurrence for
+p(n), so the refusal is one comparison.
+``identities._length_table`` and ``for_each_partition`` are its only
+callers: the CONJ1 table and the class-size table come from a recurrence
+and visit no partition, so the walk carries no z_mu.
 ``Partition``, whose ``z_value`` and ``multiplicities`` recount a
 partition's parts, ``for_each_partition``, which hands each partition on
 as the walk reaches it, and ``enumerate_partitions``, which lists them,
@@ -138,8 +139,8 @@ def check_enumerable(n: int) -> None:
         )
 
 
-#: ``leaf(blocks, length, z, mult_factorial)``, called once per partition
-Leaf = Callable[[List[Tuple[int, int]], int, int, int], None]
+#: ``leaf(blocks, length, mult_factorial)``, called once per partition
+Leaf = Callable[[List[Tuple[int, int]], int, int], None]
 
 
 def _partitions_of(n: int, leaf: Leaf) -> None:
@@ -149,26 +150,23 @@ def _partitions_of(n: int, leaf: Leaf) -> None:
     multiplicity blocks (i, m), i decreasing along a path and m decreasing
     among siblings, so a partition shares the state of every block it has in
     common with the one before.  ``blocks`` is the partition's (i, m) list,
-    largest part first; it is the walk's own list and changes once ``leaf``
-    returns.  Each tree edge (i, m) multiplies z = prod i^m m! by i^m m! and
-    ``mult_factorial`` = prod m! by m!, both read from lists built once per
-    call, and adds m to ``length``.  A recursive call places the parts
-    above 2.  The twos and ones that end a path are placed by a loop over
-    tails precomputed per sum, each adding its blocks, length and factors
-    of z and prod m! at once.
+    largest part first; it is the walk's own list, or a copy of it with a
+    tail added, and may change once ``leaf`` returns.  Each tree edge (i, m)
+    multiplies ``mult_factorial`` = prod m! by m!, read from a list built
+    once per call, and adds m to ``length``.  A recursive call places the
+    parts above 2.  The twos and ones that end a path are placed by a loop
+    over tails precomputed per sum, each adding its blocks, length and
+    factor of prod m! at once.
     """
     check_enumerable(n)
     mult_fact = [factorial(m) for m in range(n + 1)]
-    # z_edge[i][m] = i^m m!, for every m <= n // i
-    z_edge = [[]] + [[i**m * mult_fact[m] for m in range(n // i + 1)] for i in range(1, n + 1)]
     # tails[rest]: each tail of m >= 1 twos and rest - 2m ones, m decreasing,
-    # as (its blocks, its length, its factor of z, its factor of prod m!)
+    # as (its blocks, its length, its factor of prod m!)
     tails = [
         [
             (
-                ((2, m), (1, rest - 2 * m)) if rest > 2 * m else ((2, m),),
+                [(2, m), (1, rest - 2 * m)] if rest > 2 * m else [(2, m)],
                 rest - m,
-                z_edge[2][m] * mult_fact[rest - 2 * m],
                 mult_fact[m] * mult_fact[rest - 2 * m],
             )
             for m in range(rest // 2, 0, -1)
@@ -176,35 +174,29 @@ def _partitions_of(n: int, leaf: Leaf) -> None:
         for rest in range(n + 1)
     ]
     blocks: List[Tuple[int, int]] = []
-    push, extend, pop = blocks.append, blocks.extend, blocks.pop
+    push, pop = blocks.append, blocks.pop
 
-    def grow(rest: int, top: int, length: int, z: int, mult_factorial: int) -> None:
+    def grow(rest: int, top: int, length: int, mult_factorial: int) -> None:
         # the parts still to place add up to rest > 0, and none is above top
         for i in range(min(rest, top), 2, -1):
-            z_i = z_edge[i]
             for m in range(rest // i, 0, -1):
                 push((i, m))
                 left = rest - i * m
-                edge_z, edge_mf = z * z_i[m], mult_factorial * mult_fact[m]
                 if left:
-                    grow(left, i - 1, length + m, edge_z, edge_mf)
+                    grow(left, i - 1, length + m, mult_factorial * mult_fact[m])
                 else:
-                    leaf(blocks, length + m, edge_z, edge_mf)
+                    leaf(blocks, length + m, mult_factorial * mult_fact[m])
                 pop()
-        if rest > 1:
-            depth = len(blocks)
-            for tail, tail_length, tail_z, tail_mf in tails[rest]:
-                extend(tail)
-                leaf(blocks, length + tail_length, z * tail_z, mult_factorial * tail_mf)
-                del blocks[depth:]
+        for tail, tail_length, tail_mf in tails[rest]:
+            leaf(blocks + tail, length + tail_length, mult_factorial * tail_mf)
         push((1, rest))
-        leaf(blocks, length + rest, z * mult_fact[rest], mult_factorial * mult_fact[rest])
+        leaf(blocks, length + rest, mult_factorial * mult_fact[rest])
         pop()
 
     if n == 0:
-        leaf(blocks, 0, 1, 1)
+        leaf(blocks, 0, 1)
     else:
-        grow(n, n, 0, 1, 1)
+        grow(n, n, 0, 1)
 
 
 def for_each_partition(
@@ -226,7 +218,7 @@ def for_each_partition(
     # no partition of n has more than n parts
     max_len = n if max_len is None else max_len
 
-    def keep(blocks: List[Tuple[int, int]], length: int, *_: int) -> None:
+    def keep(blocks: List[Tuple[int, int]], length: int, _: int) -> None:
         if min_len <= length <= max_len:
             visit(Partition([i for i, m in blocks for _ in range(m)]))
 

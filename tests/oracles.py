@@ -184,12 +184,14 @@ def partitions(n: int, max_part=None):
             yield (p,) + rest
 
 
+def block_z(blocks) -> int:
+    """z_mu = prod_i i^{m_i} m_i!, recounted from mu's (i, m_i) blocks."""
+    return prod(i**m * factorial(m) for i, m in blocks)
+
+
 def z_value(parts) -> int:
     """prod_i i^{m_i} m_i! over the multiplicities m_i of the parts."""
-    z = 1
-    for i, m in Counter(parts).items():
-        z *= i**m * factorial(m)
-    return z
+    return block_z(Counter(parts).items())
 
 
 def covering_count(parts, r: int) -> int:
@@ -220,23 +222,43 @@ def covering_table(n: int) -> tuple:
     return tuple(tuple(map(tuple, lengths)) for lengths in table)
 
 
+def walked_class_table(n: int) -> tuple:
+    """The class sizes [l-1][i] = sum over l(mu) = l of (n!/z_mu) m_i(mu).
+
+    Summed over the partition walk, with each z_mu recounted from its
+    blocks: the moments of ``identities._class_table``, with no
+    exponential formula.
+    """
+    n_fact = factorial(n)
+    sums = [[0] * (n + 1) for _ in range(n)]
+
+    def add(blocks, length, _):
+        class_size = n_fact // block_z(blocks)
+        for i, m in blocks:
+            sums[length - 1][i] += class_size * m
+
+    _partitions_of(n, add)
+    return tuple(map(tuple, sums))
+
+
 def walked_covering_table(n: int) -> tuple:
     """The CONJ1 table [r-1][l-1][i], summed over the partition walk.
 
     Each mu's row prod_i ((1+t)^mu_i - 1) is a product of packed factors,
     one per part above 1, and a shift for the ones, which are always the
-    last block.  (n!/z_mu) m_i(mu) times it is added to one packed sum per
-    (l, i): the packed polynomials of ``identities._covering_table``, but
-    summed over the partitions, with no exponential formula, and fast
-    enough for n <= 50.  A slot holds n! n 2^n, the largest entry's bound.
+    last block.  (n!/z_mu) m_i(mu), z_mu recounted from the blocks, times
+    it is added to one packed sum per (l, i): the packed polynomials of
+    ``identities._covering_table``, but summed over the partitions, with no
+    exponential formula, and fast enough for n <= 50.  A slot holds
+    n! n 2^n, the largest entry's bound.
     """
     n_fact = factorial(n)
     width = (n_fact * n * 2**n).bit_length()
     factors = [((1 << width) + 1) ** a - 1 for a in range(n + 1)]
     sums = [[0] * (n + 1) for _ in range(n)]
 
-    def add(blocks, length, z, _):
-        weighted = n_fact // z * prod([factors[i] ** m for i, m in blocks if i > 1])
+    def add(blocks, length, _):
+        weighted = n_fact // block_z(blocks) * prod([factors[i] ** m for i, m in blocks if i > 1])
         part, ones = blocks[-1]
         if part == 1:
             weighted <<= width * ones

@@ -437,6 +437,38 @@ def test_terminated_sweep_leaves_an_existing_out_as_it_was(tmp_path):
     assert os.listdir(tmp_path) == ["F"]
 
 
+@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="needs a signal mask")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_signal_as_the_sweep_file_appears_leaves_no_file(tmp_path, signum):
+    # the signal comes the moment os.open has made the sweep's own file,
+    # before the sweep has entered the try that removes it: it is held until
+    # then, so the file still goes, --out keeps its bytes, and the sweep
+    # dies of the signal
+    script = (
+        "import os, signal, sys\n"
+        "from partition_identities.cli import main\n"
+        "real_open = os.open\n"
+        "def signalling_open(path, *args):\n"
+        "    fd = real_open(path, *args)\n"
+        "    if path.endswith('.partial'):\n"
+        f"        os.kill(os.getpid(), {int(signum)})\n"
+        "    return fd\n"
+        "os.open = signalling_open\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    prior = b"an earlier report\n"
+    out_file = tmp_path / "F"
+    out_file.write_bytes(prior)
+    done = subprocess.run(
+        [sys.executable, "-c", script, "sweep", "--ids", "CONJ1", "--n", "1..3",
+         "--out", str(out_file)],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == -signum, done.stderr
+    assert out_file.read_bytes() == prior
+    assert os.listdir(tmp_path) == ["F"]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_sweep_whose_worker_is_terminated_is_no_counterexample(capsys, fault_in_child, tmp_path):
     # a forked worker inherits the parent's SIGTERM handler, but still dies

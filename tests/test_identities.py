@@ -130,7 +130,7 @@ def test_length_r_sum_matches_reference():
 
 
 def _clear_moment_caches():
-    # every memo the builders read: the two moment tables, the rows of
+    # every memo the builders read: the three moment tables, the rows of
     # (i)_s, the LHS totals, the CONJ1 right-hand-side brackets and the
     # products under them, and the factorials of s
     from partition_identities import identities
@@ -187,7 +187,7 @@ def test_memo_grid_same_content_at_one_and_two_workers(monkeypatch):
 
 def test_class_tables_match_a_recount_past_n_18():
     # one pass over each mu |- n, its weights recounted from its parts
-    from partition_identities.identities import _class_tables
+    from partition_identities.identities import _class_table, _length_table
 
     for n in range(19, 27):
         classes = [[0] * (n + 1) for _ in range(n)]
@@ -199,13 +199,12 @@ def test_class_tables_match_a_recount_past_n_18():
             for i, m in counts.items():
                 classes[len(mu) - 1][i] += class_size * m
                 lengths[len(mu) - 1][i] += multinomial * m
-        assert _class_tables(n) == (
-            tuple(map(tuple, classes)), tuple(map(tuple, lengths))
-        ), f"n={n}"
+        assert _class_table(n) == tuple(map(tuple, classes)), f"n={n}"
+        assert _length_table(n) == tuple(map(tuple, lengths)), f"n={n}"
 
 
 def test_moment_tables_match_bruteforce_oracle():
-    from partition_identities.identities import _class_tables, _covering_table
+    from partition_identities.identities import _class_table, _covering_table, _length_table
 
     for n in range(1, 19):
 
@@ -218,7 +217,7 @@ def test_moment_tables_match_bruteforce_oracle():
                 denom *= factorial(m)
             return factorial(len(mu)) // denom
 
-        classes, lengths = _class_tables(n)
+        classes, lengths = _class_table(n), _length_table(n)
         assert len(classes) == len(lengths) == n
         for length in range(1, n + 1):
             assert list(classes[length - 1]) == oracles.moments(n, length, class_size)
@@ -248,9 +247,9 @@ def test_moment_tables_match_bruteforce_oracle():
 
 
 def test_each_moment_table_is_built_once(monkeypatch):
-    # every r, s and form of one n reads one table: the CONJ1 table is built
-    # once and visits no partition; the class tables walk the partitions of
-    # n once, and each mu enters them once
+    # every r, s and form of one n reads one table: the CONJ1 table and the
+    # class table are built once and visit no partition; the length table
+    # walks the partitions of n once, and each mu enters it once
     from partition_identities import genbinom, identities, partitions
 
     _clear_moment_caches()
@@ -267,35 +266,44 @@ def test_each_moment_table_is_built_once(monkeypatch):
 
         real_partitions_of(n, counted_leaf)
 
-    def refuse_row_coeffs(*args):
-        raise AssertionError("the CONJ1 table called _row_coeffs")
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"a table called {name}")
 
-    assert not hasattr(identities, "_row_coeffs")
+        return refused
+
+    assert not hasattr(identities, "_row_coeffs") and not hasattr(identities, "gen_binom")
     monkeypatch.setattr(partitions, "_partitions_of", counted_partitions_of)
-    monkeypatch.setattr(genbinom, "_row_coeffs", refuse_row_coeffs)
-    n = 9
-    for r in range(1, n + 1):
-        for s in range(1, 5):
-            for form in Form:
-                conj1_sides(n, r, s, form)
-    assert walks == Counter() and rows == []
-    assert identities._covering_table.cache_info().misses == 1
-    assert identities._covering_table.cache_info().currsize == 1
+    for name in ("_row_coeffs", "gen_binom"):
+        monkeypatch.setattr(genbinom, name, refuse(name))
 
-    _clear_moment_caches()
-    walks.clear()
-    rows.clear()
-    n = 12
-    for iid in (IdentityId.CLASSICAL, IdentityId.CONJ2, IdentityId.CONJ3, IdentityId.CONJ4):
-        spec = IDENTITIES[iid]
-        for r in range(1, n + 2) if "r" in spec.params else [None]:
-            for s in range(spec.s_min, 6) if "s" in spec.params else [None]:
-                for form in list(Form) if "form" in spec.params else [None]:
-                    case_sides(IdentityCase(iid, n, r, s, form))
-    # one walk, for the class tables; the CONJ1 table is never built
-    assert sorted(rows) == sorted(oracles.partitions(n))
-    assert walks == Counter({n: 1})
-    assert identities._covering_table.cache_info().currsize == 0
+    def built(iids, n):
+        # every case of these identities at n, over every r, s and form
+        _clear_moment_caches()
+        walks.clear()
+        rows.clear()
+        for iid in iids:
+            spec = IDENTITIES[iid]
+            for r in range(1, n + 2) if "r" in spec.params else [None]:
+                for s in range(spec.s_min, 6) if "s" in spec.params else [None]:
+                    for form in list(Form) if "form" in spec.params else [None]:
+                        case_sides(IdentityCase(iid, n, r, s, form))
+        return tuple(
+            getattr(identities, table).cache_info().misses
+            for table in ("_covering_table", "_class_table", "_length_table")
+        )
+
+    # the CONJ1 table alone, and no walk
+    assert built([IdentityId.CONJ1], 9) == (1, 0, 0)
+    assert walks == Counter() and rows == []
+    # the class table alone, from the exponential formula: no walk, and
+    # neither the CONJ1 table nor gen_binom
+    assert built([IdentityId.CLASSICAL, IdentityId.CONJ2], 12) == (0, 1, 0)
+    assert walks == Counter() and rows == []
+    # one walk, for the length table
+    assert built([IdentityId.CONJ3, IdentityId.CONJ4], 12) == (0, 0, 1)
+    assert sorted(rows) == sorted(oracles.partitions(12))
+    assert walks == Counter({12: 1})
 
 
 def test_packed_covering_table_matches_unpacked_oracle():
@@ -314,10 +322,20 @@ def test_covering_table_matches_the_partition_walk():
         assert _covering_table(n) == oracles.walked_covering_table(n), f"n={n}"
 
 
+def test_class_table_matches_the_partition_walk():
+    # the same recurrence at g = 1 against the class sizes summed over the
+    # partitions, z_mu recounted from each mu's blocks
+    from partition_identities.identities import _class_table
+
+    for n in range(1, 41):
+        assert _class_table(n) == oracles.walked_class_table(n), f"n={n}"
+
+
 def test_corrupted_recurrence_fails_the_partition_walk(monkeypatch):
     # a twin whose [m-1]_{k-1} is wrong at one argument, [5]_2, which
-    # e[6] reads, must give a table unlike the walk's at every n >= 7: the
-    # entries with i = n - 6 read e[6]
+    # e[6] reads, must give both recurrence tables unlike their walks at
+    # every n >= 7: the entries with i = n - 6 read e[6].  At n = 5 the
+    # marked cycle reads [5]_2 / 2, which the wrong value leaves as it was
     from partition_identities import identities
 
     real_perm = identities.perm
@@ -325,16 +343,18 @@ def test_corrupted_recurrence_fails_the_partition_walk(monkeypatch):
     def perm(a, b):
         return real_perm(a, b) + ((a, b) == (5, 2))
 
-    identities._covering_table.cache_clear()
+    walks = {
+        identities._covering_table: oracles.walked_covering_table,
+        identities._class_table: oracles.walked_class_table,
+    }
+    _clear_moment_caches()
     monkeypatch.setattr(identities, "perm", perm)
     try:
-        differ = [
-            n for n in range(1, 13)
-            if identities._covering_table(n) != oracles.walked_covering_table(n)
-        ]
+        for table, walk in walks.items():
+            differ = [n for n in range(1, 13) if table(n) != walk(n)]
+            assert differ == list(range(7, 13)), table.__name__
     finally:
-        identities._covering_table.cache_clear()
-    assert differ == list(range(7, 13))
+        _clear_moment_caches()
 
 
 def test_packed_slots_are_wide_enough():
@@ -349,27 +369,21 @@ def test_packed_slots_are_wide_enough():
     assert 1 << (_slot_bits(60) - 1) <= factorial(60) * 60 * 2**60 < 1 << _slot_bits(60)
 
 
-def test_packed_class_sums_are_wide_enough():
-    from partition_identities.identities import _class_tables, _length_bits
-    from partition_identities.partitions import MAX_N
+def test_length_table_largest_entry_is_a_composition_count():
+    from partition_identities.identities import _length_table
 
-    for n in range(1, MAX_N + 1):
-        width = _length_bits(n)
-        # the stated bound on every W entry and partial sum
-        assert n << (n - 1) < 1 << width
+    for n in range(1, 31):
         # the largest entry, from the composition count: W_1[n] = 1 and
         # W_l[i] = l binom(n-i-1, l-2) for l >= 2
         largest = max(
             [1] + [l * comb(n - i - 1, l - 2) for l in range(2, n + 1) for i in range(1, n)]
         )
-        assert largest < 1 << width, f"n={n}"
-        if n <= 20:
-            assert max(max(v) for v in _class_tables(n)[1]) == largest, f"n={n}"
+        assert max(max(v) for v in _length_table(n)) == largest, f"n={n}"
 
 
 def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
-    # the class tables walk the partitions; the CONJ1 table, from the
-    # exponential formula, never does
+    # the length table walks the partitions; the CONJ1 and class tables,
+    # from the exponential formula, never do
     from partition_identities import identities, partitions
 
     def refuse(n, *_):
@@ -378,12 +392,16 @@ def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
     _clear_moment_caches()
     monkeypatch.setattr(partitions, "_partitions_of", refuse)
     with pytest.raises(AssertionError, match="partitions of 7"):
-        identities._class_tables(7)
+        identities._length_table(7)
     assert identities._covering_table(7) == oracles.covering_table(7)
+    assert identities._class_table(7) == tuple(
+        tuple(oracles.moments(7, l, lambda mu: factorial(7) // oracles.z_value(mu)))
+        for l in range(1, 8)
+    )
     monkeypatch.undo()
-    # the p(n) limit applies to both tables, before either allocates its
+    # the p(n) limit applies to every table, before it allocates its
     # O(n^2) vectors or packed polynomials
-    for table in (identities._class_tables, identities._covering_table):
+    for table in (identities._class_table, identities._length_table, identities._covering_table):
         with pytest.raises(ValueError, match="partitions"):
             table(61)
         tracemalloc.start()
@@ -838,7 +856,8 @@ def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
         "_conj1_bracket",
         "_rising_row",
         "_length_totals",
-        "_class_tables",
+        "_class_table",
+        "_length_table",
         "_covering_table",
     )
     for name in memos:

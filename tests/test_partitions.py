@@ -8,7 +8,7 @@ from math import factorial, prod
 import pytest
 
 import partition_identities
-from partition_identities import partitions
+from partition_identities import identities, partitions
 from partition_identities.identities import S_AXIS
 from partition_identities.partitions import (
     MAX_N,
@@ -19,7 +19,7 @@ from partition_identities.partitions import (
 )
 
 import oracles
-from oracles import partition_count, z_value
+from oracles import partition_count
 
 
 def test_enumerate_basic_counts():
@@ -178,12 +178,12 @@ def test_negative_lengths_rejected():
 
 
 def _walk(n):
-    """What the walk hands each leaf, as (parts, length, z, prod m_i!)."""
+    """What the walk hands each leaf, as (parts, length, prod m_i!)."""
     leaves = []
 
-    def record(blocks, length, z, mult_factorial):
+    def record(blocks, length, mult_factorial):
         parts = tuple(i for i, m in blocks for _ in range(m))
-        leaves.append((parts, length, z, mult_factorial))
+        leaves.append((parts, length, mult_factorial))
 
     partitions._partitions_of(n, record)
     return leaves
@@ -196,12 +196,13 @@ def test_walk_matches_oracles():
         leaves = _walk(n)
         assert [parts for parts, *_ in leaves] == list(oracles.partitions(n))
         assert len(leaves) == partition_count(n)
-        for parts, length, z, mult_factorial in leaves:
+        for parts, length, mult_factorial in leaves:
             assert length == len(parts)
-            assert z == z_value(parts)
             assert mult_factorial == prod(factorial(m) for m in Counter(parts).values())
-    # the class sizes of S_n add up to n!
-    assert sum(factorial(10) // z for _, _, z, _ in _walk(10)) == factorial(10)
+    # the class sizes of S_n, which the class table holds m_i(mu) times per
+    # part i, add up to n!: sum_i m_i(mu) = l(mu)
+    class_table = identities._class_table(10)
+    assert sum(sum(v) // l for l, v in enumerate(class_table, start=1)) == factorial(10)
 
 
 def test_every_memo_is_bounded():
@@ -211,11 +212,11 @@ def test_every_memo_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 memos[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert {"identities._class_tables", "identities._covering_table"} <= set(memos)
+    tables = ("identities._class_table", "identities._length_table", "identities._covering_table")
+    assert set(tables) <= set(memos)
     assert all(size is not None for size in memos.values()), memos
     # one slot for every n the tables accept
-    assert memos["identities._class_tables"] == MAX_N + 1
-    assert memos["identities._covering_table"] == MAX_N + 1
+    assert [memos[table] for table in tables] == [MAX_N + 1] * 3
     # the memos kept per s hold an s axis of S_AXIS values: a row, two
     # factorials, and two products plus the chain of P(0, .) per s
     assert memos["identities._rising_row"] == S_AXIS
