@@ -8,6 +8,7 @@ import os
 import signal
 import sys
 import time
+from json.encoder import encode_basestring
 from typing import Callable, Optional, Sequence, TextIO, Tuple
 
 from .genbinom import gen_binom
@@ -40,14 +41,15 @@ def _parse_range(text: str) -> Tuple[int, int]:
 
 def _cmd_partitions(args) -> int:
     # each partition is written as the walk reaches it, so memory does not
-    # grow with p(n); the JSON bytes are those of json.dumps(list)
+    # grow with p(n); the JSON bytes are those of json.dumps(list), whose
+    # strings are quoted by encode_basestring when ensure_ascii is off
     as_json = args.format == "json"
     total = 0
 
     def write(p: Partition) -> None:
         nonlocal total
         if as_json:
-            sys.stdout.write(("[" if total == 0 else ", ") + json.dumps(str(p), ensure_ascii=False))
+            sys.stdout.write(("[" if total == 0 else ", ") + encode_basestring(str(p)))
         else:
             sys.stdout.write(f"{p}\n")
         total += 1

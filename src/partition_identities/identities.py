@@ -209,15 +209,17 @@ class IdentityCase(Value):
         return r == 1 and IDENTITIES[identity_id].skip_r1
 
     def __str__(self) -> str:
+        # ``_value_`` is a plain attribute; ``.value`` is a Python-level
+        # property, and every report row writes this text
         identity_id, n, r, s, form = self._values
-        fields = [f"n={n}"]
+        text = f"{identity_id._value_}(n={n}"
         if r is not None:
-            fields.append(f"r={r}")
+            text += f",r={r}"
         if s is not None:
-            fields.append(f"s={s}")
+            text += f",s={s}"
         if form is not None:
-            fields.append(f"form={form.value}")
-        return f"{identity_id.value}({','.join(fields)})"
+            text += f",form={form._value_}"
+        return text + ")"
 
     _CASE_RE = re.compile(r"^\s*([A-Z_0-9]+)\s*\(([^)]*)\)\s*$")
 

@@ -17,7 +17,7 @@ killed and the error raised by the sweep.  Where there is no fork, a
 sweep runs in-process.
 
 A report writes itself to a text sink, a file or stdout, in any of its
-three formats; its JSON is encoded a batch of rows at a time, so the
+three formats; its JSON is formatted and written one row at a time, so the
 whole text is never held at once.
 """
 from __future__ import annotations
@@ -28,6 +28,7 @@ import marshal
 import os
 import time
 from itertools import product
+from json.encoder import encode_basestring
 from math import prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
@@ -46,15 +47,6 @@ STATUS_COUNTEREXAMPLE = "COUNTEREXAMPLE"
 STATUS_SKIPPED = "SKIPPED"
 
 SerializedSide = Union[str, List[str]]
-
-#: rows a report's JSON encodes per call: one call per row ran grid-all's
-#: writer about 1.7 times slower, and 256 a call matches one call for all
-_JSON_BATCH = 256
-#: side characters that end a batch early: a big-s side is about 50 000
-#: characters, and encoding holds about two copies of a batch's text
-_JSON_BATCH_CHARS = 1 << 18
-#: no indent, so the C encoder runs
-_JSON = json.JSONEncoder(ensure_ascii=False)
 
 #: the most cases one sweep may expand, the same one-million policy as
 #: ``partitions.MAX_PARTITIONS``
@@ -200,8 +192,8 @@ class Report(NamedTuple):
     def to_json(self, sink: Optional[TextIO] = None) -> Optional[str]:
         """Write ``json.dumps(self.to_dict(), ensure_ascii=False)`` to ``sink``.
 
-        The results are encoded a batch of rows at a time (see
-        ``_json_batches``), so only one batch's text is held at once, not
+        Each result is formatted from its fields as one row of text and
+        written on its own, so only one row's text is held at once, not
         the whole report's.  With no sink the text is returned: the
         benchmark's self-test reads a report so.
         """
@@ -209,15 +201,23 @@ class Report(NamedTuple):
             buf = io.StringIO()
             self.to_json(buf)
             return buf.getvalue()
-        encode = _JSON.encode
-        sink.write('{"config": ' + encode(self.config.to_dict()) + ', "results": [')
+        write = sink.write
+        config = json.dumps(self.config.to_dict(), ensure_ascii=False)
+        write('{"config": ' + config + ', "results": [')
         sep = ""
-        for batch in _json_batches(self.results):
-            sink.write(sep)
-            sink.write(encode(batch)[1:-1])
+        # a status needs no escape, and an elapsed time is a finite float,
+        # whose JSON text is its repr; equal sides share one text
+        for case, status, lhs, rhs, elapsed_ms in self.results:
+            lhs_text = _json_side(lhs)
+            write(
+                f'{sep}{{"case": {encode_basestring(str(case))}, "status": "{status}", '
+                f'"lhs": {lhs_text}, "rhs": {lhs_text if rhs == lhs else _json_side(rhs)}, '
+                f'"elapsed_ms": {elapsed_ms!r}}}'
+            )
             sep = ", "
-        sink.write(
-            '], "summary": ' + encode(self.summary) + ', "total_ms": ' + encode(self.total_ms) + "}"
+        write(
+            '], "summary": ' + json.dumps(self.summary) + ', "total_ms": '
+            + json.dumps(self.total_ms) + "}"
         )
         return None
 
@@ -255,22 +255,12 @@ class Report(NamedTuple):
         return data
 
 
-def _side_chars(side: SerializedSide) -> int:
-    return len(side) if isinstance(side, str) else sum(map(len, side))
-
-
-def _json_batches(results: Sequence[CaseResult]):
-    """The results' dicts in runs of at most ``_JSON_BATCH`` rows, each cut
-    short once its sides reach ``_JSON_BATCH_CHARS`` characters."""
-    batch, chars = [], 0
-    for res in results:
-        batch.append(res.to_dict())
-        chars += _side_chars(res.lhs) + _side_chars(res.rhs)
-        if len(batch) == _JSON_BATCH or chars >= _JSON_BATCH_CHARS:
-            yield batch
-            batch, chars = [], 0
-    if batch:
-        yield batch
+def _json_side(side: SerializedSide) -> str:
+    """A side's JSON text; its texts need no escape, as ``serialize_side``
+    writes only digits, "-" and "/"."""
+    if type(side) is str:
+        return f'"{side}"'
+    return '["' + '", "'.join(side) + '"]' if side else "[]"
 
 
 def _csv_side(side: SerializedSide) -> str:

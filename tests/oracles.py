@@ -343,3 +343,17 @@ def render(p) -> str:
         else:
             pieces.append(("+ " if c > 0 else "- ") + body)
     return " ".join(pieces) if pieces else "0"
+
+
+def case_text(case) -> str:
+    """A case's text as ``str(IdentityCase)`` writes it, e.g.
+    "CONJ1(n=5,r=3,s=2,form=SIGNED)": the id, then each field the case has,
+    built from the public fields and the enums' ``.value``."""
+    fields = [f"n={case.n}"]
+    if case.r is not None:
+        fields.append(f"r={case.r}")
+    if case.s is not None:
+        fields.append(f"s={case.s}")
+    if case.form is not None:
+        fields.append(f"form={case.form.value}")
+    return f"{case.identity_id.value}({','.join(fields)})"

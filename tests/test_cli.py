@@ -219,13 +219,12 @@ def _human_text(report):
 
 
 def test_sweep_writes_each_format_whole(capsys, monkeypatch, tmp_path):
-    # one report, so its timing fields agree between runs; it spans several
-    # JSON batches
+    # one report, so its timing fields agree between runs, of over 512 rows
     report = verifier.run_sweep(verifier.SweepConfig(
         identity_ids=(IdentityId.CONJ1, IdentityId.CONJ3, IdentityId.CONJ4),
         n_range=(1, 6), r_range=(1, 6), s_range=(1, 4),
     ))
-    assert len(report.results) > 2 * verifier._JSON_BATCH
+    assert len(report.results) > 512
     monkeypatch.setattr(cli, "run_sweep", lambda config: report)
     args = ["sweep", "--ids", "CONJ1", "--n", "1"]
     out_file = tmp_path / "report.json"
@@ -503,7 +502,7 @@ def test_closed_stdout_exits_2_without_traceback():
 
 
 def test_sweep_to_closed_stdout_exits_2_without_traceback():
-    # a report of many batches and far more than a pipe holds, whose reader
+    # a report of many rows and far more than a pipe holds, whose reader
     # leaves after the first bytes
     child = subprocess.Popen(
         [sys.executable, "-m", "partition_identities.cli", "sweep", "--ids", "HOCKEY_STICK",

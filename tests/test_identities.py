@@ -1081,6 +1081,17 @@ def test_case_text_round_trip():
         IdentityCase.parse("CONJ3(n=3,x=1)")
 
 
+def test_case_text_matches_the_field_by_field_oracle():
+    # every case of the benchmark's grid-all grid: all nine ids, each with
+    # the fields it takes, both forms where it has them
+    cases = expand_cases(SweepConfig(
+        identity_ids=tuple(IdentityId), n_range=(1, 10), r_range=(1, 10), s_range=(1, 8)
+    ))
+    assert len(cases) == 5160
+    for case in cases:
+        assert str(case) == oracles.case_text(case), repr(case)
+
+
 def test_case_sides_dispatch():
     # every id reaches its own builder with its own fields, in order
     cases = [

@@ -3,6 +3,7 @@ import json
 import marshal
 import multiprocessing
 import os
+import re
 import select
 import time
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_identities import verifier
-from partition_identities.identities import Form, IdentityCase, IdentityId
+from partition_identities.identities import Form, IdentityCase, IdentityId, case_sides
 from partition_identities.polynomials import Polynomial, Ratio
 from partition_identities.verifier import (
     STATUS_COUNTEREXAMPLE,
@@ -599,33 +600,72 @@ def test_report_json_is_one_line_of_the_report_dict():
     assert json.loads(text) == report.to_dict()
 
 
+class _Writes:
+    """A text sink that keeps each text written to it, one item a call."""
+
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+
+
 def test_streamed_json_equals_one_dumps_of_the_report_dict():
-    # the results are written in batches of _JSON_BATCH rows; the joins
-    # between batches, and around none or one, must leave json.dumps' bytes
+    # the writer formats each row itself; the joins between rows, and
+    # around none or one, must leave json.dumps' bytes
     sweep = run_sweep(
         SweepConfig(
             identity_ids=tuple(IdentityId), n_range=(1, 6), r_range=(1, 6), s_range=(0, 3)
         )
     )
-    batch = verifier._JSON_BATCH
-    assert len(sweep.results) > 3 * batch
+    assert len(sweep.results) > 773
     rows = sweep.results
     reports = [sweep] + [
         Report(sweep.config, [rows[i % len(rows)] for i in range(count)], total_ms)
         for count, total_ms in (
-            (0, 0.0), (1, 1e-7), (batch, 12.5), (batch + 1, 3.0), (3 * batch + 5, 1e21)
+            (0, 0.0), (1, 1e-7), (256, 12.5), (257, 3.0), (773, 1e21)
         )
     ]
-    # a big-s side ends a batch after a few rows
+    # rows with big-s sides, one row a write: a write holds one row's text
     big = "9" * 70_000
     case = IdentityCase.parse("CONJ3(n=2,r=1,s=9999)")
     big_rows = [CaseResult(case, STATUS_VERIFIED, big, big, 0.5)] * 5
-    assert [len(b) for b in verifier._json_batches(big_rows)] == [2, 2, 1]
+    sink = _Writes()
+    Report(sweep.config, big_rows, 2.0).to_json(sink)
+    assert len(sink.texts) == 2 + len(big_rows)
+    assert all(2 * len(big) < len(text) < 2 * len(big) + 200 for text in sink.texts[1:-1])
     reports.append(Report(sweep.config, big_rows, 2.0))
     for report in reports:
         text = _json_text(report)
         assert text == json.dumps(report.to_dict(), ensure_ascii=False), len(report.results)
         assert report.to_json() == text  # no sink: the same text, returned
+
+
+_SIDE_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def test_side_texts_need_no_json_escape():
+    # the JSON writer quotes side texts as they are, which is json.dumps'
+    # text only while serialize_side writes nothing but numerals, "-", "/"
+    cases = expand_cases(
+        SweepConfig(
+            identity_ids=tuple(IdentityId), n_range=(1, 6), r_range=(1, 6), s_range=(0, 3)
+        )
+    )
+    cases += [
+        IdentityCase.parse("CONJ1(n=4,r=3,s=10000,form=SIGNED)"),  # big s
+        IdentityCase.parse("CONJ2(n=2,s=2,form=SIGNED)"),  # ["-3", "2"]
+    ]
+    values = [value for case in cases for pair in case_sides(case) for value in pair]
+    values += [Ratio(-(10**50), 3), Polynomial([-7, 0, 5, -(10**40)], 6)]
+    texts = []
+    for value in values:
+        side = serialize_side(value)
+        texts += [side] if isinstance(side, str) else side
+    for text in texts:
+        assert _SIDE_TEXT.fullmatch(text), text
+    assert any(t.startswith("-") and "/" in t for t in texts)
+    assert max(map(len, texts)) > 35_000
 
 
 class _CharCount:
