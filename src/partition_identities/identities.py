@@ -32,13 +32,19 @@ of binom(X+j-1, j) in the UNSIGNED left-hand side, which turns that side
 into the conjectured right-hand side term by term (Graham, Knuth and
 Patashnik, Concrete Mathematics, (5.21) and (5.26)).  ``_length_table(n)``
 holds the vectors W of CONJ3 and CONJ4, weighted by the multinomial
-l!/prod m_i!, one int per entry.  It is filled in one walk over the
-partitions of n, which stores no partition: ``partitions._partitions_of``
-hands over each mu with prod m_i! and l(mu) built up one multiplicity
-block at a time, so no mu's parts are recounted, and a leaf adds one term
-per distinct part.  W is a rearranged sum over the partitions, never its
-closed form, the composition count l binom(n-i-1, l-2), which is the CONJ4
-right-hand side.  A case with a single (n, r) still pays for the whole n.
+l!/prod m_i!, one int per entry.  It is summed in one walk over the
+partitions of n, ``partitions._multinomial_sums``, which stores no
+partition: it carries each mu's multiplicities packed in one int,
+sum_i m_i 2^(i w), with prod m_i! and l(mu), built up one multiplicity
+block at a time, so no mu's parts are recounted, and a leaf adds its
+multinomial times its packed vector to the sum of its length.  The sums
+are unpacked once.  The slot width w is ``_length_bits(n)``, from the bound
+n 2^(n-1) on an entry; every term is nonnegative, so no partial sum
+carries.  W stays a sum over the partitions, each one leaf, and is never
+built by a recurrence: summed over compositions instead, it is the closed
+form l binom(n-i-1, l-2), the CONJ4 right-hand side, which CONJ4 would
+then check against itself.  A case with a single (n, r) still pays for the
+whole n.
 Every table refuses n > ``partitions.MAX_N`` before it allocates, and each
 memo has room for every n it accepts.
 Each LHS key then takes one dot product per length with its row of
@@ -316,24 +322,33 @@ def _class_table(n: int) -> Moments:
 def _length_table(n: int) -> Moments:
     """W_l for l = 1..n: sums over mu |- n with l(mu) = l of (l!/prod_j m_j!) m_i(mu).
 
-    The moments of CONJ3 and CONJ4, filled in one walk over the partitions
-    of n, never from the closed form l binom(n-i-1, l-2) of the composition
-    count, which is the CONJ4 right-hand side.  A leaf divides once for its
-    multinomial and adds one multiple of it per distinct part.
+    The moments of CONJ3 and CONJ4, summed over the partitions of n, each
+    one leaf of ``partitions._multinomial_sums``, which adds its
+    multinomial times its multiplicities packed in one int, slot i holding
+    m_i, at the width ``_length_bits(n)``.  The sums are unpacked once, at
+    the end.  W is not built from a recurrence: summed over compositions it
+    would be the closed form l binom(n-i-1, l-2), which is the CONJ4
+    right-hand side, so CONJ4 would check a formula against itself.
     """
-    partitions.check_enumerable(n)  # before the O(n^2) vectors are allocated
-    length_fact = [factorial(l) for l in range(n + 1)]
-    # sums[l][i], for l = 1..n; no partition of n > 0 has length 0
-    sums = [[0] * (n + 1) for _ in range(n + 1)]
+    partitions.check_enumerable(n)  # before n 2^(n-1) is formed or the walk allocates
+    width = _length_bits(n)
+    mask = (1 << width) - 1
+    return tuple(
+        tuple(packed >> i * width & mask for i in range(n + 1))
+        for packed in partitions._multinomial_sums(n, width)[1:]
+    )
 
-    def add(blocks: List[Tuple[int, int]], length: int, mult_factorial: int) -> None:
-        multinomial = length_fact[length] // mult_factorial
-        vector = sums[length]
-        for i, m in blocks:
-            vector[i] += multinomial * m
 
-    partitions._partitions_of(n, add)
-    return tuple(map(tuple, sums[1:]))
+def _length_bits(n: int) -> int:
+    """Bits per entry of the packed length table at n.
+
+    An entry sum over l(mu) = l of (l!/prod_j m_j!) m_i(mu) is at most
+    n 2^(n-1): the multinomials of the partitions of length l count the
+    compositions of n into l parts, at most 2^(n-1) of them, one per set of
+    cuts between n points, and m_i <= n.  Every term is nonnegative, so no
+    partial sum exceeds its entry, and no slot carries into the next.
+    """
+    return (n << n >> 1).bit_length()
 
 
 def _slot_bits(n: int) -> int:

@@ -1,19 +1,22 @@
 """Integer partitions with length constraints and their statistics.
 
-``_partitions_of(n, leaf)`` walks the partitions of n in decreasing
-lexicographic order and keeps none of them.  It goes depth first over
-multiplicity blocks (part i, multiplicity m), so each tree edge extends
-prod m_i! and l(mu) by one block, and a leaf gets them without recounting
-its parts (Knuth, TAOCP 4A, 7.2.1.4, generates partitions in this
-multiplicity form).  An edge reads its factor of prod m_i! from a list
-built once per n, and the twos and ones that end each partition come from
-tails precomputed per remaining sum, in a loop rather than a recursive
-call.  It refuses n > ``MAX_N`` before its first leaf.  ``MAX_N`` is
-derived once, at import, from Euler's pentagonal-number recurrence for
-p(n), so the refusal is one comparison.
-``identities._length_table`` and ``for_each_partition`` are its only
-callers: the CONJ1 table and the class-size table come from a recurrence
-and visit no partition, so the walk carries no z_mu.
+Two walks visit the partitions of n in Knuth's multiplicity form (TAOCP 4A,
+7.2.1.4): depth first over multiplicity blocks (part i, multiplicity m), so
+each tree edge extends what a leaf needs by one block, and a leaf gets it
+without recounting its parts.  The small parts that end each partition come
+from tails precomputed per remaining sum, in a loop rather than a recursive
+call.  Both keep no partition, and both refuse n > ``MAX_N`` before their
+first leaf.  ``MAX_N`` is derived once, at import, from Euler's
+pentagonal-number recurrence for p(n), so the refusal is one comparison.
+``_partitions_of(n, leaf)`` hands each partition's blocks and length to
+``leaf`` in decreasing lexicographic order; it serves the listing,
+``for_each_partition``, and the tests' oracles.
+``_multinomial_sums(n, width)`` serves ``identities._length_table``, the
+CONJ3 and CONJ4 moments: it carries each partition's multiplicities packed
+in one int, and adds them, weighted by l!/prod m_i!, with no leaf callback.
+The two are kept apart, as one walk would have to branch on which caller it
+serves.  The CONJ1 table and the class-size table come from a recurrence
+and visit no partition.
 ``Partition``, whose ``z_value`` and ``multiplicities`` recount a
 partition's parts, ``for_each_partition``, which hands each partition on
 as the walk reaches it, and ``enumerate_partitions``, which lists them,
@@ -139,12 +142,8 @@ def check_enumerable(n: int) -> None:
         )
 
 
-#: ``leaf(blocks, length, mult_factorial)``, called once per partition
-Leaf = Callable[[List[Tuple[int, int]], int, int], None]
-
-
-def _partitions_of(n: int, leaf: Leaf) -> None:
-    """Call ``leaf`` once for each partition of n, in decreasing lexicographic order.
+def _partitions_of(n: int, leaf: Callable[[List[Tuple[int, int]], int], None]) -> None:
+    """Call ``leaf(blocks, length)`` once per partition of n, in decreasing lex order.
 
     Refuses n > MAX_N before the first call.  The walk is depth first over
     multiplicity blocks (i, m), i decreasing along a path and m decreasing
@@ -152,23 +151,16 @@ def _partitions_of(n: int, leaf: Leaf) -> None:
     common with the one before.  ``blocks`` is the partition's (i, m) list,
     largest part first; it is the walk's own list, or a copy of it with a
     tail added, and may change once ``leaf`` returns.  Each tree edge (i, m)
-    multiplies ``mult_factorial`` = prod m! by m!, read from a list built
-    once per call, and adds m to ``length``.  A recursive call places the
-    parts above 2.  The twos and ones that end a path are placed by a loop
-    over tails precomputed per sum, each adding its blocks, length and
-    factor of prod m! at once.
+    adds m to ``length``.  A recursive call places the parts above 2.  The
+    twos and ones that end a path are placed by a loop over tails
+    precomputed per sum, each adding its blocks and length at once.
     """
     check_enumerable(n)
-    mult_fact = [factorial(m) for m in range(n + 1)]
     # tails[rest]: each tail of m >= 1 twos and rest - 2m ones, m decreasing,
-    # as (its blocks, its length, its factor of prod m!)
+    # as (its blocks, its length)
     tails = [
         [
-            (
-                [(2, m), (1, rest - 2 * m)] if rest > 2 * m else [(2, m)],
-                rest - m,
-                mult_fact[m] * mult_fact[rest - 2 * m],
-            )
+            ([(2, m), (1, rest - 2 * m)] if rest > 2 * m else [(2, m)], rest - m)
             for m in range(rest // 2, 0, -1)
         ]
         for rest in range(n + 1)
@@ -176,27 +168,69 @@ def _partitions_of(n: int, leaf: Leaf) -> None:
     blocks: List[Tuple[int, int]] = []
     push, pop = blocks.append, blocks.pop
 
-    def grow(rest: int, top: int, length: int, mult_factorial: int) -> None:
+    def grow(rest: int, top: int, length: int) -> None:
         # the parts still to place add up to rest > 0, and none is above top
         for i in range(min(rest, top), 2, -1):
             for m in range(rest // i, 0, -1):
                 push((i, m))
                 left = rest - i * m
                 if left:
-                    grow(left, i - 1, length + m, mult_factorial * mult_fact[m])
+                    grow(left, i - 1, length + m)
                 else:
-                    leaf(blocks, length + m, mult_factorial * mult_fact[m])
+                    leaf(blocks, length + m)
                 pop()
-        for tail, tail_length, tail_mf in tails[rest]:
-            leaf(blocks + tail, length + tail_length, mult_factorial * tail_mf)
+        for tail, tail_length in tails[rest]:
+            leaf(blocks + tail, length + tail_length)
         push((1, rest))
-        leaf(blocks, length + rest, mult_factorial * mult_fact[rest])
+        leaf(blocks, length + rest)
         pop()
 
     if n == 0:
-        leaf(blocks, 0, 1)
+        leaf(blocks, 0)
     else:
-        grow(n, n, 0, 1)
+        grow(n, n, 0)
+
+
+def _multinomial_sums(n: int, width: int) -> List[int]:
+    """[l] = sum over mu |- n, l(mu) = l of (l!/prod_i m_i!) sum_i m_i(mu) 2^(i width).
+
+    Each partition of n is one leaf.  Along a path the walk keeps the
+    multiplicities packed in one int, sum_i m_i 2^(i width), and prod m_i!,
+    each extended by one block per tree edge, so a leaf costs one floor
+    division for its multinomial, one multiplication by its packed vector
+    and one add.  A recursive call places the parts above 3.  The ones,
+    twos and threes that end a path come from tails precomputed per
+    remaining sum, each with its length, its prod m_i! and its packed
+    multiplicities, added in a loop.  The caller picks ``width`` so that no
+    slot carries into the next.  Refuses n > MAX_N before it walks.
+    """
+    check_enumerable(n)
+    fact = [factorial(m) for m in range(n + 1)]
+    # tails[rest]: each partition of rest into a ones, b twos and c threes,
+    # as (its length, its prod m!, its packed multiplicities); the ones are
+    # added last, to the sum, length, prod m! and packed value of the rest
+    tails: List[List[Tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    for c in range(n // 3 + 1):
+        for b in range((n - 3 * c) // 2 + 1):
+            base, length = 2 * b + 3 * c, b + c
+            denom, packed = fact[b] * fact[c], (b << 2 * width) + (c << 3 * width)
+            for a in range(n - base + 1):
+                tails[base + a].append((length + a, fact[a] * denom, packed + (a << width)))
+    sums = [0] * (n + 1)
+
+    def grow(rest: int, top: int, length: int, denom: int, packed: int) -> None:
+        # the parts still to place add up to rest, and none is above top;
+        # denom is the path's prod m_i!.  At rest = 0 the one tail is the
+        # empty one, so the path is a leaf
+        for i in range(min(rest, top), 3, -1):
+            for m in range(rest // i, 0, -1):
+                grow(rest - i * m, i - 1, length + m, denom * fact[m], packed + (m << i * width))
+        for tail_length, tail_mf, tail_packed in tails[rest]:
+            l = length + tail_length
+            sums[l] += fact[l] // (denom * tail_mf) * (packed + tail_packed)
+
+    grow(n, n, 0, 1, 0)
+    return sums
 
 
 def for_each_partition(
@@ -218,7 +252,7 @@ def for_each_partition(
     # no partition of n has more than n parts
     max_len = n if max_len is None else max_len
 
-    def keep(blocks: List[Tuple[int, int]], length: int, _: int) -> None:
+    def keep(blocks: List[Tuple[int, int]], length: int) -> None:
         if min_len <= length <= max_len:
             visit(Partition([i for i, m in blocks for _ in range(m)]))
 

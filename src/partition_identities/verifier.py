@@ -27,9 +27,11 @@ import json
 import marshal
 import os
 import time
+from collections import Counter
 from itertools import product
 from json.encoder import encode_basestring
 from math import prod
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 from .identities import IDENTITIES, MAX_S, Form, IdentityCase, IdentityId, SidePair, case_sides
@@ -157,22 +159,25 @@ class CaseResult(NamedTuple):
         return cls(case, status, lhs, rhs, elapsed_ms)
 
 
-class Report(NamedTuple):
-    config: SweepConfig
-    results: List[CaseResult]
-    total_ms: float = 0.0
+class Report:
+    """A sweep's config, its results in grid order and its run time.
 
-    @property
-    def summary(self) -> Dict[str, int]:
-        counts = {"verified": 0, "counterexamples": 0, "skipped": 0}
-        for res in self.results:
-            if res.status == STATUS_VERIFIED:
-                counts["verified"] += 1
-            elif res.status == STATUS_COUNTEREXAMPLE:
-                counts["counterexamples"] += 1
-            else:
-                counts["skipped"] += 1
-        return counts
+    ``summary`` counts the results by status once, when the report is made:
+    a writer and ``exit_code`` then read the same counts.
+    """
+
+    __slots__ = ("config", "results", "total_ms", "summary")
+
+    def __init__(self, config: SweepConfig, results: List[CaseResult], total_ms: float = 0.0):
+        self.config = config
+        self.results = results
+        self.total_ms = total_ms
+        counts = Counter(map(attrgetter("status"), results))
+        self.summary: Dict[str, int] = {
+            "verified": counts[STATUS_VERIFIED],
+            "counterexamples": counts[STATUS_COUNTEREXAMPLE],
+            "skipped": counts[STATUS_SKIPPED],
+        }
 
     @property
     def exit_code(self) -> int:

@@ -232,10 +232,43 @@ def walked_class_table(n: int) -> tuple:
     n_fact = factorial(n)
     sums = [[0] * (n + 1) for _ in range(n)]
 
-    def add(blocks, length, _):
+    def add(blocks, length):
         class_size = n_fact // block_z(blocks)
         for i, m in blocks:
             sums[length - 1][i] += class_size * m
+
+    _partitions_of(n, add)
+    return tuple(map(tuple, sums))
+
+
+def multinomial_sums(n: int, width: int) -> list:
+    """[l] = sum over l(mu) = l of (l!/prod m_i!) sum_i m_i(mu) 2^(i width).
+
+    The packed sums of ``partitions._multinomial_sums``, one mu at a time,
+    with each multiplicity and prod m_i! recounted from mu's parts.
+    """
+    sums = [0] * (n + 1)
+    for mu in partitions(n):
+        counts = Counter(mu)
+        multinomial = factorial(len(mu)) // prod(map(factorial, counts.values()))
+        sums[len(mu)] += multinomial * sum(m << i * width for i, m in counts.items())
+    return sums
+
+
+def walked_length_table(n: int) -> tuple:
+    """The multinomial sums [l-1][i] = sum over l(mu) = l of (l!/prod m_j!) m_i(mu).
+
+    Summed over the listing's partition walk, one term per block, with each
+    prod m_j! recounted from the blocks: the moments of
+    ``identities._length_table``, with no packing and no tails of small
+    parts.
+    """
+    sums = [[0] * (n + 1) for _ in range(n)]
+
+    def add(blocks, length):
+        multinomial = factorial(length) // prod(factorial(m) for _, m in blocks)
+        for i, m in blocks:
+            sums[length - 1][i] += multinomial * m
 
     _partitions_of(n, add)
     return tuple(map(tuple, sums))
@@ -257,7 +290,7 @@ def walked_covering_table(n: int) -> tuple:
     factors = [((1 << width) + 1) ** a - 1 for a in range(n + 1)]
     sums = [[0] * (n + 1) for _ in range(n)]
 
-    def add(blocks, length, _):
+    def add(blocks, length):
         weighted = n_fact // block_z(blocks) * prod([factors[i] ** m for i, m in blocks if i > 1])
         part, ones = blocks[-1]
         if part == 1:

@@ -249,22 +249,31 @@ def test_moment_tables_match_bruteforce_oracle():
 def test_each_moment_table_is_built_once(monkeypatch):
     # every r, s and form of one n reads one table: the CONJ1 table and the
     # class table are built once and visit no partition; the length table
-    # walks the partitions of n once, and each mu enters it once
+    # takes one packed walk over the partitions of n, and each mu enters its
+    # sums once; no table takes the listing walk
     from partition_identities import genbinom, identities, partitions
 
     _clear_moment_caches()
     walks = Counter()
     rows = []
     real_partitions_of = partitions._partitions_of
+    real_multinomial_sums = partitions._multinomial_sums
 
     def counted_partitions_of(n, leaf):
-        walks[n] += 1
+        walks["listing", n] += 1
 
         def counted_leaf(blocks, *state):
             rows.append(tuple(i for i, m in blocks for _ in range(m)))
             leaf(blocks, *state)
 
         real_partitions_of(n, counted_leaf)
+
+    def counted_multinomial_sums(n, width):
+        walks["packed", n] += 1
+        sums = real_multinomial_sums(n, width)
+        # each mu of n once: the sums of a recount over the partitions
+        assert sums == oracles.multinomial_sums(n, width)
+        return sums
 
     def refuse(name):
         def refused(*args):
@@ -274,6 +283,7 @@ def test_each_moment_table_is_built_once(monkeypatch):
 
     assert not hasattr(identities, "_row_coeffs") and not hasattr(identities, "gen_binom")
     monkeypatch.setattr(partitions, "_partitions_of", counted_partitions_of)
+    monkeypatch.setattr(partitions, "_multinomial_sums", counted_multinomial_sums)
     for name in ("_row_coeffs", "gen_binom"):
         monkeypatch.setattr(genbinom, name, refuse(name))
 
@@ -300,10 +310,13 @@ def test_each_moment_table_is_built_once(monkeypatch):
     # neither the CONJ1 table nor gen_binom
     assert built([IdentityId.CLASSICAL, IdentityId.CONJ2], 12) == (0, 1, 0)
     assert walks == Counter() and rows == []
-    # one walk, for the length table
+    # one packed walk, for the length table, and no listing walk
     assert built([IdentityId.CONJ3, IdentityId.CONJ4], 12) == (0, 0, 1)
+    assert walks == Counter({("packed", 12): 1}) and rows == []
+    # the listing spy is wired: a listing reaches it, each mu once
+    assert len(partitions.enumerate_partitions(12)) == oracles.partition_count(12)
     assert sorted(rows) == sorted(oracles.partitions(12))
-    assert walks == Counter({12: 1})
+    assert walks == Counter({("packed", 12): 1, ("listing", 12): 1})
 
 
 def test_packed_covering_table_matches_unpacked_oracle():
@@ -329,6 +342,42 @@ def test_class_table_matches_the_partition_walk():
 
     for n in range(1, 41):
         assert _class_table(n) == oracles.walked_class_table(n), f"n={n}"
+
+
+def test_length_table_matches_the_partition_walk():
+    # the packed walk against the multinomial sums over the listing walk,
+    # prod m_j! recounted from each mu's blocks
+    from partition_identities.identities import _length_table
+
+    for n in range(1, 41):
+        assert _length_table(n) == oracles.walked_length_table(n), f"n={n}"
+
+
+def test_corrupted_packed_walk_fails_the_partition_walk(monkeypatch):
+    # two twins of the length table must differ from the listing walk's sums
+    from partition_identities import identities, partitions
+
+    tables = {n: oracles.walked_length_table(n) for n in range(1, 13)}
+    _clear_moment_caches()
+    try:
+        # slots as wide as the largest entry hold the table; one bit less,
+        # and that entry's slot carries into the next
+        for n, table in tables.items():
+            fits = max(map(max, table)).bit_length()
+            for width, equal in ((fits, True), (fits - 1, False)):
+                monkeypatch.setattr(identities, "_length_bits", lambda _: width)
+                identities._length_table.cache_clear()
+                assert (identities._length_table(n) == table) is equal, (n, width)
+        monkeypatch.undo()
+        # a wrong 3!, 5 in place of 6, which l! and the tails' prod m_j!
+        # both read; at n = 3 it divides itself, 5 // 5 for 1+1+1
+        real_factorial = partitions.factorial
+        monkeypatch.setattr(partitions, "factorial", lambda m: real_factorial(m) - (m == 3))
+        _clear_moment_caches()
+        differ = [n for n, table in tables.items() if identities._length_table(n) != table]
+        assert differ == list(range(4, 13))
+    finally:
+        _clear_moment_caches()
 
 
 def test_corrupted_recurrence_fails_the_partition_walk(monkeypatch):
@@ -370,7 +419,7 @@ def test_packed_slots_are_wide_enough():
 
 
 def test_length_table_largest_entry_is_a_composition_count():
-    from partition_identities.identities import _length_table
+    from partition_identities.identities import _length_bits, _length_table
 
     for n in range(1, 31):
         # the largest entry, from the composition count: W_1[n] = 1 and
@@ -379,11 +428,16 @@ def test_length_table_largest_entry_is_a_composition_count():
             [1] + [l * comb(n - i - 1, l - 2) for l in range(2, n + 1) for i in range(1, n)]
         )
         assert max(max(v) for v in _length_table(n)) == largest, f"n={n}"
+        # the fewest bits that hold the stated bound n 2^(n-1), which the
+        # largest entry does not reach
+        assert _length_bits(n) == (n * 2 ** (n - 1)).bit_length()
+        assert largest < 1 << _length_bits(n)
+    assert 1 << (_length_bits(60) - 1) <= 60 * 2**59 < 1 << _length_bits(60)
 
 
 def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
     # the length table walks the partitions; the CONJ1 and class tables,
-    # from the exponential formula, never do
+    # from the exponential formula, never take either walk
     from partition_identities import identities, partitions
 
     def refuse(n, *_):
@@ -391,6 +445,7 @@ def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
 
     _clear_moment_caches()
     monkeypatch.setattr(partitions, "_partitions_of", refuse)
+    monkeypatch.setattr(partitions, "_multinomial_sums", refuse)
     with pytest.raises(AssertionError, match="partitions of 7"):
         identities._length_table(7)
     assert identities._covering_table(7) == oracles.covering_table(7)
