@@ -32,19 +32,20 @@ of binom(X+j-1, j) in the UNSIGNED left-hand side, which turns that side
 into the conjectured right-hand side term by term (Graham, Knuth and
 Patashnik, Concrete Mathematics, (5.21) and (5.26)).  ``_length_table(n)``
 holds the vectors W of CONJ3 and CONJ4, weighted by the multinomial
-l!/prod m_i!, one int per entry.  It is summed in one walk over the
-partitions of n, ``partitions._multinomial_sums``, which stores no
-partition: it carries each mu's multiplicities packed in one int,
-sum_i m_i 2^(i w), with prod m_i! and l(mu), built up one multiplicity
-block at a time, so no mu's parts are recounted, and a leaf adds its
-multinomial times its packed vector to the sum of its length.  The sums
-are unpacked once.  The slot width w is ``_length_bits(n)``, from the bound
-n 2^(n-1) on an entry; every term is nonnegative, so no partial sum
-carries.  W stays a sum over the partitions, each one leaf, and is never
-built by a recurrence: summed over compositions instead, it is the closed
-form l binom(n-i-1, l-2), the CONJ4 right-hand side, which CONJ4 would
-then check against itself.  A case with a single (n, r) still pays for the
-whole n.
+l!/prod m_i!, one int per entry.  It comes from a dynamic program over
+multiplicity blocks, which visits no partition either: the part sizes are
+taken from n down to 1, and a state (sum, length) keeps the weights and
+weighted multiplicities of the multisets of larger parts, packed in one
+int, the weight in slot 0 and sum_i m_i 2^(i w) above it, at the slot
+width w = ``_length_bits(n)``, from the
+bound n 2^(n-1) on an entry; every term is nonnegative, so no partial sum
+carries.  Each step adds a whole block of equal parts, and the binomials
+along a path multiply to its multinomial, so each partition of n is one
+path: it is the walk over the partitions with the subtrees of equal (sum,
+length) merged.  No step orders parts, so W is never the sum over
+compositions, whose closed form l binom(n-i-1, l-2) is the CONJ4
+right-hand side, which CONJ4 would then check against itself.  A case with
+a single (n, r) still pays for the whole n.
 Every table refuses n > ``partitions.MAX_N`` before it allocates, and each
 memo has room for every n it accepts.
 Each LHS key then takes one dot product per length with its row of
@@ -322,20 +323,44 @@ def _class_table(n: int) -> Moments:
 def _length_table(n: int) -> Moments:
     """W_l for l = 1..n: sums over mu |- n with l(mu) = l of (l!/prod_j m_j!) m_i(mu).
 
-    The moments of CONJ3 and CONJ4, summed over the partitions of n, each
-    one leaf of ``partitions._multinomial_sums``, which adds its
-    multinomial times its multiplicities packed in one int, slot i holding
-    m_i, at the width ``_length_bits(n)``.  The sums are unpacked once, at
-    the end.  W is not built from a recurrence: summed over compositions it
-    would be the closed form l binom(n-i-1, l-2), which is the CONJ4
-    right-hand side, so CONJ4 would check a formula against itself.
+    The moments of CONJ3 and CONJ4, by dynamic programming over
+    multiplicity blocks (Knuth, TAOCP 4A, 7.2.1.4), which visits no
+    partition.  The part sizes j = n, n-1, ..., 1 are taken in turn.  A
+    state (s, l) sums over the multisets of parts above j with sum s and
+    length l: slot 0 holds their weights l!/prod m!, and slot i their
+    weighted multiplicities m_i, packed in one int at the width
+    ``_length_bits(n)``.  A block of m parts j takes a state of length l
+    to length l + m: each term is multiplied by binom(l+m, m), and m times
+    its weight is added to slot j.  Along a path these binomials multiply
+    to l!/prod m_j!.  Each partition of n is exactly one path, with one
+    m_j >= 0 for each j, so this is the walk over the partitions with the
+    subtrees of equal (sum, length) merged.  Every transition adds a whole
+    block of equal parts, and no step orders parts, so W is never a sum
+    over compositions: their closed form l binom(n-i-1, l-2), which is the
+    CONJ4 right-hand side, never enters, and CONJ4 checks no formula
+    against itself.  The sums are unpacked once, at the end.
     """
-    partitions.check_enumerable(n)  # before n 2^(n-1) is formed or the walk allocates
+    partitions.check_enumerable(n)  # before n 2^(n-1) is formed or a state allocated
     width = _length_bits(n)
     mask = (1 << width) - 1
+    # states[s][l]; the empty multiset has weight 1
+    states = [[0] * (n + 1) for _ in range(n + 1)]
+    states[0][0] = 1
+    for j in range(n, 0, -1):
+        # the largest sum first: a block of j lands on a state above its
+        # source, which this j has read already, so no path takes two
+        for s in range(n - j, -1, -1):
+            row = states[s]
+            top = (n - s) // j
+            for l in range(s // (j + 1) + 1):
+                packed = row[l]
+                if packed:
+                    step = (packed & mask) << j * width
+                    # the ones are the last block, so they only end a path
+                    for m in range(1 if j > 1 else top, top + 1):
+                        states[s + j * m][l + m] += (packed + m * step) * comb(l + m, m)
     return tuple(
-        tuple(packed >> i * width & mask for i in range(n + 1))
-        for packed in partitions._multinomial_sums(n, width)[1:]
+        (0,) + tuple(packed >> i * width & mask for i in range(1, n + 1)) for packed in states[n][1:]
     )
 
 
@@ -345,8 +370,10 @@ def _length_bits(n: int) -> int:
     An entry sum over l(mu) = l of (l!/prod_j m_j!) m_i(mu) is at most
     n 2^(n-1): the multinomials of the partitions of length l count the
     compositions of n into l parts, at most 2^(n-1) of them, one per set of
-    cuts between n points, and m_i <= n.  Every term is nonnegative, so no
-    partial sum exceeds its entry, and no slot carries into the next.
+    cuts between n points, and m_i <= n.  Slot 0 of a state holds such a
+    count of compositions.  Every term is nonnegative, and a state's term
+    is at most the one it becomes with n - s ones added, so no slot that
+    ``_length_table`` forms exceeds the bound or carries into the next.
     """
     return (n << n >> 1).bit_length()
 
@@ -635,9 +662,9 @@ class IdentitySpec(NamedTuple):
     r = 1 but reported SKIPPED: a boundary convention makes the identity
     fail there.  ``max_n`` is the largest n a case takes, checked by
     ``IdentityCase`` and ``SweepConfig.validate`` alike: the p(n)
-    enumeration limit for builders that read a moment table (only the
-    length table enumerates, but the CONJ1 table takes about a second at
-    that n), and for the others the n at which one case, at its worst r and
+    enumeration limit for builders that read a moment table (no table
+    enumerates, but the CONJ1 table takes about a second at that n), and
+    for the others the n at which one case, at its worst r and
     s <= ``MAX_S``, takes about a second on a 2-core Xeon.  r needs no
     bound: every builder
     gives zero for r > n without building anything of size r.

@@ -1,22 +1,19 @@
 """Integer partitions with length constraints and their statistics.
 
-Two walks visit the partitions of n in Knuth's multiplicity form (TAOCP 4A,
-7.2.1.4): depth first over multiplicity blocks (part i, multiplicity m), so
-each tree edge extends what a leaf needs by one block, and a leaf gets it
-without recounting its parts.  The small parts that end each partition come
-from tails precomputed per remaining sum, in a loop rather than a recursive
-call.  Both keep no partition, and both refuse n > ``MAX_N`` before their
-first leaf.  ``MAX_N`` is derived once, at import, from Euler's
-pentagonal-number recurrence for p(n), so the refusal is one comparison.
-``_partitions_of(n, leaf)`` hands each partition's blocks and length to
-``leaf`` in decreasing lexicographic order; it serves the listing,
-``for_each_partition``, and the tests' oracles.
-``_multinomial_sums(n, width)`` serves ``identities._length_table``, the
-CONJ3 and CONJ4 moments: it carries each partition's multiplicities packed
-in one int, and adds them, weighted by l!/prod m_i!, with no leaf callback.
-The two are kept apart, as one walk would have to branch on which caller it
-serves.  The CONJ1 table and the class-size table come from a recurrence
-and visit no partition.
+One walk, ``_partitions_of(n, leaf)``, visits the partitions of n in
+Knuth's multiplicity form (TAOCP 4A, 7.2.1.4): depth first over
+multiplicity blocks (part i, multiplicity m), so each tree edge extends
+what a leaf needs by one block, and a leaf gets it without recounting its
+parts.  The small parts that end each partition come from tails
+precomputed per remaining sum, in a loop rather than a recursive call.  It
+keeps no partition, hands each one's blocks and length to ``leaf`` in
+decreasing lexicographic order, and refuses n > ``MAX_N`` before its first
+leaf.  ``MAX_N`` is derived once, at import, from Euler's pentagonal-number
+recurrence for p(n), so the refusal is one comparison.  The walk serves
+the listing, ``for_each_partition``, and the tests' oracles.  No moment
+table of ``identities`` visits a partition: the CONJ1 and class-size
+tables come from a recurrence, and the CONJ3 and CONJ4 length table from a
+dynamic program over multiplicity blocks.
 ``Partition``, whose ``z_value`` and ``multiplicities`` recount a
 partition's parts, ``for_each_partition``, which hands each partition on
 as the walk reaches it, and ``enumerate_partitions``, which lists them,
@@ -62,6 +59,14 @@ class Partition(Value):
             if i > 0 and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
         self._values = (parts,)
+
+    @classmethod
+    def _of_walk(cls, parts: Tuple[int, ...]) -> "Partition":
+        """The partition of ``parts``, which the walk made positive and
+        weakly decreasing, with none of ``__init__``'s checks."""
+        partition = object.__new__(cls)
+        partition._values = (parts,)
+        return partition
 
     @property
     def weight(self) -> int:
@@ -191,48 +196,6 @@ def _partitions_of(n: int, leaf: Callable[[List[Tuple[int, int]], int], None]) -
         grow(n, n, 0)
 
 
-def _multinomial_sums(n: int, width: int) -> List[int]:
-    """[l] = sum over mu |- n, l(mu) = l of (l!/prod_i m_i!) sum_i m_i(mu) 2^(i width).
-
-    Each partition of n is one leaf.  Along a path the walk keeps the
-    multiplicities packed in one int, sum_i m_i 2^(i width), and prod m_i!,
-    each extended by one block per tree edge, so a leaf costs one floor
-    division for its multinomial, one multiplication by its packed vector
-    and one add.  A recursive call places the parts above 3.  The ones,
-    twos and threes that end a path come from tails precomputed per
-    remaining sum, each with its length, its prod m_i! and its packed
-    multiplicities, added in a loop.  The caller picks ``width`` so that no
-    slot carries into the next.  Refuses n > MAX_N before it walks.
-    """
-    check_enumerable(n)
-    fact = [factorial(m) for m in range(n + 1)]
-    # tails[rest]: each partition of rest into a ones, b twos and c threes,
-    # as (its length, its prod m!, its packed multiplicities); the ones are
-    # added last, to the sum, length, prod m! and packed value of the rest
-    tails: List[List[Tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for c in range(n // 3 + 1):
-        for b in range((n - 3 * c) // 2 + 1):
-            base, length = 2 * b + 3 * c, b + c
-            denom, packed = fact[b] * fact[c], (b << 2 * width) + (c << 3 * width)
-            for a in range(n - base + 1):
-                tails[base + a].append((length + a, fact[a] * denom, packed + (a << width)))
-    sums = [0] * (n + 1)
-
-    def grow(rest: int, top: int, length: int, denom: int, packed: int) -> None:
-        # the parts still to place add up to rest, and none is above top;
-        # denom is the path's prod m_i!.  At rest = 0 the one tail is the
-        # empty one, so the path is a leaf
-        for i in range(min(rest, top), 3, -1):
-            for m in range(rest // i, 0, -1):
-                grow(rest - i * m, i - 1, length + m, denom * fact[m], packed + (m << i * width))
-        for tail_length, tail_mf, tail_packed in tails[rest]:
-            l = length + tail_length
-            sums[l] += fact[l] // (denom * tail_mf) * (packed + tail_packed)
-
-    grow(n, n, 0, 1, 0)
-    return sums
-
-
 def for_each_partition(
     n: int,
     visit: Callable[[Partition], None],
@@ -254,7 +217,10 @@ def for_each_partition(
 
     def keep(blocks: List[Tuple[int, int]], length: int) -> None:
         if min_len <= length <= max_len:
-            visit(Partition([i for i, m in blocks for _ in range(m)]))
+            parts: List[int] = []
+            for i, m in blocks:
+                parts += [i] * m
+            visit(Partition._of_walk(tuple(parts)))
 
     _partitions_of(n, keep)
 

@@ -244,8 +244,8 @@ def walked_class_table(n: int) -> tuple:
 def multinomial_sums(n: int, width: int) -> list:
     """[l] = sum over l(mu) = l of (l!/prod m_i!) sum_i m_i(mu) 2^(i width).
 
-    The packed sums of ``partitions._multinomial_sums``, one mu at a time,
-    with each multiplicity and prod m_i! recounted from mu's parts.
+    The packed sums of ``packed_multinomial_sums``, one mu at a time, with
+    each multiplicity and prod m_i! recounted from mu's parts.
     """
     sums = [0] * (n + 1)
     for mu in partitions(n):
@@ -272,6 +272,47 @@ def walked_length_table(n: int) -> tuple:
 
     _partitions_of(n, add)
     return tuple(map(tuple, sums))
+
+
+def packed_multinomial_sums(n: int, width: int) -> list:
+    """[l] = sum over mu |- n, l(mu) = l of (l!/prod_i m_i!) sum_i m_i(mu) 2^(i width).
+
+    A second walk over the partitions of n, each one leaf, apart from the
+    listing's: along a path it keeps the multiplicities packed in one int,
+    sum_i m_i 2^(i width), and prod m_i!, each extended by one block per
+    tree edge, so a leaf costs one floor division for its multinomial, one
+    multiplication by its packed vector and one add.  A recursive call
+    places the parts above 3.  The ones, twos and threes that end a path
+    come from tails precomputed per remaining sum, each with its length,
+    its prod m_i! and its packed multiplicities, added in a loop.  The
+    caller picks ``width`` so that no slot carries into the next.
+    """
+    fact = [factorial(m) for m in range(n + 1)]
+    # tails[rest]: each partition of rest into a ones, b twos and c threes,
+    # as (its length, its prod m!, its packed multiplicities); the ones are
+    # added last, to the sum, length, prod m! and packed value of the rest
+    tails = [[] for _ in range(n + 1)]
+    for c in range(n // 3 + 1):
+        for b in range((n - 3 * c) // 2 + 1):
+            base, length = 2 * b + 3 * c, b + c
+            denom, packed = fact[b] * fact[c], (b << 2 * width) + (c << 3 * width)
+            for a in range(n - base + 1):
+                tails[base + a].append((length + a, fact[a] * denom, packed + (a << width)))
+    sums = [0] * (n + 1)
+
+    def grow(rest, top, length, denom, packed):
+        # the parts still to place add up to rest, and none is above top;
+        # denom is the path's prod m_i!.  At rest = 0 the one tail is the
+        # empty one, so the path is a leaf
+        for i in range(min(rest, top), 3, -1):
+            for m in range(rest // i, 0, -1):
+                grow(rest - i * m, i - 1, length + m, denom * fact[m], packed + (m << i * width))
+        for tail_length, tail_mf, tail_packed in tails[rest]:
+            l = length + tail_length
+            sums[l] += fact[l] // (denom * tail_mf) * (packed + tail_packed)
+
+    grow(n, n, 0, 1, 0)
+    return sums
 
 
 def walked_covering_table(n: int) -> tuple:

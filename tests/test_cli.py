@@ -579,14 +579,14 @@ def test_sweep_walks_only_what_cases_use(capsys, monkeypatch):
         raise AssertionError(f"enumerated the partitions of {n}")
 
     monkeypatch.setattr(partitions, "_partitions_of", refuse)
-    monkeypatch.setattr(partitions, "_multinomial_sums", refuse)
-    # the spies are wired: a listing reaches one, the length table the other
+    # the spy is wired: a listing reaches the walk
     code, _, err = run(capsys, "partitions", "3")
     assert code == EXIT_FAILURE and "AssertionError: enumerated the partitions of 3" in err
-    # past the memo, which an earlier test may have filled at n = 4
+    # the length table, past the memo, which an earlier test may have
+    # filled at n = 4, comes from its dynamic program, not from the walk
     monkeypatch.setattr(identities, "_length_table", identities._length_table.__wrapped__)
-    code, _, err = run(capsys, "sweep", "--ids", "CONJ3", "--n", "4", "--r", "2", "--s", "1")
-    assert code == EXIT_FAILURE and "AssertionError: enumerated the partitions of 4" in err
+    code, out, _ = run(capsys, "sweep", "--ids", "CONJ3", "--n", "4", "--r", "2", "--s", "1")
+    assert code == 0 and json.loads(out)["results"][0]["status"] == "VERIFIED"
     # HOCKEY_STICK is scalar binomials only; p(200) is never needed
     assert run(capsys, "sweep", "--ids", "HOCKEY_STICK", "--n", "200", "--r", "2")[0] == 0
 
@@ -652,7 +652,6 @@ def test_sweep_refuses_enumeration_limit_before_any_case(capsys, monkeypatch):
         raise AssertionError(f"evaluated {case}")
 
     monkeypatch.setattr(partitions, "_partitions_of", refuse)
-    monkeypatch.setattr(partitions, "_multinomial_sums", refuse)
     monkeypatch.setattr(verifier, "case_sides", evaluate)
     # the spy is wired: a case within the limits reaches it
     code, _, err = run(capsys, "sweep", "--ids", "HOCKEY_STICK", "--n", "2", "--r", "2")

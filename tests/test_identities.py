@@ -247,17 +247,17 @@ def test_moment_tables_match_bruteforce_oracle():
 
 
 def test_each_moment_table_is_built_once(monkeypatch):
-    # every r, s and form of one n reads one table: the CONJ1 table and the
-    # class table are built once and visit no partition; the length table
-    # takes one packed walk over the partitions of n, and each mu enters its
-    # sums once; no table takes the listing walk
+    # every r, s and form of one n reads one table: each table is built once
+    # and visits no partition, so no table takes the walk, the listing's
     from partition_identities import genbinom, identities, partitions
 
+    # the length table of 12 from the listing walk, each mu once, taken
+    # before the walk is spied on
+    walked = oracles.walked_length_table(12)
     _clear_moment_caches()
     walks = Counter()
     rows = []
     real_partitions_of = partitions._partitions_of
-    real_multinomial_sums = partitions._multinomial_sums
 
     def counted_partitions_of(n, leaf):
         walks["listing", n] += 1
@@ -268,13 +268,6 @@ def test_each_moment_table_is_built_once(monkeypatch):
 
         real_partitions_of(n, counted_leaf)
 
-    def counted_multinomial_sums(n, width):
-        walks["packed", n] += 1
-        sums = real_multinomial_sums(n, width)
-        # each mu of n once: the sums of a recount over the partitions
-        assert sums == oracles.multinomial_sums(n, width)
-        return sums
-
     def refuse(name):
         def refused(*args):
             raise AssertionError(f"a table called {name}")
@@ -283,7 +276,6 @@ def test_each_moment_table_is_built_once(monkeypatch):
 
     assert not hasattr(identities, "_row_coeffs") and not hasattr(identities, "gen_binom")
     monkeypatch.setattr(partitions, "_partitions_of", counted_partitions_of)
-    monkeypatch.setattr(partitions, "_multinomial_sums", counted_multinomial_sums)
     for name in ("_row_coeffs", "gen_binom"):
         monkeypatch.setattr(genbinom, name, refuse(name))
 
@@ -310,13 +302,15 @@ def test_each_moment_table_is_built_once(monkeypatch):
     # neither the CONJ1 table nor gen_binom
     assert built([IdentityId.CLASSICAL, IdentityId.CONJ2], 12) == (0, 1, 0)
     assert walks == Counter() and rows == []
-    # one packed walk, for the length table, and no listing walk
+    # the length table alone, from its dynamic program: no walk, and the
+    # sums of each mu once
     assert built([IdentityId.CONJ3, IdentityId.CONJ4], 12) == (0, 0, 1)
-    assert walks == Counter({("packed", 12): 1}) and rows == []
+    assert walks == Counter() and rows == []
+    assert identities._length_table(12) == walked
     # the listing spy is wired: a listing reaches it, each mu once
     assert len(partitions.enumerate_partitions(12)) == oracles.partition_count(12)
     assert sorted(rows) == sorted(oracles.partitions(12))
-    assert walks == Counter({("packed", 12): 1, ("listing", 12): 1})
+    assert walks == Counter({("listing", 12): 1})
 
 
 def test_packed_covering_table_matches_unpacked_oracle():
@@ -345,17 +339,48 @@ def test_class_table_matches_the_partition_walk():
 
 
 def test_length_table_matches_the_partition_walk():
-    # the packed walk against the multinomial sums over the listing walk,
-    # prod m_j! recounted from each mu's blocks
+    # the dynamic program against the multinomial sums over the listing
+    # walk, prod m_j! recounted from each mu's blocks
     from partition_identities.identities import _length_table
 
     for n in range(1, 41):
         assert _length_table(n) == oracles.walked_length_table(n), f"n={n}"
 
 
-def test_corrupted_packed_walk_fails_the_partition_walk(monkeypatch):
-    # two twins of the length table must differ from the listing walk's sums
+def test_packed_walk_matches_a_recount():
+    # the packed walk's l!/prod m_i! and multiplicities against the same
+    # sums with prod m_i! recounted from each mu's parts, at a width that no
+    # entry at n <= 20 fills, so that every slot is compared
+    for n in range(0, 21):
+        assert oracles.packed_multinomial_sums(n, 64) == oracles.multinomial_sums(n, 64), n
+
+
+def test_length_table_takes_one_path_per_partition(monkeypatch):
+    # with every binomial 1, each path adds its partition's multiplicities
+    # once, unweighted: W_l[i] is then sum m_i(mu) over the partitions of n
+    # of length l, counted here over the listing walk
     from partition_identities import identities, partitions
+
+    _clear_moment_caches()
+    monkeypatch.setattr(identities, "comb", lambda a, b: 1)
+    try:
+        for n in range(1, 41):
+            sums = [[0] * (n + 1) for _ in range(n)]
+
+            def add(blocks, length):
+                for i, m in blocks:
+                    sums[length - 1][i] += m
+
+            partitions._partitions_of(n, add)
+            assert identities._length_table(n) == tuple(map(tuple, sums)), f"n={n}"
+    finally:
+        _clear_moment_caches()
+
+
+def test_corrupted_packed_walk_fails_the_partition_walk(monkeypatch):
+    # two twins of the length table's dynamic program must differ from the
+    # listing walk's sums
+    from partition_identities import identities
 
     tables = {n: oracles.walked_length_table(n) for n in range(1, 13)}
     _clear_moment_caches()
@@ -369,13 +394,14 @@ def test_corrupted_packed_walk_fails_the_partition_walk(monkeypatch):
                 identities._length_table.cache_clear()
                 assert (identities._length_table(n) == table) is equal, (n, width)
         monkeypatch.undo()
-        # a wrong 3!, 5 in place of 6, which l! and the tails' prod m_j!
-        # both read; at n = 3 it divides itself, 5 // 5 for 1+1+1
-        real_factorial = partitions.factorial
-        monkeypatch.setattr(partitions, "factorial", lambda m: real_factorial(m) - (m == 3))
+        # one wrong binomial, binom(4, 2) = 7, at the block of m = 2 parts
+        # added to a state of length l = 2; the smallest partition whose path
+        # takes it is 2+2+1+1, so every n >= 6 differs
+        real_comb = identities.comb
+        monkeypatch.setattr(identities, "comb", lambda a, b: real_comb(a, b) + ((a, b) == (4, 2)))
         _clear_moment_caches()
         differ = [n for n, table in tables.items() if identities._length_table(n) != table]
-        assert differ == list(range(4, 13))
+        assert differ == list(range(6, 13))
     finally:
         _clear_moment_caches()
 
@@ -436,8 +462,8 @@ def test_length_table_largest_entry_is_a_composition_count():
 
 
 def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
-    # the length table walks the partitions; the CONJ1 and class tables,
-    # from the exponential formula, never take either walk
+    # no table takes the walk: the CONJ1 and class tables come from the
+    # exponential formula, the length table from its dynamic program
     from partition_identities import identities, partitions
 
     def refuse(n, *_):
@@ -445,9 +471,15 @@ def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
 
     _clear_moment_caches()
     monkeypatch.setattr(partitions, "_partitions_of", refuse)
-    monkeypatch.setattr(partitions, "_multinomial_sums", refuse)
+    # the spy is wired: a listing reaches it
     with pytest.raises(AssertionError, match="partitions of 7"):
-        identities._length_table(7)
+        partitions.enumerate_partitions(7)
+    def multinomial(mu):
+        return factorial(len(mu)) // prod(map(factorial, Counter(mu).values()))
+
+    assert identities._length_table(7) == tuple(
+        tuple(oracles.moments(7, l, multinomial)) for l in range(1, 8)
+    )
     assert identities._covering_table(7) == oracles.covering_table(7)
     assert identities._class_table(7) == tuple(
         tuple(oracles.moments(7, l, lambda mu: factorial(7) // oracles.z_value(mu)))
