@@ -16,36 +16,29 @@ The left-hand sides sum a class weight w(mu) times sum_i (mu_i)_s over
 mu |- n.  Since sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, such a sum is
 sum_i (i)_s M[i] with the moment vector M[i] = sum_mu w(mu) m_i(mu), which
 depends on neither s nor the form.  Three tables hold these vectors,
-each keyed by n alone.  Two come from one recurrence,
+each keyed by n alone, and all three come from one recurrence,
 ``_marked_cycle_sums(n, g)``, which sums over the permutations of n points
 by cycle type, with one cycle marked, by the exponential formula, and
 visits no partition.  ``_class_table(n)`` holds the class-size vectors M of
 CLASSICAL and CONJ2, at weight g = 1.  ``_covering_table(n)`` holds those
 of CONJ1 for every r <= n at once, at g(k) = (1+t)^k - 1, in polynomials in
-t packed into single ints, with a slot width from ``_slot_bits(n)``.  So
-the CLASSICAL, CONJ1 and CONJ2 left-hand sides rest on that theorem, while
-the CLASSICAL right-hand side is a product of linear factors.  CONJ2 reads
-the class table, never the CONJ1 row r = n that equals it (<mu, n> = 1), so
-it is no copy of CONJ1 there.  The CONJ1 table never uses the closed form
-(s-1)! binom(n+s-1, r+s-1) binom(r-j+s-1, r-j) of c_j(n), the coefficient
-of binom(X+j-1, j) in the UNSIGNED left-hand side, which turns that side
-into the conjectured right-hand side term by term (Graham, Knuth and
-Patashnik, Concrete Mathematics, (5.21) and (5.26)).  ``_length_table(n)``
-holds the vectors W of CONJ3 and CONJ4, weighted by the multinomial
-l!/prod m_i!, one int per entry.  It comes from a dynamic program over
-multiplicity blocks, which visits no partition either: the part sizes are
-taken from n down to 1, and a state (sum, length) keeps the weights and
-weighted multiplicities of the multisets of larger parts, packed in one
-int, the weight in slot 0 and sum_i m_i 2^(i w) above it, at the slot
-width w = ``_length_bits(n)``, from the
-bound n 2^(n-1) on an entry; every term is nonnegative, so no partial sum
-carries.  Each step adds a whole block of equal parts, and the binomials
-along a path multiply to its multinomial, so each partition of n is one
-path: it is the walk over the partitions with the subtrees of equal (sum,
-length) merged.  No step orders parts, so W is never the sum over
-compositions, whose closed form l binom(n-i-1, l-2) is the CONJ4
-right-hand side, which CONJ4 would then check against itself.  A case with
-a single (n, r) still pays for the whole n.
+t packed into single ints, with a slot width from ``_slot_bits(n)``.
+``_length_table(n)`` holds the vectors W of CONJ3 and CONJ4, weighted by
+the multinomial l!/prod m_i!, one int per entry: the recurrence at
+g(k) = k, whose weight (n!/z_mu) prod_j mu_j is n!/prod_j m_j!, with each
+length-l row divided by n!/l!.  So every left-hand side rests on that
+theorem, while the CLASSICAL right-hand side is a product of linear
+factors.  CONJ2 reads the class table, never the CONJ1 row r = n that
+equals it (<mu, n> = 1), so it is no copy of CONJ1 there.  The CONJ1 table
+never uses the closed form (s-1)! binom(n+s-1, r+s-1) binom(r-j+s-1, r-j)
+of c_j(n), the coefficient of binom(X+j-1, j) in the UNSIGNED left-hand
+side, which turns that side into the conjectured right-hand side term by
+term (Graham, Knuth and Patashnik, Concrete Mathematics, (5.21) and
+(5.26)).  Nor does the length table use the count of compositions, whose
+closed form l binom(n-i-1, l-2) is the CONJ4 right-hand side, which CONJ4
+would then check against itself: the recurrence sums over cycle types,
+not over compositions.  A case with a single (n, r) still pays for the
+whole n.
 Every table refuses n > ``partitions.MAX_N`` before it allocates, and each
 memo has room for every n it accepts.
 Each LHS key then takes one dot product per length with its row of
@@ -292,18 +285,25 @@ def _marked_cycle_sums(n: int, g: List[int]) -> List[List[int]]:
     exponential formula (Stanley, EC2 5.1; Macdonald, I.2).  Marking one
     cycle of length i, which (i-1)! C(n, i) ways place, gives the entry
     (l, i) = (i-1)! C(n, i) g[i] e[n-i][l-1].  Every term is an integer.
+    Three weights are read: g = 1, for the class sizes of
+    ``_class_table``; g(k) = (1+t)^k - 1, packed, whose product over mu's
+    cycles has <mu, r> as its t^r coefficient, for ``_covering_table``; and
+    g(k) = k, whose product is prod_j mu_j, for ``_length_table``.
     """
-    # e[m][l] for m < n and l <= n, summed for l <= m only: it is zero for
-    # l > m, and for l = 0 < m
-    e = [[1] + [0] * n]
+    # e[l] lists e[m][l] for m = l, l+1, ..., n-1: it is zero for m < l,
+    # and for l = 0 < m, where e[0] is extended with zeros
+    e = [[1]] + [[] for _ in range(n - 1)]
     for m in range(1, n):
         terms = [perm(m - 1, k - 1) * g[k] for k in range(1, m + 1)]
-        # e[m][l+1] pairs terms[k-1] with entry l of e[m-k], zero for k > m - l
-        row = [sum(t * prev[l] for t, prev in zip(terms[: m - l], reversed(e))) for l in range(m)]
-        e.append([0] + row + [0] * (n - m))
-    # a marked cycle of length i = 1..n, placed in (i-1)! C(n, i) = [n]_i / i ways
+        # l descending, so e[l-1] still ends at m-1, and reversed it pairs
+        # terms[k-1] with e[m-k][l-1]
+        for l in range(m, 0, -1):
+            e[l].append(sum(map(mul, terms, reversed(e[l - 1]))))
+        e[0].append(0)
+    # a marked cycle of length i = 1..n, placed in (i-1)! C(n, i) = [n]_i / i
+    # ways; reversed, e[l] pairs it with e[n-i][l], zero for i > n - l
     marked = [perm(n, i) // i * g[i] for i in range(1, n + 1)]
-    return [[0] + [c * e[n - i][l] for i, c in enumerate(marked, 1)] for l in range(n)]
+    return [[0, *map(mul, marked, reversed(e[l]))] + [0] * l for l in range(n)]
 
 
 @lru_cache(maxsize=partitions.MAX_N + 1)
@@ -323,59 +323,25 @@ def _class_table(n: int) -> Moments:
 def _length_table(n: int) -> Moments:
     """W_l for l = 1..n: sums over mu |- n with l(mu) = l of (l!/prod_j m_j!) m_i(mu).
 
-    The moments of CONJ3 and CONJ4, by dynamic programming over
-    multiplicity blocks (Knuth, TAOCP 4A, 7.2.1.4), which visits no
-    partition.  The part sizes j = n, n-1, ..., 1 are taken in turn.  A
-    state (s, l) sums over the multisets of parts above j with sum s and
-    length l: slot 0 holds their weights l!/prod m!, and slot i their
-    weighted multiplicities m_i, packed in one int at the width
-    ``_length_bits(n)``.  A block of m parts j takes a state of length l
-    to length l + m: each term is multiplied by binom(l+m, m), and m times
-    its weight is added to slot j.  Along a path these binomials multiply
-    to l!/prod m_j!.  Each partition of n is exactly one path, with one
-    m_j >= 0 for each j, so this is the walk over the partitions with the
-    subtrees of equal (sum, length) merged.  Every transition adds a whole
-    block of equal parts, and no step orders parts, so W is never a sum
-    over compositions: their closed form l binom(n-i-1, l-2), which is the
-    CONJ4 right-hand side, never enters, and CONJ4 checks no formula
-    against itself.  The sums are unpacked once, at the end.
+    The moments of CONJ3 and CONJ4: ``_marked_cycle_sums`` at g(k) = k,
+    each length-l row divided by n!/l!.  As z_mu = prod_j j^m_j m_j!,
+    (n!/z_mu) prod_j mu_j = n!/prod_j m_j!, which is n!/l! times the
+    multinomial l!/prod_j m_j!, so the division is exact, and a remainder,
+    which only a wrong recurrence leaves, raises ArithmeticError.  The
+    recurrence sums (n!/z_mu) prod_j mu_j m_i(mu) over cycle types, not
+    over compositions, so their closed form l binom(n-i-1, l-2), which is
+    the CONJ4 right-hand side, never enters, and CONJ4 checks no formula
+    against itself.
     """
-    partitions.check_enumerable(n)  # before n 2^(n-1) is formed or a state allocated
-    width = _length_bits(n)
-    mask = (1 << width) - 1
-    # states[s][l]; the empty multiset has weight 1
-    states = [[0] * (n + 1) for _ in range(n + 1)]
-    states[0][0] = 1
-    for j in range(n, 0, -1):
-        # the largest sum first: a block of j lands on a state above its
-        # source, which this j has read already, so no path takes two
-        for s in range(n - j, -1, -1):
-            row = states[s]
-            top = (n - s) // j
-            for l in range(s // (j + 1) + 1):
-                packed = row[l]
-                if packed:
-                    step = (packed & mask) << j * width
-                    # the ones are the last block, so they only end a path
-                    for m in range(1 if j > 1 else top, top + 1):
-                        states[s + j * m][l + m] += (packed + m * step) * comb(l + m, m)
-    return tuple(
-        (0,) + tuple(packed >> i * width & mask for i in range(1, n + 1)) for packed in states[n][1:]
-    )
-
-
-def _length_bits(n: int) -> int:
-    """Bits per entry of the packed length table at n.
-
-    An entry sum over l(mu) = l of (l!/prod_j m_j!) m_i(mu) is at most
-    n 2^(n-1): the multinomials of the partitions of length l count the
-    compositions of n into l parts, at most 2^(n-1) of them, one per set of
-    cuts between n points, and m_i <= n.  Slot 0 of a state holds such a
-    count of compositions.  Every term is nonnegative, and a state's term
-    is at most the one it becomes with n - s ones added, so no slot that
-    ``_length_table`` forms exceeds the bound or carries into the next.
-    """
-    return (n << n >> 1).bit_length()
+    partitions.check_enumerable(n)  # the limit of every table, before it allocates
+    table = []
+    for l, row in enumerate(_marked_cycle_sums(n, list(range(n + 1))), start=1):
+        scale = factorial(n) // factorial(l)
+        quotients, remainders = zip(*[divmod(entry, scale) for entry in row])
+        if any(remainders):
+            raise ArithmeticError(f"length table at n={n}, l={l}: a sum is not a multiple of n!/l!")
+        table.append(quotients)
+    return tuple(table)
 
 
 def _slot_bits(n: int) -> int:
@@ -663,7 +629,9 @@ class IdentitySpec(NamedTuple):
     fail there.  ``max_n`` is the largest n a case takes, checked by
     ``IdentityCase`` and ``SweepConfig.validate`` alike: the p(n)
     enumeration limit for builders that read a moment table (no table
-    enumerates, but the CONJ1 table takes about a second at that n), and
+    enumerates: all three come from the exponential formula, the class and
+    length tables in a few ms at that n and the CONJ1 table, which packs
+    every r, in about a second), and
     for the others the n at which one case, at its worst r and
     s <= ``MAX_S``, takes about a second on a 2-core Xeon.  r needs no
     bound: every builder

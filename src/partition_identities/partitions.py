@@ -11,9 +11,9 @@ decreasing lexicographic order, and refuses n > ``MAX_N`` before its first
 leaf.  ``MAX_N`` is derived once, at import, from Euler's pentagonal-number
 recurrence for p(n), so the refusal is one comparison.  The walk serves
 the listing, ``for_each_partition``, and the tests' oracles.  No moment
-table of ``identities`` visits a partition: the CONJ1 and class-size
-tables come from a recurrence, and the CONJ3 and CONJ4 length table from a
-dynamic program over multiplicity blocks.
+table of ``identities`` visits a partition: the CONJ1, class-size and
+CONJ3/CONJ4 length tables all come from one recurrence, the exponential
+formula.
 ``Partition``, whose ``z_value`` and ``multiplicities`` recount a
 partition's parts, ``for_each_partition``, which hands each partition on
 as the walk reaches it, and ``enumerate_partitions``, which lists them,

@@ -315,6 +315,63 @@ def packed_multinomial_sums(n: int, width: int) -> list:
     return sums
 
 
+def block_length_table(n: int) -> tuple:
+    """W_l for l = 1..n: sums over mu |- n with l(mu) = l of (l!/prod_j m_j!) m_i(mu).
+
+    The moments of CONJ3 and CONJ4, by dynamic programming over
+    multiplicity blocks (Knuth, TAOCP 4A, 7.2.1.4), which visits no
+    partition, for any n.  The part sizes j = n, n-1, ..., 1 are taken in
+    turn.  A state (s, l) sums over the multisets of parts above j with sum
+    s and length l: slot 0 holds their weights l!/prod m!, and slot i their
+    weighted multiplicities m_i, packed in one int at the width
+    ``length_bits(n)``.  A block of m parts j takes a state of length l
+    to length l + m: each term is multiplied by binom(l+m, m), and m times
+    its weight is added to slot j.  Along a path these binomials multiply
+    to l!/prod m_j!.  Each partition of n is exactly one path, with one
+    m_j >= 0 for each j, so this is the walk over the partitions with the
+    subtrees of equal (sum, length) merged.  Every transition adds a whole
+    block of equal parts, and no step orders parts, so W is never a sum
+    over compositions: their closed form l binom(n-i-1, l-2), which is the
+    CONJ4 right-hand side, never enters.  The sums are unpacked once, at
+    the end.
+    """
+    width = length_bits(n)
+    mask = (1 << width) - 1
+    # states[s][l]; the empty multiset has weight 1
+    states = [[0] * (n + 1) for _ in range(n + 1)]
+    states[0][0] = 1
+    for j in range(n, 0, -1):
+        # the largest sum first: a block of j lands on a state above its
+        # source, which this j has read already, so no path takes two
+        for s in range(n - j, -1, -1):
+            row = states[s]
+            top = (n - s) // j
+            for l in range(s // (j + 1) + 1):
+                packed = row[l]
+                if packed:
+                    step = (packed & mask) << j * width
+                    # the ones are the last block, so they only end a path
+                    for m in range(1 if j > 1 else top, top + 1):
+                        states[s + j * m][l + m] += (packed + m * step) * comb(l + m, m)
+    return tuple(
+        (0,) + tuple(packed >> i * width & mask for i in range(1, n + 1)) for packed in states[n][1:]
+    )
+
+
+def length_bits(n: int) -> int:
+    """Bits per entry of the packed states of ``block_length_table`` at n.
+
+    An entry sum over l(mu) = l of (l!/prod_j m_j!) m_i(mu) is at most
+    n 2^(n-1): the multinomials of the partitions of length l count the
+    compositions of n into l parts, at most 2^(n-1) of them, one per set of
+    cuts between n points, and m_i <= n.  Slot 0 of a state holds such a
+    count of compositions.  Every term is nonnegative, and a state's term
+    is at most the one it becomes with n - s ones added, so no slot that
+    ``block_length_table`` forms exceeds the bound or carries into the next.
+    """
+    return (n << n >> 1).bit_length()
+
+
 def walked_covering_table(n: int) -> tuple:
     """The CONJ1 table [r-1][l-1][i], summed over the partition walk.
 

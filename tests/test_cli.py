@@ -583,7 +583,7 @@ def test_sweep_walks_only_what_cases_use(capsys, monkeypatch):
     code, _, err = run(capsys, "partitions", "3")
     assert code == EXIT_FAILURE and "AssertionError: enumerated the partitions of 3" in err
     # the length table, past the memo, which an earlier test may have
-    # filled at n = 4, comes from its dynamic program, not from the walk
+    # filled at n = 4, comes from the exponential formula, not from the walk
     monkeypatch.setattr(identities, "_length_table", identities._length_table.__wrapped__)
     code, out, _ = run(capsys, "sweep", "--ids", "CONJ3", "--n", "4", "--r", "2", "--s", "1")
     assert code == 0 and json.loads(out)["results"][0]["status"] == "VERIFIED"

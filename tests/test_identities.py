@@ -302,8 +302,8 @@ def test_each_moment_table_is_built_once(monkeypatch):
     # neither the CONJ1 table nor gen_binom
     assert built([IdentityId.CLASSICAL, IdentityId.CONJ2], 12) == (0, 1, 0)
     assert walks == Counter() and rows == []
-    # the length table alone, from its dynamic program: no walk, and the
-    # sums of each mu once
+    # the length table alone, from the exponential formula: no walk, and
+    # the sums of each mu once
     assert built([IdentityId.CONJ3, IdentityId.CONJ4], 12) == (0, 0, 1)
     assert walks == Counter() and rows == []
     assert identities._length_table(12) == walked
@@ -339,12 +339,22 @@ def test_class_table_matches_the_partition_walk():
 
 
 def test_length_table_matches_the_partition_walk():
-    # the dynamic program against the multinomial sums over the listing
-    # walk, prod m_j! recounted from each mu's blocks
+    # the exponential formula at g(k) = k against the multinomial sums over
+    # the listing walk, prod m_j! recounted from each mu's blocks
     from partition_identities.identities import _length_table
 
     for n in range(1, 41):
         assert _length_table(n) == oracles.walked_length_table(n), f"n={n}"
+
+
+def test_length_table_matches_the_block_program():
+    # against the dynamic program over multiplicity blocks, which sums over
+    # the partitions without visiting them, at every n the table accepts
+    from partition_identities.identities import _length_table
+    from partition_identities.partitions import MAX_N
+
+    for n in range(1, MAX_N + 1):
+        assert _length_table(n) == oracles.block_length_table(n), f"n={n}"
 
 
 def test_packed_walk_matches_a_recount():
@@ -355,61 +365,42 @@ def test_packed_walk_matches_a_recount():
         assert oracles.packed_multinomial_sums(n, 64) == oracles.multinomial_sums(n, 64), n
 
 
-def test_length_table_takes_one_path_per_partition(monkeypatch):
-    # with every binomial 1, each path adds its partition's multiplicities
-    # once, unweighted: W_l[i] is then sum m_i(mu) over the partitions of n
-    # of length l, counted here over the listing walk
-    from partition_identities import identities, partitions
+def test_length_table_part_sums_count_compositions():
+    # each mu |- n has sum_i i m_i(mu) = n, and the multinomials of the
+    # partitions of length l count the compositions of n into l parts, so
+    # sum_i i W_l[i] = n binom(n-1, l-1), at every n the table accepts
+    from partition_identities.identities import _length_table
+    from partition_identities.partitions import MAX_N
 
-    _clear_moment_caches()
-    monkeypatch.setattr(identities, "comb", lambda a, b: 1)
-    try:
-        for n in range(1, 41):
-            sums = [[0] * (n + 1) for _ in range(n)]
-
-            def add(blocks, length):
-                for i, m in blocks:
-                    sums[length - 1][i] += m
-
-            partitions._partitions_of(n, add)
-            assert identities._length_table(n) == tuple(map(tuple, sums)), f"n={n}"
-    finally:
-        _clear_moment_caches()
+    for n in range(1, MAX_N + 1):
+        for l, vector in enumerate(_length_table(n), start=1):
+            assert sum(i * w for i, w in enumerate(vector)) == n * comb(n - 1, l - 1), (n, l)
 
 
 def test_corrupted_packed_walk_fails_the_partition_walk(monkeypatch):
-    # two twins of the length table's dynamic program must differ from the
-    # listing walk's sums
-    from partition_identities import identities
-
+    # two twins of the block program, the length-table oracle that needs no
+    # walk, must differ from the listing walk's sums
     tables = {n: oracles.walked_length_table(n) for n in range(1, 13)}
-    _clear_moment_caches()
-    try:
-        # slots as wide as the largest entry hold the table; one bit less,
-        # and that entry's slot carries into the next
-        for n, table in tables.items():
-            fits = max(map(max, table)).bit_length()
-            for width, equal in ((fits, True), (fits - 1, False)):
-                monkeypatch.setattr(identities, "_length_bits", lambda _: width)
-                identities._length_table.cache_clear()
-                assert (identities._length_table(n) == table) is equal, (n, width)
-        monkeypatch.undo()
-        # one wrong binomial, binom(4, 2) = 7, at the block of m = 2 parts
-        # added to a state of length l = 2; the smallest partition whose path
-        # takes it is 2+2+1+1, so every n >= 6 differs
-        real_comb = identities.comb
-        monkeypatch.setattr(identities, "comb", lambda a, b: real_comb(a, b) + ((a, b) == (4, 2)))
-        _clear_moment_caches()
-        differ = [n for n, table in tables.items() if identities._length_table(n) != table]
-        assert differ == list(range(6, 13))
-    finally:
-        _clear_moment_caches()
+    # slots as wide as the largest entry hold the table; one bit less, and
+    # that entry's slot carries into the next
+    for n, table in tables.items():
+        fits = max(map(max, table)).bit_length()
+        for width, equal in ((fits, True), (fits - 1, False)):
+            monkeypatch.setattr(oracles, "length_bits", lambda _: width)
+            assert (oracles.block_length_table(n) == table) is equal, (n, width)
+    monkeypatch.undo()
+    # one wrong binomial, binom(4, 2) = 7, at the block of m = 2 parts added
+    # to a state of length l = 2; the smallest partition whose path takes it
+    # is 2+2+1+1, so every n >= 6 differs
+    monkeypatch.setattr(oracles, "comb", lambda a, b: comb(a, b) + ((a, b) == (4, 2)))
+    differ = [n for n, table in tables.items() if oracles.block_length_table(n) != table]
+    assert differ == list(range(6, 13))
 
 
 def test_corrupted_recurrence_fails_the_partition_walk(monkeypatch):
     # a twin whose [m-1]_{k-1} is wrong at one argument, [5]_2, which
-    # e[6] reads, must give both recurrence tables unlike their walks at
-    # every n >= 7: the entries with i = n - 6 read e[6].  At n = 5 the
+    # e[6] reads, must give the three recurrence tables unlike their walks
+    # at every n >= 7: the entries with i = n - 6 read e[6].  At n = 5 the
     # marked cycle reads [5]_2 / 2, which the wrong value leaves as it was
     from partition_identities import identities
 
@@ -428,6 +419,13 @@ def test_corrupted_recurrence_fails_the_partition_walk(monkeypatch):
         for table, walk in walks.items():
             differ = [n for n in range(1, 13) if table(n) != walk(n)]
             assert differ == list(range(7, 13)), table.__name__
+        # the length table divides its rows by n!/l!: the wrong e[6] leaves
+        # a remainder there, which a floor division would drop unseen
+        for n in range(1, 7):
+            assert identities._length_table(n) == oracles.walked_length_table(n), n
+        for n in range(7, 13):
+            with pytest.raises(ArithmeticError, match=f"n={n}"):
+                identities._length_table(n)
     finally:
         _clear_moment_caches()
 
@@ -445,7 +443,7 @@ def test_packed_slots_are_wide_enough():
 
 
 def test_length_table_largest_entry_is_a_composition_count():
-    from partition_identities.identities import _length_bits, _length_table
+    from partition_identities.identities import _length_table
 
     for n in range(1, 31):
         # the largest entry, from the composition count: W_1[n] = 1 and
@@ -454,16 +452,10 @@ def test_length_table_largest_entry_is_a_composition_count():
             [1] + [l * comb(n - i - 1, l - 2) for l in range(2, n + 1) for i in range(1, n)]
         )
         assert max(max(v) for v in _length_table(n)) == largest, f"n={n}"
-        # the fewest bits that hold the stated bound n 2^(n-1), which the
-        # largest entry does not reach
-        assert _length_bits(n) == (n * 2 ** (n - 1)).bit_length()
-        assert largest < 1 << _length_bits(n)
-    assert 1 << (_length_bits(60) - 1) <= 60 * 2**59 < 1 << _length_bits(60)
 
 
 def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
-    # no table takes the walk: the CONJ1 and class tables come from the
-    # exponential formula, the length table from its dynamic program
+    # no table takes the walk: all three come from the exponential formula
     from partition_identities import identities, partitions
 
     def refuse(n, *_):
@@ -801,9 +793,13 @@ def test_rising_values_are_computed_once_per_s(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"perm{args}")
 
-    # the row comes from its recurrence, not from one math.perm per entry
-    monkeypatch.setattr(identities, "perm", refuse)
+    # the row comes from its recurrence, not from one math.perm per entry.
+    # The length tables read math.perm in the exponential formula, so the
+    # grid's are built before it is refused
     _clear_moment_caches()
+    for n in range(1, 7):
+        identities._length_table(n)
+    monkeypatch.setattr(identities, "perm", refuse)
     grid = SweepConfig((IdentityId.CONJ3, IdentityId.CONJ4), (1, 6), (1, 2), (1, 8))
     assert run_sweep(grid).summary["counterexamples"] == 0
     # one row per s <= 8, read back by every other case with r <= n
@@ -817,7 +813,8 @@ def test_rising_values_are_computed_once_per_s(monkeypatch):
     assert identities._rising_row.cache_info().misses == 9
     # a full-width s axis, read once per (n, r): each row, and each s!, is
     # still held when its s comes round again
-    _clear_moment_caches()
+    for memo in (identities._rising_row, identities._rhs_factorial):
+        memo.cache_clear()
     grid = SweepConfig((IdentityId.CONJ3,), (1, 3), (1, 3), (1, S_AXIS))
     assert run_sweep(grid).summary["counterexamples"] == 0
     readers = [case for case in expand_cases(grid) if case.r <= case.n]
