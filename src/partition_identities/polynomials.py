@@ -5,17 +5,19 @@ Both are integers over a positive denominator, in one canonical form.  A
 denominator, (nums, den) with the coefficient of X^k equal to
 nums[k] / den.  Neither has arithmetic: each is built, read, compared and
 written.  The form is reduced by one rule, ``_lowest``: den > 0 and
-gcd(den, *nums) = 1.  A polynomial also has no trailing zero numerator, so
-the zero polynomial is ((), 1), and a zero ``Ratio`` is (0, 1).  So
-equality is tuple equality, on the exact type: a ``Ratio`` never equals a
-constant ``Polynomial``, an int or a rational of another type.  Builders
-know their denominator (n! for a class sum, r! for a binomial) and hand it
-over with their integer numerators: ``Ratio(num, den)`` and
-``Polynomial(nums, den)``.  Any arithmetic on the values is the builders'
-own integer work on numerators; ring operations, and a view in the
-standard library's rationals, live with the tests, as their reference.
-This module computes no factorial: the builders in ``identities`` do, in
-``int``s.
+gcd(den, *nums) = 1.  A pair already in lowest terms is that rule's
+fixed point, so ``Ratio`` keeps such a pair as given, after one gcd, and
+sends any other through ``_lowest``.  A polynomial also has no trailing
+zero numerator, so the zero polynomial is ((), 1), and a zero ``Ratio``
+is (0, 1).  So equality is tuple equality, on the exact type: a ``Ratio``
+never equals a constant ``Polynomial``, an int or a rational of another
+type.  Builders know their denominator (n! for a class sum, r! for a
+binomial) and hand it over with their integer numerators:
+``Ratio(num, den)`` and ``Polynomial(nums, den)``.  Any arithmetic on the
+values is the builders' own integer work on numerators; ring operations,
+and a view in the standard library's rationals, live with the tests, as
+their reference.  This module computes no factorial: the builders in
+``identities`` do, in ``int``s.
 
 One writer and no reader.  ``_ratio_str(p, q)`` writes p/q in lowest
 terms, every integer through ``int_str``, which has no digit limit;
@@ -111,15 +113,19 @@ class Ratio(Value):
     """An exact rational num / den, as a value.
 
     Reduced by ``_lowest``, as a polynomial is: den > 0, gcd(num, den) = 1,
-    and zero is (0, 1).  A ``Ratio`` equals only a ``Ratio``, by its pair:
-    never an int, a rational of another type or a constant ``Polynomial``.
+    and zero is (0, 1); a pair already so is kept as given.  A ``Ratio``
+    equals only a ``Ratio``, by its pair: never an int, a rational of
+    another type or a constant ``Polynomial``.
     """
 
     __slots__ = ()
     _fields = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        (num,), den = _lowest((num,), den)
+        # a pair already in lowest terms is ``_lowest``'s fixed point; gcd
+        # still refuses a non-int, and den = 0 still goes on to raise there
+        if gcd(num, den) != 1 or den <= 0:
+            (num,), den = _lowest((num,), den)
         self._values = (num, den)
 
     def to_string(self) -> str:

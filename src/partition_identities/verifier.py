@@ -16,6 +16,11 @@ error in a child is met within one of those slices: every child is then
 killed and the error raised by the sweep.  Where there is no fork, a
 sweep runs in-process.
 
+A case's time runs from the start of ``case_sides`` to its verdict; its
+sides are written only after.  A case of one (lhs, rhs) pair, the shape of
+every identity but TOP_COEFF at r > 1, is judged and written with no
+per-pair list.
+
 A report writes itself to a text sink, a file or stdout, in any of its
 three formats; its JSON is formatted and written one row at a time, so the
 whole text is never held at once.
@@ -142,20 +147,31 @@ class CaseResult(NamedTuple):
 
     @classmethod
     def judge(cls, case: IdentityCase, pairs: List[SidePair], start: float) -> "CaseResult":
-        """Judge ``pairs`` by exact equality; elapsed time runs from ``start``."""
-        equal = [lhs == rhs for lhs, rhs in pairs]
+        """Judge ``pairs`` by exact equality; elapsed time runs from ``start``
+        and stops before any text is written.
+
+        One pair, the shape of every identity but TOP_COEFF at r > 1, is
+        compared once and written as one (lhs, rhs) pair of texts, with no
+        per-pair list; more pairs give a list of texts on each side.
+        """
+        many = len(pairs) > 1
+        if many:
+            equal = [lhs == rhs for lhs, rhs in pairs]
+            same = all(equal)
+        else:
+            ((lhs, rhs),) = pairs
+            same = lhs == rhs
         if case.skipped:
             status = STATUS_SKIPPED
-        elif all(equal):
+        elif same:
             status = STATUS_VERIFIED
         else:
             status = STATUS_COUNTEREXAMPLE
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        texts = [_serialize_pair(*pair, same) for pair, same in zip(pairs, equal)]
-        if len(texts) == 1:
-            lhs, rhs = texts[0]
+        if many:
+            lhs, rhs = map(list, zip(*map(_serialize_pair, *zip(*pairs), equal)))
         else:
-            lhs, rhs = map(list, zip(*texts))
+            lhs, rhs = _serialize_pair(lhs, rhs, same)
         return cls(case, status, lhs, rhs, elapsed_ms)
 
 

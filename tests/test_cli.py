@@ -442,9 +442,12 @@ def test_signal_as_the_sweep_file_appears_leaves_no_file(tmp_path, signum):
     # the signal comes the moment os.open has made the sweep's own file,
     # before the sweep has entered the try that removes it: it is held until
     # then, so the file still goes, --out keeps its bytes, and the sweep
-    # dies of the signal
+    # dies of the signal.  A shell starts a background job with SIGINT
+    # ignored, and the child would inherit that, so it first installs the
+    # handler Python installs in a foreground start
     script = (
         "import os, signal, sys\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
         "from partition_identities.cli import main\n"
         "real_open = os.open\n"
         "def signalling_open(path, *args):\n"

@@ -350,8 +350,14 @@ def test_ratio_equals_only_a_ratio():
         Ratio(1, 0)
     with pytest.raises(ZeroDivisionError):
         Ratio(0, 0)
-    with pytest.raises(TypeError):
-        Ratio(Fraction(1, 2))
+    # gcd(-1, 0) = 1, but a pair in lowest terms is kept as given only
+    # over a positive den
+    with pytest.raises(ZeroDivisionError):
+        Ratio(-1, 0)
+    assert Ratio(1, -1)._values == (-1, 1) and Ratio(-1, -1)._values == (1, 1)
+    for args in ((Fraction(1, 2),), (3.0,), (1, 2.0)):
+        with pytest.raises(TypeError):
+            Ratio(*args)
 
 
 def _digits_by_chunks(x):

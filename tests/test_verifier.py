@@ -111,6 +111,66 @@ def test_equal_sides_are_serialized_once(monkeypatch):
             real(value)
 
 
+#: one case of every identity whose sides are one (lhs, rhs) pair, TOP_COEFF
+#: at r = 1 among them, and the two ids' cases skipped at r = 1
+ONE_PAIR_CASES = (
+    "CLASSICAL(n=4,form=SIGNED)",
+    "CONJ1(n=4,r=3,s=2,form=SIGNED)",
+    "CONJ2(n=3,s=2,form=UNSIGNED)",
+    "CONJ3(n=4,r=2,s=3)",
+    "CONJ4(n=4,r=2,s=2)",
+    "CONJ4(n=4,r=1,s=1)",
+    "HOCKEY_STICK(n=5,r=3)",
+    "HOCKEY_STICK(n=5,r=1)",
+    "BINOMIAL_TYPE(n=4,s=3)",
+    "CONST_TERM(n=4,r=2,s=2)",
+    "TOP_COEFF(n=4,r=1,s=2)",
+)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["equal", "corrupted"])
+def test_one_pair_judge_matches_the_list_judge(request, corrupt):
+    # one pair is judged and written without per-pair lists; the same pair
+    # given twice takes the list loop, which must give the same status and
+    # each text twice, and a rhs text that is its lhs text exactly when the
+    # pair is equal
+    if corrupt:
+        request.getfixturevalue("corrupt_rhs")
+    statuses = Counter()
+    for text in ONE_PAIR_CASES:
+        case = IdentityCase.parse(text)
+        pairs = verifier.case_sides(case)
+        ((lhs, rhs),) = pairs
+        one = CaseResult.judge(case, pairs, time.perf_counter())
+        two = CaseResult.judge(case, pairs * 2, time.perf_counter())
+        assert one.status == two.status, text
+        assert (two.lhs, two.rhs) == ([one.lhs] * 2, [one.rhs] * 2), text
+        assert (one.rhs is one.lhs) == (lhs == rhs), text
+        assert [r is l for l, r in zip(two.lhs, two.rhs)] == [lhs == rhs] * 2, text
+        statuses[one.status] += 1
+    judged = STATUS_COUNTEREXAMPLE if corrupt else STATUS_VERIFIED
+    assert statuses == Counter({STATUS_SKIPPED: 2, judged: len(ONE_PAIR_CASES) - 2})
+
+
+def test_elapsed_time_excludes_writing(monkeypatch):
+    # on a clock that only writing a side moves, by 1000 s a text, every
+    # case reads under 1000 ms, whether it has one pair or two
+    now = [0.0]
+    monkeypatch.setattr(verifier.time, "perf_counter", lambda: now[0])
+    real = verifier.serialize_side
+
+    def slow(value):
+        now[0] += 1000.0
+        return real(value)
+
+    monkeypatch.setattr(verifier, "serialize_side", slow)
+    report = run_sweep(SweepConfig(tuple(IdentityId), (1, 4), (1, 3), (1, 2)))
+    shapes = {type(r.lhs) for r in report.results if r.case.identity_id is IdentityId.TOP_COEFF}
+    assert shapes == {str, list}
+    assert now[0] >= 1000.0 * len(report.results)
+    assert all(r.elapsed_ms < 1000.0 for r in report.results)
+
+
 def test_skipped_conventions():
     res = compare_case(IdentityCase.parse("CONJ4(n=4,r=1,s=1)"))
     assert res.status == STATUS_SKIPPED
