@@ -76,13 +76,16 @@ def _cmd_genbinom(args) -> int:
 def _cmd_identity(args) -> int:
     case = IdentityCase.parse(args.case)
     start = time.perf_counter()
-    pairs = case_sides(case)
-    result = CaseResult.judge(case, pairs, start)
+    sides = case_sides(case)
+    result = CaseResult.judge(case, sides, start)
     if args.format == "json":
         print(json.dumps(result.to_dict(), ensure_ascii=False, indent=2))
     else:
-        # the texts the judge wrote: one pair's, or a list of them per side
-        texts = [(result.lhs, result.rhs)] if len(pairs) == 1 else zip(result.lhs, result.rhs)
+        # the texts the judge wrote; a side of checks is a tuple of them,
+        # written as a list of texts and shown a check at a time
+        texts = [(result.lhs, result.rhs)]
+        if type(sides[0]) is tuple:
+            texts = zip(result.lhs, result.rhs)
         for lhs, rhs in texts:
             print(f"LHS = {render(lhs)}")
             print(f"RHS = {render(rhs)}")

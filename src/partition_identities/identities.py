@@ -1,16 +1,16 @@
 """Both sides of every identity, built as exact polynomials or rationals.
 
-Builders never compare: they return (lhs, rhs) value pairs so the sweep
-engine can show both sides verbatim when they disagree.  The registry
-``IDENTITIES`` holds each identity's builder, and the parameters an
-identity takes are that builder's parameter names, a subsequence of n, r,
-s and form.  From those names two tables are derived once, at import:
-``_CHECKS``, each identity's spec and which of r, s and form its cases
-have, which ``IdentityCase`` compares with the fields it is given as one
-tuple; and ``_BUILDERS``, each identity's builder and an ``itemgetter`` of
-its arguments from a case's field tuple, so ``case_sides`` makes one
-lookup per case.  Both are keyed by ``IdentityId``, whose members hash by
-identity in C, not by name in Python.
+Builders never compare: each returns one (lhs, rhs) value pair, so the
+sweep engine can show both sides verbatim when they disagree.  A side is a
+``Polynomial``, a ``Ratio``, or, for TOP_COEFF at r >= 2, a 2-tuple of
+``Ratio``, the two coefficients it checks.  The registry ``IDENTITIES``
+holds each identity's spec, and the parameters an identity takes are its
+builder's parameter names, a subsequence of n, r, s and form.  From those
+names ``IdentitySpec.of`` derives, once, at import, which of r, s and form
+its cases have, which ``IdentityCase`` compares with the fields it is given
+as one tuple, and an ``itemgetter`` of the builder's arguments from a
+case's field tuple.  So a case makes one registry read, keyed by
+``IdentityId``, whose members hash by identity in C, not by name in Python.
 
 The left-hand sides sum a class weight w(mu) times sum_i (mu_i)_s over
 mu |- n.  Since sum_i (mu_i)_s = sum_i m_i(mu) (i)_s, such a sum is
@@ -61,8 +61,9 @@ prefactor; the products under those brackets once per (lo, r) in
 the SIGNED bracket and builds only those two coefficients of the RHS.
 For r > n, every identity that takes r returns at once, before it reads
 a table, builds a row or computes a prefactor, and hands back one
-module-level zero pair, ``_ZERO_POLYNOMIALS`` or ``_ZERO_RATIOS``, shared
-by every such case: values are immutable, so no caller can change it.
+module-level zero pair, ``_ZERO_POLYNOMIALS``, ``_ZERO_RATIOS`` or
+TOP_COEFF's ``_ZERO_CHECKS``, shared by every such case: values and
+tuples are immutable, so no caller can change it.
 
 Every falling factorial [X+c]_n with an integer c, in the right-hand
 sides of CLASSICAL, CONJ1, CONJ2 and TOP_COEFF and on the BINOMIAL_TYPE
@@ -110,13 +111,16 @@ MAX_S = 10**4
 #: width of ``_rising_row``, ``_rhs_factorial`` and ``_rising_product``
 S_AXIS = 32
 
-SideValue = Union[Polynomial, Ratio]
+#: a polynomial, a scalar, or TOP_COEFF's checked coefficients at r >= 2
+SideValue = Union[Polynomial, Ratio, Tuple[Ratio, Ratio]]
 SidePair = Tuple[SideValue, SideValue]
 
 #: the sides of every case with r > n, shared: values are immutable, so one
 #: pair serves every such case instead of new zeros built for each
 _ZERO_POLYNOMIALS: SidePair = (Polynomial(), Polynomial())
 _ZERO_RATIOS: SidePair = (Ratio(0), Ratio(0))
+#: TOP_COEFF's two zero checks on each side, for r > n
+_ZERO_CHECKS: SidePair = (_ZERO_RATIOS, _ZERO_RATIOS)
 
 
 class _Member(Enum):
@@ -172,7 +176,7 @@ class IdentityCase(Value):
         form: Optional[Form] = None,
     ) -> None:
         try:
-            spec, present = _CHECKS[identity_id]
+            spec = IDENTITIES[identity_id]
         except (KeyError, TypeError):
             raise TypeError(f"identity_id must be an IdentityId, got {identity_id!r}") from None
         # exact types, so a bool, a float or a form's name is refused here,
@@ -184,7 +188,7 @@ class IdentityCase(Value):
         if not 1 <= n <= spec.max_n:
             raise ValueError(f"{identity_id.value}: n must be in 1..{spec.max_n}")
         given = (r is not None, s is not None, form is not None)
-        if given != present:
+        if given != (present := spec.present):
             # the first field that is present where it should not be, or
             # the other way round, words the error
             for label, wanted, has in zip(("parameter r", "parameter s", "form"), present, given):
@@ -569,26 +573,29 @@ def const_term_sides(n: int, r: int, s: int) -> SidePair:
     return lhs, Ratio(sign * prefactor * comb(r + s - 1, r))
 
 
-def top_coeff_checks(n: int, r: int, s: int) -> List[SidePair]:
+def top_coeff_checks(n: int, r: int, s: int) -> SidePair:
     """Leading coefficients of the conjecture-1 RHS against closed forms.
 
-    Returns (extracted, closed-form) pairs for X^{r-1} and, when r >= 2,
-    X^{r-2}.  The extracted ones are the prefactor times those two entries
-    of the SIGNED ``_conj1_bracket`` over r!, which is what ``_conj1_rhs``
-    holds there, without building its other coefficients.  Both carry the
-    full (s-1)! binom(n+s-1, n-r) prefactor, so every pair is zero for
-    r > n.
+    Returns one (extracted, closed-form) pair: at r = 1 two ``Ratio``s, the
+    coefficient of X^0, and at r >= 2 two 2-tuples of ``Ratio``, the
+    coefficients of X^{r-1} and X^{r-2}.  The extracted ones are the
+    prefactor times those entries of the SIGNED ``_conj1_bracket`` over r!,
+    which is what ``_conj1_rhs`` holds there, without building its other
+    coefficients.  Both carry the full (s-1)! binom(n+s-1, n-r) prefactor,
+    so every check is zero for r > n, where the pair is ``_ZERO_CHECKS``.
     """
     if r > n:  # so r >= 2
-        return [_ZERO_RATIOS, _ZERO_RATIOS]
+        return _ZERO_CHECKS
     prefactor = _conj1_prefactor(n, r, s)
     bracket = _conj1_bracket(r, s, Form.SIGNED)
     r_fact = factorial(r)
-    pairs = [(Ratio(prefactor * bracket[r - 1], r_fact), Ratio(prefactor * r * s, r_fact))]
-    if r >= 2:
-        closed = Ratio(-prefactor * r * (r - 1) * s * (r + s - 1), 2 * r_fact)
-        pairs.append((Ratio(prefactor * bracket[r - 2], r_fact), closed))
-    return pairs
+    extracted = Ratio(prefactor * bracket[r - 1], r_fact)
+    closed = Ratio(prefactor * r * s, r_fact)
+    if r == 1:
+        return extracted, closed
+    extracted_next = Ratio(prefactor * bracket[r - 2], r_fact)
+    closed_next = Ratio(-prefactor * r * (r - 1) * s * (r + s - 1), 2 * r_fact)
+    return (extracted, extracted_next), (closed, closed_next)
 
 
 def hockey_stick_sides(n: int, r: int) -> SidePair:
@@ -623,11 +630,13 @@ class IdentitySpec(NamedTuple):
 
     ``build`` takes the case's fields named by its own parameters, an
     ordered subsequence of n, r, s and form, and returns one (lhs, rhs)
-    pair or a list of them; ``params`` holds those names, read once by
-    ``of`` when the registry is built.  ``skip_r1`` cases are built at
-    r = 1 but reported SKIPPED: a boundary convention makes the identity
-    fail there.  ``max_n`` is the largest n a case takes, checked by
-    ``IdentityCase`` and ``SweepConfig.validate`` alike: the p(n)
+    pair; ``params`` holds those names, read once by ``of`` when the
+    registry is built, which derives from them ``present``, whether the
+    identity's cases have r, s and form, and ``arguments``, a getter of the
+    builder's arguments from a case's field tuple.  ``skip_r1`` cases are
+    built at r = 1 but reported SKIPPED: a boundary convention makes the
+    identity fail there.  ``max_n`` is the largest n a case takes, checked
+    by ``IdentityCase`` and ``SweepConfig.validate`` alike: the p(n)
     enumeration limit for builders that read a moment table (no table
     enumerates: all three come from the exponential formula, the class and
     length tables in a few ms at that n and the CONJ1 table, which packs
@@ -638,17 +647,27 @@ class IdentitySpec(NamedTuple):
     gives zero for r > n without building anything of size r.
     """
 
-    build: Callable[..., Union[SidePair, List[SidePair]]]
+    build: Callable[..., SidePair]
     params: Tuple[str, ...]
+    present: Tuple[bool, bool, bool]
+    arguments: Callable[[tuple], tuple]
     s_min: int = 1
     skip_r1: bool = False
     max_n: int = partitions.MAX_N
 
     @classmethod
     def of(cls, build: Callable, **options) -> "IdentitySpec":
-        """The spec of ``build``, whose parameters are read once, here."""
+        """The spec of ``build``, whose parameters are read once, here.
+
+        ``itemgetter`` of one index returns the item itself, so a single
+        argument is read as a slice of length one.
+        """
         code = build.__code__
-        return cls(build, code.co_varnames[: code.co_argcount], **options)
+        params = code.co_varnames[: code.co_argcount]
+        first, *rest = [IdentityCase._fields.index(name) for name in params]
+        arguments = itemgetter(first, *rest) if rest else itemgetter(slice(first, first + 1))
+        present = tuple(key in params for key in ("r", "s", "form"))
+        return cls(build, params, present, arguments, **options)
 
 
 #: the single registry of identities, one entry per IdentityId in its order
@@ -669,35 +688,8 @@ IDENTITIES: Dict[IdentityId, IdentitySpec] = {
 }
 
 
-#: each identity's spec and which of r, s and form its cases have, derived
-#: once, so ``IdentityCase`` checks a case after one lookup and one tuple
-#: comparison
-_CHECKS = {
-    iid: (spec, tuple(key in spec.params for key in ("r", "s", "form")))
-    for iid, spec in IDENTITIES.items()
-}
-
-
-def _arguments(params: Tuple[str, ...]) -> Callable[[tuple], tuple]:
-    """A getter of the fields named ``params`` from a case's ``_values``, as a tuple.
-
-    ``itemgetter`` of one index returns the item itself, so a single field
-    is read as a slice of length one.
-    """
-    places = [IdentityCase._fields.index(name) for name in params]
-    if len(places) == 1:
-        return itemgetter(slice(places[0], places[0] + 1))
-    return itemgetter(*places)
-
-
-#: each identity's builder and the getter of its arguments, derived once, so
-#: ``case_sides`` makes one lookup per case
-_BUILDERS = {iid: (spec.build, _arguments(spec.params)) for iid, spec in IDENTITIES.items()}
-
-
-def case_sides(case: IdentityCase) -> List[SidePair]:
-    """All (lhs, rhs) pairs for one case; a single pair except TOP_COEFF."""
+def case_sides(case: IdentityCase) -> SidePair:
+    """The (lhs, rhs) pair of one case, as its identity's builder returns it."""
     values = case._values
-    build, arguments = _BUILDERS[values[0]]
-    sides = build(*arguments(values))
-    return sides if isinstance(sides, list) else [sides]
+    spec = IDENTITIES[values[0]]
+    return spec.build(*spec.arguments(values))

@@ -16,10 +16,10 @@ error in a child is met within one of those slices: every child is then
 killed and the error raised by the sweep.  Where there is no fork, a
 sweep runs in-process.
 
-A case's time runs from the start of ``case_sides`` to its verdict; its
-sides are written only after.  A case of one (lhs, rhs) pair, the shape of
-every identity but TOP_COEFF at r > 1, is judged and written with no
-per-pair list.
+A case is one (lhs, rhs) pair of values, compared once.  Its time runs
+from the start of ``case_sides`` to its verdict; its sides are written only
+after.  A side is a polynomial, a scalar, or, for TOP_COEFF at r >= 2, a
+tuple of the scalars it checks, written as the list of their texts.
 
 A report writes itself to a text sink, a file or stdout, in any of its
 three formats; its JSON is formatted and written one row at a time, so the
@@ -146,21 +146,15 @@ class CaseResult(NamedTuple):
         }
 
     @classmethod
-    def judge(cls, case: IdentityCase, pairs: List[SidePair], start: float) -> "CaseResult":
-        """Judge ``pairs`` by exact equality; elapsed time runs from ``start``
-        and stops before any text is written.
+    def judge(cls, case: IdentityCase, sides: SidePair, start: float) -> "CaseResult":
+        """Judge ``sides``, one (lhs, rhs) pair, by exact equality; elapsed
+        time runs from ``start`` and stops before any text is written.
 
-        One pair, the shape of every identity but TOP_COEFF at r > 1, is
-        compared once and written as one (lhs, rhs) pair of texts, with no
-        per-pair list; more pairs give a list of texts on each side.
+        Equal sides are of one type and have one canonical text, so the rhs
+        then shares the lhs text instead of being serialized again.
         """
-        many = len(pairs) > 1
-        if many:
-            equal = [lhs == rhs for lhs, rhs in pairs]
-            same = all(equal)
-        else:
-            ((lhs, rhs),) = pairs
-            same = lhs == rhs
+        lhs, rhs = sides
+        same = lhs == rhs
         if case.skipped:
             status = STATUS_SKIPPED
         elif same:
@@ -168,11 +162,8 @@ class CaseResult(NamedTuple):
         else:
             status = STATUS_COUNTEREXAMPLE
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        if many:
-            lhs, rhs = map(list, zip(*map(_serialize_pair, *zip(*pairs), equal)))
-        else:
-            lhs, rhs = _serialize_pair(lhs, rhs, same)
-        return cls(case, status, lhs, rhs, elapsed_ms)
+        text = serialize_side(lhs)
+        return cls(case, status, text, text if same else serialize_side(rhs), elapsed_ms)
 
 
 class Report:
@@ -291,20 +282,15 @@ def _csv_side(side: SerializedSide) -> str:
 
 
 def serialize_side(value) -> SerializedSide:
-    """Rational -> "p/q" string; polynomial -> coefficient array."""
+    """Rational -> "p/q" string; polynomial -> coefficient array; a tuple of
+    rationals, TOP_COEFF's checked coefficients -> the list of their texts."""
     if isinstance(value, Polynomial):
         return value.to_strings()
     if isinstance(value, Ratio):
         return value.to_string()
+    if isinstance(value, tuple) and all(isinstance(v, Ratio) for v in value):
+        return [v.to_string() for v in value]
     raise TypeError(f"cannot serialize side {value!r}")
-
-
-def _serialize_pair(lhs, rhs, equal: bool) -> Tuple[SerializedSide, SerializedSide]:
-    """Both sides' texts; equal values are of one type and have one
-    canonical text, so such a rhs shares the lhs text instead of being
-    serialized again."""
-    text = serialize_side(lhs)
-    return text, text if equal else serialize_side(rhs)
 
 
 def compare_case(case: IdentityCase) -> CaseResult:

@@ -150,8 +150,10 @@ def test_criterion_09_coefficient_bridges():
         for n in range(1, 8):
             for r in range(1, 8):
                 for s in range(1, 9):
-                    for extracted, closed in top_coeff_checks(n, r, s):
-                        assert extracted == closed
+                    # one pair: two Ratios at r = 1, two tuples of the
+                    # X^{r-1} and X^{r-2} coefficients at r >= 2
+                    extracted, closed = top_coeff_checks(n, r, s)
+                    assert extracted == closed
                     ct_lhs, ct_rhs = const_term_sides(n, r, s)
                     assert ct_lhs == ct_rhs
                     signed_lhs, _ = conj1_sides(n, r, s, Form.SIGNED)

@@ -122,8 +122,13 @@ def test_identity_sides_keep_their_types_and_json(capsys):
 
     assert {IdentityCase.parse(c).identity_id for c in IDENTITY_JSON} == set(IdentityId)
     for text, (status, lhs, rhs) in IDENTITY_JSON.items():
-        for side in (v for pair in case_sides(IdentityCase.parse(text)) for v in pair):
-            assert type(side) in (Polynomial, Ratio), (text, side)
+        case = IdentityCase.parse(text)
+        for side in case_sides(case):
+            if type(side) is tuple:  # TOP_COEFF's two checks at r >= 2
+                assert case.identity_id is IdentityId.TOP_COEFF and case.r >= 2, text
+                assert len(side) == 2 and {type(v) for v in side} == {Ratio}, (text, side)
+            else:
+                assert type(side) in (Polynomial, Ratio), (text, side)
         code, out, _ = run(capsys, "identity", text, "--format", "json")
         assert code == 0
         data = json.loads(out)
@@ -135,11 +140,15 @@ def test_identity_human(capsys):
     code, out, _ = run(capsys, "identity", "CONJ2(n=2,s=2,form=SIGNED)")
     assert code == 0
     assert out.splitlines() == ["LHS = 2·X - 3", "RHS = 2·X - 3", "VERIFIED"]
-    # every id, TOP_COEFF's two pairs included: one LHS and RHS line per pair,
-    # each the side's own text, then the status
+    # every id, TOP_COEFF's two checks included: one LHS and RHS line per
+    # check, each the check's own text, then the status
     for text, (status, _, _) in IDENTITY_JSON.items():
+        case = IdentityCase.parse(text)
+        lhs, rhs = case_sides(case)
+        checks = list(zip(lhs, rhs)) if type(lhs) is tuple else [(lhs, rhs)]
+        assert len(checks) == (2 if case.identity_id is IdentityId.TOP_COEFF and case.r >= 2 else 1)
         expected = []
-        for lhs, rhs in case_sides(IdentityCase.parse(text)):
+        for lhs, rhs in checks:
             for name, side in (("LHS", lhs), ("RHS", rhs)):
                 expected.append(f"{name} = {render(serialize_side(side))}")
         code, out, _ = run(capsys, "identity", text)
@@ -271,6 +280,38 @@ def test_identity_builds_sides_once(capsys, monkeypatch):
         code, _, _ = run(capsys, "identity", "TOP_COEFF(n=3,r=2,s=1)", "--format", fmt)
         assert code == 0
         assert len(calls) == 1
+
+
+def test_one_wrong_top_coeff_check_is_a_counterexample(capsys, monkeypatch):
+    # only the X^{r-2} check of a TOP_COEFF case is wrong: the case is a
+    # counterexample, whose first rhs text equals its lhs text and whose
+    # second is its own, in the JSON row, the CSV row and the identity lines
+    from partition_identities.polynomials import Ratio
+
+    real = identities.case_sides
+
+    def second_check_wrong(case):
+        lhs, (top, below) = real(case)
+        return lhs, (top, Ratio(below.num + below.den, below.den))
+
+    for module in (verifier, cli):
+        monkeypatch.setattr(module, "case_sides", second_check_wrong)
+    text = "TOP_COEFF(n=4,r=3,s=2)"
+    sweep = ("sweep", "--ids", "TOP_COEFF", "--n", "4", "--r", "3", "--s", "2")
+    code, out, _ = run(capsys, *sweep)
+    assert code == EXIT_COUNTEREXAMPLE
+    (row,) = json.loads(out)["results"]
+    del row["elapsed_ms"]
+    assert row == {
+        "case": text, "status": "COUNTEREXAMPLE", "lhs": ["5", "-20"], "rhs": ["5", "-19"]
+    }
+    code, out, _ = run(capsys, *sweep, "--format", "csv")
+    assert code == EXIT_COUNTEREXAMPLE
+    _, row = csv.reader(io.StringIO(out))
+    assert row[:4] == [text, "COUNTEREXAMPLE", "5|-20", "5|-19"]
+    code, out, _ = run(capsys, "identity", text)
+    assert code == EXIT_COUNTEREXAMPLE
+    assert out.splitlines() == ["LHS = 5", "RHS = 5", "LHS = -20", "RHS = -19", "COUNTEREXAMPLE"]
 
 
 def test_identity_writes_each_side_once(capsys, monkeypatch):

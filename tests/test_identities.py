@@ -153,8 +153,9 @@ MEMO_GRID = SweepConfig(
 def test_memoized_sides_match_cold_builds():
     from partition_identities import identities
 
-    def typed(pairs):
-        return [(type(lhs), lhs, type(rhs), rhs) for lhs, rhs in pairs]
+    def typed(sides):
+        lhs, rhs = sides
+        return type(lhs), lhs, type(rhs), rhs
 
     cases = expand_cases(MEMO_GRID)
     _clear_moment_caches()
@@ -540,7 +541,7 @@ def test_left_hand_sides_do_not_depend_on_cache_order():
     expected = {case: _reference_lhs(case) for case in cases}
 
     def lhs(case):
-        value = case_sides(case)[0][0]
+        value = case_sides(case)[0]
         return _nonzero(dict(enumerate(coeffs(value)))) if case.form else frac(value)
 
     for case in cases:
@@ -626,21 +627,22 @@ def test_const_term_matches_conj1_constant():
 
 
 def test_top_coeff_examples():
-    pairs = top_coeff_checks(2, 2, 1)
-    # bracket is X - 1; prefactor is 1
-    assert pairs[0] == (Ratio(1), Ratio(1))
-    assert pairs[1] == (Ratio(-1), Ratio(-1))
-    pairs = top_coeff_checks(1, 1, 3)
-    assert len(pairs) == 1
-    assert pairs[0][0] == pairs[0][1]
+    extracted, closed = top_coeff_checks(2, 2, 1)
+    # bracket is X - 1; prefactor is 1: the X^1 and X^0 coefficients
+    assert extracted == (Ratio(1), Ratio(-1))
+    assert closed == (Ratio(1), Ratio(-1))
+    # at r = 1 one check, as two scalars
+    extracted, closed = top_coeff_checks(1, 1, 3)
+    assert type(extracted) is type(closed) is Ratio
+    assert extracted == closed
 
 
 def test_top_coeff_agreement_on_grid():
     for n in range(1, 7):
         for r in range(1, 7):
             for s in range(1, 6):
-                for extracted, closed in top_coeff_checks(n, r, s):
-                    assert extracted == closed
+                extracted, closed = top_coeff_checks(n, r, s)
+                assert extracted == closed
 
 
 def test_conj1_brackets_match_binom_rat_pointwise():
@@ -670,8 +672,9 @@ def test_top_coeff_reads_the_conj1_rhs():
     for n, r, s in points:
         prefactor = _conj1_prefactor(n, r, s)
         rhs = _conj1_rhs(r, s, Form.SIGNED, prefactor)
-        extracted = [pair[0] for pair in top_coeff_checks(n, r, s)]
-        assert extracted == [rhs.coefficient(k) for k in range(r - 1, max(r - 3, -1), -1)]
+        extracted, _ = top_coeff_checks(n, r, s)
+        coefficients = tuple(rhs.coefficient(k) for k in range(r - 1, max(r - 3, -1), -1))
+        assert extracted == (coefficients if r >= 2 else coefficients[0])
 
 
 def test_hockey_stick_examples():
@@ -753,8 +756,8 @@ def test_case_sides_build_no_polynomial_products():
     ]
     assert len(cases) == 12
     for case in cases:
-        for lhs, rhs in case_sides(case):
-            assert lhs == rhs
+        lhs, rhs = case_sides(case)
+        assert lhs == rhs
 
 
 def test_left_hand_sides_read_the_class_table(monkeypatch):
@@ -951,7 +954,8 @@ def test_conj1_far_above_n_builds_no_bracket(monkeypatch):
         for s in range(1, 4):
             for form in Form:
                 assert conj1_sides(n, r, s, form) == (Polynomial(), Polynomial())
-            assert all(a == b == Ratio(0) for a, b in top_coeff_checks(n, r, s))
+            extracted, closed = top_coeff_checks(n, r, s)
+            assert extracted == closed == (Ratio(0), Ratio(0))
             for build in (conj3_sides, conj4_sides):
                 lhs, rhs = build(n, r, s)
                 assert lhs == rhs == Ratio(0)
@@ -986,9 +990,9 @@ def test_scalar_ids_above_n_build_no_factorial(monkeypatch):
         for s in range(1, 4):
             const_term = case_sides(IdentityCase(IdentityId.CONST_TERM, n, r, s))
             top_coeff = case_sides(IdentityCase(IdentityId.TOP_COEFF, n, r, s))
-            assert const_term == [(Ratio(0), Ratio(0))]
-            assert top_coeff == [(Ratio(0), Ratio(0))] * 2
-            for lhs, rhs in const_term + top_coeff:
+            assert const_term == (Ratio(0), Ratio(0))
+            assert top_coeff == ((Ratio(0), Ratio(0)), (Ratio(0), Ratio(0)))
+            for lhs, rhs in (const_term, *zip(*top_coeff)):
                 assert type(lhs) is type(rhs) is Ratio
 
 
@@ -1179,48 +1183,67 @@ def test_case_text_matches_the_field_by_field_oracle():
 def test_case_sides_dispatch():
     # every id reaches its own builder with its own fields, in order
     cases = [
-        ("CLASSICAL(n=3,form=SIGNED)", classical_sides, (3, Form.SIGNED), 1),
-        ("CONJ1(n=3,r=2,s=1,form=UNSIGNED)", conj1_sides, (3, 2, 1, Form.UNSIGNED), 1),
-        ("CONJ2(n=3,s=2,form=UNSIGNED)", conj2_sides, (3, 2, Form.UNSIGNED), 1),
-        ("CONJ3(n=5,r=2,s=3)", conj3_sides, (5, 2, 3), 1),
-        ("CONJ4(n=5,r=3,s=2)", conj4_sides, (5, 3, 2), 1),
-        ("CONST_TERM(n=4,r=3,s=2)", const_term_sides, (4, 3, 2), 1),
-        ("TOP_COEFF(n=3,r=2,s=1)", top_coeff_checks, (3, 2, 1), 2),
-        ("HOCKEY_STICK(n=5,r=2)", hockey_stick_sides, (5, 2), 1),
-        ("BINOMIAL_TYPE(n=3,s=2)", binomial_type_sides, (3, 2), 1),
+        ("CLASSICAL(n=3,form=SIGNED)", classical_sides, (3, Form.SIGNED), Polynomial),
+        ("CONJ1(n=3,r=2,s=1,form=UNSIGNED)", conj1_sides, (3, 2, 1, Form.UNSIGNED), Polynomial),
+        ("CONJ2(n=3,s=2,form=UNSIGNED)", conj2_sides, (3, 2, Form.UNSIGNED), Polynomial),
+        ("CONJ3(n=5,r=2,s=3)", conj3_sides, (5, 2, 3), Ratio),
+        ("CONJ4(n=5,r=3,s=2)", conj4_sides, (5, 3, 2), Ratio),
+        ("CONST_TERM(n=4,r=3,s=2)", const_term_sides, (4, 3, 2), Ratio),
+        ("TOP_COEFF(n=3,r=2,s=1)", top_coeff_checks, (3, 2, 1), tuple),
+        ("HOCKEY_STICK(n=5,r=2)", hockey_stick_sides, (5, 2), Ratio),
+        ("BINOMIAL_TYPE(n=3,s=2)", binomial_type_sides, (3, 2), Polynomial),
     ]
     assert {IdentityCase.parse(text).identity_id for text, *_ in cases} == set(IdentityId)
-    for text, build, args, expect_pairs in cases:
-        pairs = case_sides(IdentityCase.parse(text))
-        assert len(pairs) == expect_pairs
-        built = build(*args)
-        assert pairs == (built if isinstance(built, list) else [built]), text
-        for lhs, rhs in pairs:
-            assert lhs == rhs
+    for text, build, args, kind in cases:
+        sides = case_sides(IdentityCase.parse(text))
+        # one pair, as the builder returns it
+        assert type(sides) is tuple and len(sides) == 2, text
+        assert sides == build(*args), text
+        lhs, rhs = sides
+        assert type(lhs) is type(rhs) is kind, text
+        assert lhs == rhs
 
 
 def test_arguments_getter_returns_a_tuple_for_one_field():
     # itemgetter of a single index would return the field itself
-    from partition_identities.identities import _arguments
+    from partition_identities.identities import IdentitySpec
+
+    def of_n(n):
+        pass
+
+    def of_s(s):
+        pass
+
+    def of_n_form(n, form):
+        pass
 
     values = (IdentityId.CONJ1, 5, 3, 2, Form.SIGNED)
-    assert _arguments(("n",))(values) == (5,)
-    assert _arguments(("s",))(values) == (2,)
-    assert _arguments(("n", "form"))(values) == (5, Form.SIGNED)
-    assert _arguments(("n", "r", "s", "form"))(values) == values[1:]
+    assert IdentitySpec.of(of_n).arguments(values) == (5,)
+    assert IdentitySpec.of(of_s).arguments(values) == (2,)
+    assert IdentitySpec.of(of_n_form).arguments(values) == (5, Form.SIGNED)
+    assert IdentitySpec.of(conj1_sides).arguments(values) == values[1:]
+    # and the presence of r, s and form follows the same names
+    assert IdentitySpec.of(of_n).present == (False, False, False)
+    assert IdentitySpec.of(of_s).present == (False, True, False)
+    assert IdentitySpec.of(of_n_form).present == (False, False, True)
+    assert IdentitySpec.of(conj1_sides).present == (True, True, True)
 
 
 def test_cases_above_n_share_one_zero_pair():
     # every id that takes r returns the module's zero pair itself for r > n,
-    # a pair equal to fresh zeros and written as them
+    # a pair equal to fresh zeros and written as them; TOP_COEFF's is the
+    # pair of its two zero checks
     from partition_identities import identities
 
     polynomials = identities._ZERO_POLYNOMIALS
     ratios = identities._ZERO_RATIOS
+    checks = identities._ZERO_CHECKS
     assert polynomials == (Polynomial(), Polynomial())
     assert ratios == (Ratio(0), Ratio(0))
+    assert checks == ((Ratio(0), Ratio(0)), (Ratio(0), Ratio(0)))
     assert [serialize_side(v) for v in polynomials] == [[], []]
     assert [serialize_side(v) for v in ratios] == ["0", "0"]
+    assert [serialize_side(v) for v in checks] == [["0", "0"], ["0", "0"]]
     taking_r = [iid for iid, spec in IDENTITIES.items() if "r" in spec.params]
     assert set(taking_r) == {
         IdentityId.CONJ1, IdentityId.CONJ3, IdentityId.CONJ4, IdentityId.CONST_TERM,
@@ -1231,12 +1254,11 @@ def test_cases_above_n_share_one_zero_pair():
             for s in (1, 3):
                 for form in Form:
                     case = IdentityCase(IdentityId.CONJ1, n, r, s, form)
-                    assert case_sides(case)[0] is polynomials
+                    assert case_sides(case) is polynomials
                 for iid in (IdentityId.CONJ3, IdentityId.CONJ4, IdentityId.CONST_TERM):
-                    assert case_sides(IdentityCase(iid, n, r, s))[0] is ratios
-                pairs = case_sides(IdentityCase(IdentityId.TOP_COEFF, n, r, s))
-                assert len(pairs) == 2 and all(pair is ratios for pair in pairs)
-            assert case_sides(IdentityCase(IdentityId.HOCKEY_STICK, n, r))[0] is ratios
+                    assert case_sides(IdentityCase(iid, n, r, s)) is ratios
+                assert case_sides(IdentityCase(IdentityId.TOP_COEFF, n, r, s)) is checks
+            assert case_sides(IdentityCase(IdentityId.HOCKEY_STICK, n, r)) is ratios
 
 
 @pytest.mark.parametrize(

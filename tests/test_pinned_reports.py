@@ -34,3 +34,17 @@ def test_workload_matches_pinned_digest(name):
     report.to_json(buf)
     data = json.loads(buf.getvalue())
     assert check.failed_cases(cases, workload.digest, report.exit_code, data) == 0
+
+
+def test_top_coeff_report_matches_pinned_digest():
+    """TOP_COEFF past grid-all's r <= 10: r = 1 scalars, 2 <= r <= n check
+    pairs and r > n zero checks, 3840 cases."""
+    config = SweepConfig((IdentityId.TOP_COEFF,), (1, 30), (1, 32), (1, 4))
+    report = run_sweep(config)
+    buf = io.StringIO()
+    report.to_json(buf)
+    results = json.loads(buf.getvalue())["results"]
+    assert len(results) == 3840 and report.summary["verified"] == 3840
+    assert check.content_digest(results) == (
+        "ac2f969765534b7783a30bf10441e300601ae4704c04f7abe36f17896593ea66"
+    )

@@ -69,8 +69,7 @@ def test_counterexample_rhs_text_is_its_own(corrupt_rhs):
         res = compare_case(case)
         assert res.status == STATUS_COUNTEREXAMPLE
         assert res.rhs == rhs
-        texts = [serialize_side(value) for _, value in verifier.case_sides(case)]
-        assert res.rhs == (texts if len(texts) > 1 else texts[0])
+        assert res.rhs == serialize_side(verifier.case_sides(case)[1])
 
 
 def test_equal_sides_are_serialized_once(monkeypatch):
@@ -82,26 +81,26 @@ def test_equal_sides_are_serialized_once(monkeypatch):
         return real(value)
 
     monkeypatch.setattr(verifier, "serialize_side", counted)
-    # one serialization per verified pair, whose rhs shares the lhs text
-    for text, sides in (
-        ("CONJ3(n=3,r=2,s=1)", 1),
-        ("CONJ1(n=4,r=3,s=2,form=SIGNED)", 1),
-        ("TOP_COEFF(n=4,r=3,s=2)", 2),
-        ("HOCKEY_STICK(n=5,r=3)", 1),
+    # one serialization per verified case, whose rhs shares the lhs text;
+    # TOP_COEFF's two checks are one tuple on each side
+    for text, kind in (
+        ("CONJ3(n=3,r=2,s=1)", "Ratio"),
+        ("CONJ1(n=4,r=3,s=2,form=SIGNED)", "Polynomial"),
+        ("TOP_COEFF(n=4,r=3,s=2)", "tuple"),
+        ("HOCKEY_STICK(n=5,r=3)", "Ratio"),
     ):
         calls.clear()
         res = compare_case(IdentityCase.parse(text))
         assert res.lhs == res.rhs
-        assert sum(calls.values()) == sides, text
-        if sides == 1:
-            assert res.rhs is res.lhs
+        assert calls == Counter({kind: 1}), text
+        assert res.rhs is res.lhs
     # a constant polynomial and the scalar it holds are values of two types,
     # so they are unequal: the verdict is a counterexample, and each side
     # keeps its own text
     const = Polynomial([3])
     for pair, texts in (((const, Ratio(3)), (["3"], "3")), ((Ratio(3), const), ("3", ["3"]))):
         calls.clear()
-        res = CaseResult.judge(IdentityCase.parse("CONJ3(n=3,r=2,s=1)"), [pair], time.perf_counter())
+        res = CaseResult.judge(IdentityCase.parse("CONJ3(n=3,r=2,s=1)"), pair, time.perf_counter())
         assert res.status == STATUS_COUNTEREXAMPLE
         assert (res.lhs, res.rhs) == texts
         assert calls == Counter({"Polynomial": 1, "Ratio": 1})
@@ -111,9 +110,9 @@ def test_equal_sides_are_serialized_once(monkeypatch):
             real(value)
 
 
-#: one case of every identity whose sides are one (lhs, rhs) pair, TOP_COEFF
-#: at r = 1 among them, and the two ids' cases skipped at r = 1
-ONE_PAIR_CASES = (
+#: one case of every identity, TOP_COEFF at r = 1, at r >= 2 and past n
+#: among them, and the two ids' cases skipped at r = 1
+JUDGED_CASES = (
     "CLASSICAL(n=4,form=SIGNED)",
     "CONJ1(n=4,r=3,s=2,form=SIGNED)",
     "CONJ2(n=3,s=2,form=UNSIGNED)",
@@ -125,36 +124,62 @@ ONE_PAIR_CASES = (
     "BINOMIAL_TYPE(n=4,s=3)",
     "CONST_TERM(n=4,r=2,s=2)",
     "TOP_COEFF(n=4,r=1,s=2)",
+    "TOP_COEFF(n=4,r=3,s=2)",
+    "TOP_COEFF(n=3,r=5,s=1)",
 )
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["equal", "corrupted"])
-def test_one_pair_judge_matches_the_list_judge(request, corrupt):
-    # one pair is judged and written without per-pair lists; the same pair
-    # given twice takes the list loop, which must give the same status and
-    # each text twice, and a rhs text that is its lhs text exactly when the
-    # pair is equal
+def test_judge_shares_the_lhs_text_exactly_when_equal(request, corrupt):
+    # every case is one (lhs, rhs) pair, judged once: each side is written
+    # as its own text, and the rhs text is the lhs text object exactly when
+    # the sides are equal
     if corrupt:
         request.getfixturevalue("corrupt_rhs")
     statuses = Counter()
-    for text in ONE_PAIR_CASES:
+    for text in JUDGED_CASES:
         case = IdentityCase.parse(text)
-        pairs = verifier.case_sides(case)
-        ((lhs, rhs),) = pairs
-        one = CaseResult.judge(case, pairs, time.perf_counter())
-        two = CaseResult.judge(case, pairs * 2, time.perf_counter())
-        assert one.status == two.status, text
-        assert (two.lhs, two.rhs) == ([one.lhs] * 2, [one.rhs] * 2), text
-        assert (one.rhs is one.lhs) == (lhs == rhs), text
-        assert [r is l for l, r in zip(two.lhs, two.rhs)] == [lhs == rhs] * 2, text
-        statuses[one.status] += 1
+        lhs, rhs = sides = verifier.case_sides(case)
+        res = CaseResult.judge(case, sides, time.perf_counter())
+        assert (res.lhs, res.rhs) == (serialize_side(lhs), serialize_side(rhs)), text
+        assert (res.rhs is res.lhs) == (lhs == rhs), text
+        statuses[res.status] += 1
     judged = STATUS_COUNTEREXAMPLE if corrupt else STATUS_VERIFIED
-    assert statuses == Counter({STATUS_SKIPPED: 2, judged: len(ONE_PAIR_CASES) - 2})
+    assert statuses == Counter({STATUS_SKIPPED: 2, judged: len(JUDGED_CASES) - 2})
+
+
+def test_every_case_is_one_pair_of_sides_of_one_kind():
+    # over grid-all's grid: case_sides returns one 2-tuple, whose sides are
+    # both Polynomial or both Ratio, or, exactly for TOP_COEFF at r >= 2,
+    # both 2-tuples of Ratio
+    cases = expand_cases(SweepConfig(tuple(IdentityId), (1, 10), (1, 10), (1, 8)))
+    assert len(cases) == 5160
+    kinds = Counter()
+    for case in cases:
+        sides = case_sides(case)
+        assert type(sides) is tuple and len(sides) == 2, case
+        lhs, rhs = sides
+        if case.identity_id is IdentityId.TOP_COEFF and case.r >= 2:
+            for side in sides:
+                assert type(side) is tuple and len(side) == 2, case
+                assert {type(v) for v in side} == {Ratio}, case
+            kinds["checks"] += 1
+        else:
+            assert type(lhs) is type(rhs) and type(lhs) in (Polynomial, Ratio), case
+            kinds[type(lhs).__name__] += 1
+    assert kinds["checks"] == 720 and kinds["Polynomial"] and kinds["Ratio"]
+    # a tuple side holds Ratios only, as a bare side is a Ratio, not an int
+    # or another type's rational
+    assert serialize_side((Ratio(1, 2), Ratio(-3))) == ["1/2", "-3"]
+    for value in ((Ratio(1), 1), (Fraction(1, 2), Ratio(1)), (Ratio(1), Fraction(3))):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            serialize_side(value)
 
 
 def test_elapsed_time_excludes_writing(monkeypatch):
     # on a clock that only writing a side moves, by 1000 s a text, every
-    # case reads under 1000 ms, whether it has one pair or two
+    # case reads under 1000 ms, whether its sides are scalars or TOP_COEFF's
+    # checks
     now = [0.0]
     monkeypatch.setattr(verifier.time, "perf_counter", lambda: now[0])
     real = verifier.serialize_side
@@ -716,7 +741,7 @@ def test_side_texts_need_no_json_escape():
         IdentityCase.parse("CONJ1(n=4,r=3,s=10000,form=SIGNED)"),  # big s
         IdentityCase.parse("CONJ2(n=2,s=2,form=SIGNED)"),  # ["-3", "2"]
     ]
-    values = [value for case in cases for pair in case_sides(case) for value in pair]
+    values = [value for case in cases for value in case_sides(case)]
     values += [Ratio(-(10**50), 3), Polynomial([-7, 0, 5, -(10**40)], 6)]
     texts = []
     for value in values:
