@@ -40,9 +40,11 @@ would then check against itself: the recurrence sums over cycle types,
 not over compositions.  A case with a single (n, r) still pays for the
 whole n.
 Every table refuses n > ``partitions.MAX_N`` before it allocates, and each
-memo has room for every n it accepts.
+memo has room for every n it accepts.  A length-l vector ends at part
+n - l + 1, the largest a partition of n with l parts has, so it holds
+n - l + 2 entries, and no reader walks a zero tail.
 Each LHS key then takes one dot product per length with its row of
-(i)_s, which stops at the vector's n + 1 entries.  Those totals are kept
+(i)_s, which stops at the vector's end.  Those totals are kept
 in ``_length_totals`` once per (n, r, s) for CONJ1, (n, s) for CONJ2 and
 n for CLASSICAL, so both forms of a case share them; the sign and the
 shift stay per case.  The forms of a key are adjacent in grid order, so
@@ -95,6 +97,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import lru_cache
+from itertools import islice, repeat
 from math import comb, factorial, perm
 from operator import itemgetter, mul, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
@@ -273,7 +276,7 @@ def _rising_row(s: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-#: one integer vector indexed by part i <= n per length l = 1, 2, ...
+#: one integer vector indexed by part i <= n - l + 1 per length l = 1, 2, ...
 Moments = Tuple[Tuple[int, ...], ...]
 
 
@@ -289,10 +292,12 @@ def _marked_cycle_sums(n: int, g: List[int]) -> List[List[int]]:
     exponential formula (Stanley, EC2 5.1; Macdonald, I.2).  Marking one
     cycle of length i, which (i-1)! C(n, i) ways place, gives the entry
     (l, i) = (i-1)! C(n, i) g[i] e[n-i][l-1].  Every term is an integer.
-    Three weights are read: g = 1, for the class sizes of
-    ``_class_table``; g(k) = (1+t)^k - 1, packed, whose product over mu's
-    cycles has <mu, r> as its t^r coefficient, for ``_covering_table``; and
-    g(k) = k, whose product is prod_j mu_j, for ``_length_table``.
+    A partition of n with l parts has no part above n - l + 1, so the
+    length-l vector ends there, with n - l + 2 entries.  Three weights are
+    read: g = 1, for the class sizes of ``_class_table``;
+    g(k) = (1+t)^k - 1, packed, whose product over mu's cycles has <mu, r>
+    as its t^r coefficient, for ``_covering_table``; and g(k) = k, whose
+    product is prod_j mu_j, for ``_length_table``.
     """
     # e[l] lists e[m][l] for m = l, l+1, ..., n-1: it is zero for m < l,
     # and for l = 0 < m, where e[0] is extended with zeros
@@ -305,15 +310,17 @@ def _marked_cycle_sums(n: int, g: List[int]) -> List[List[int]]:
             e[l].append(sum(map(mul, terms, reversed(e[l - 1]))))
         e[0].append(0)
     # a marked cycle of length i = 1..n, placed in (i-1)! C(n, i) = [n]_i / i
-    # ways; reversed, e[l] pairs it with e[n-i][l], zero for i > n - l
+    # ways; reversed, e[l] pairs it with e[n-i][l] for i <= n - l, so the
+    # vector of length l + 1 ends at its largest part, n - l
     marked = [perm(n, i) // i * g[i] for i in range(1, n + 1)]
-    return [[0, *map(mul, marked, reversed(e[l]))] + [0] * l for l in range(n)]
+    return [[0, *map(mul, marked, reversed(e[l]))] for l in range(n)]
 
 
 @lru_cache(maxsize=partitions.MAX_N + 1)
 def _class_table(n: int) -> Moments:
     """M_l for l = 1..n: sums over mu |- n with l(mu) = l of (n!/z_mu) m_i(mu).
 
+    Each M_l ends at i = n - l + 1, the largest part of such a mu.
     The moments of CLASSICAL and CONJ2: ``_marked_cycle_sums`` at g = 1,
     over the permutations of n points by cycle type.  No <mu, r> enters, so
     CONJ2 never calls gen_binom or reads the CONJ1 table, although
@@ -327,6 +334,7 @@ def _class_table(n: int) -> Moments:
 def _length_table(n: int) -> Moments:
     """W_l for l = 1..n: sums over mu |- n with l(mu) = l of (l!/prod_j m_j!) m_i(mu).
 
+    Each W_l ends at i = n - l + 1, the largest part of such a mu.
     The moments of CONJ3 and CONJ4: ``_marked_cycle_sums`` at g(k) = k,
     each length-l row divided by n!/l!.  As z_mu = prod_j j^m_j m_j!,
     (n!/z_mu) prod_j mu_j = n!/prod_j m_j!, which is n!/l! times the
@@ -364,7 +372,8 @@ def _covering_table(n: int) -> Tuple[Moments, ...]:
     """[r-1][l-1][i] = sum over l(mu) = l of (n!/z_mu) <mu, r> m_i(mu), r <= n.
 
     <mu, r> is the t^r coefficient of prod_j g(mu_j), g(k) = (1+t)^k - 1,
-    and zero for l(mu) > r, so row r holds the lengths l <= r.  A
+    and zero for l(mu) > r, so row r holds the lengths l <= r, each
+    vector ending at i = n - l + 1, the largest part of such a mu.  A
     polynomial in t with nonnegative coefficients below 2^width is packed
     into one int, its value at t = 2^width (Kronecker substitution), so C
     bigint arithmetic adds and multiplies it without a carry between slots.
@@ -549,13 +558,11 @@ def conj4_sides(n: int, r: int, s: int) -> SidePair:
         return _ZERO_RATIOS
     row = _rising_row(s)
     lhs = _length_r_sum(n, r, row)
-    # for r >= 2 every upper index n-i-1 is >= r-2 >= 0; at r = 1 the lower
-    # index is -1 and every term is zero
-    rhs = sum(
-        (comb(n - i - 1, r - 2) if r >= 2 else 0) * row[i]
-        for i in range(1, n - r + 2)
-    )
-    return lhs, Ratio(rhs)
+    # the column C(n-i-1, r-2), i = 1..n-r+1, dotted with row[i]: for r >= 2
+    # every upper index is >= r-2 >= 0; at r = 1 the lower index is -1 and
+    # every term is zero
+    column = map(comb, range(n - 2, r - 3, -1), repeat(r - 2)) if r >= 2 else ()
+    return lhs, Ratio(sum(map(mul, column, islice(row, 1, None))))
 
 
 def const_term_sides(n: int, r: int, s: int) -> SidePair:

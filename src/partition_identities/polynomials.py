@@ -5,18 +5,19 @@ Both are integers over a positive denominator, in one canonical form.  A
 denominator, (nums, den) with the coefficient of X^k equal to
 nums[k] / den.  Neither has arithmetic: each is built, read, compared and
 written.  The form is reduced by one rule, ``_lowest``: den > 0 and
-gcd(den, *nums) = 1.  A pair already in lowest terms is that rule's
-fixed point, so ``Ratio`` keeps such a pair as given, after one gcd, and
-sends any other through ``_lowest``.  A polynomial also has no trailing
-zero numerator, so the zero polynomial is ((), 1), and a zero ``Ratio``
-is (0, 1).  So equality is tuple equality, on the exact type: a ``Ratio``
-never equals a constant ``Polynomial``, an int or a rational of another
-type.  Builders know their denominator (n! for a class sum, r! for a
-binomial) and hand it over with their integer numerators:
-``Ratio(num, den)`` and ``Polynomial(nums, den)``.  Any arithmetic on the
-values is the builders' own integer work on numerators; ring operations,
-and a view in the standard library's rationals, live with the tests, as
-their reference.  This module computes no factorial: the builders in
+gcd(den, *nums) = 1.  ``Ratio`` applies that rule itself, to its one
+numerator: a pair already in lowest terms is the rule's fixed point, kept
+as given after one gcd, and any other pair is divided by that same gcd,
+with den's sign.  A polynomial also has no trailing zero numerator, so
+the zero polynomial is ((), 1), and a zero ``Ratio`` is (0, 1).  So
+equality is tuple equality, on the exact type: a ``Ratio`` never equals
+a constant ``Polynomial``, an int or a rational of another type.
+Builders know their denominator (n! for a class sum, r! for a binomial)
+and hand it over with their integer numerators: ``Ratio(num, den)`` and
+``Polynomial(nums, den)``.  Any arithmetic on the values is the builders'
+own integer work on numerators; ring operations, and a view in the
+standard library's rationals, live with the tests, as their reference.
+This module computes no factorial: the builders in
 ``identities`` do, in ``int``s.
 
 One writer and no reader.  ``_ratio_str(p, q)`` writes p/q in lowest
@@ -112,20 +113,25 @@ class Value:
 class Ratio(Value):
     """An exact rational num / den, as a value.
 
-    Reduced by ``_lowest``, as a polynomial is: den > 0, gcd(num, den) = 1,
-    and zero is (0, 1); a pair already so is kept as given.  A ``Ratio``
-    equals only a ``Ratio``, by its pair: never an int, a rational of
-    another type or a constant ``Polynomial``.
+    Reduced by ``_lowest``'s rule, as a polynomial is, which it applies
+    itself: den > 0, gcd(num, den) = 1, and zero is (0, 1); a pair already
+    so is kept as given.  A ``Ratio`` equals only a ``Ratio``, by its pair:
+    never an int, a rational of another type or a constant ``Polynomial``.
     """
 
     __slots__ = ()
     _fields = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        # a pair already in lowest terms is ``_lowest``'s fixed point; gcd
-        # still refuses a non-int, and den = 0 still goes on to raise there
-        if gcd(num, den) != 1 or den <= 0:
-            (num,), den = _lowest((num,), den)
+        # ``_lowest``'s rule on one numerator, with the gcd that tests for
+        # its fixed point; gcd refuses a non-int
+        g = gcd(num, den)
+        if g != 1 or den <= 0:
+            if not den:
+                raise ZeroDivisionError("denominator is zero")
+            if den < 0:
+                g = -g
+            num, den = num // g, den // g
         self._values = (num, den)
 
     def to_string(self) -> str:

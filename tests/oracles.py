@@ -222,6 +222,24 @@ def covering_table(n: int) -> tuple:
     return tuple(tuple(map(tuple, lengths)) for lengths in table)
 
 
+def trimmed(table: tuple) -> tuple:
+    """An oracle table with each length-l vector cut to n - l + 2 entries.
+
+    The oracles index every vector by part i = 0..n; a partition of n with
+    l parts has no part above n - l + 1, so every entry cut off must be
+    zero, which is asserted.  ``table`` is [l-1][i], as the class and
+    length tables are, or [r-1][l-1][i], as the CONJ1 table is.
+    """
+    if table and isinstance(table[0][0], tuple):
+        return tuple(map(trimmed, table))
+    cut = []
+    for l, vector in enumerate(table, start=1):
+        end = len(vector) + 1 - l
+        assert not any(vector[end:]), f"length {l}: a part above n - l + 1"
+        cut.append(tuple(vector[:end]))
+    return tuple(cut)
+
+
 def walked_class_table(n: int) -> tuple:
     """The class sizes [l-1][i] = sum over l(mu) = l of (n!/z_mu) m_i(mu).
 

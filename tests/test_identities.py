@@ -200,8 +200,8 @@ def test_class_tables_match_a_recount_past_n_18():
             for i, m in counts.items():
                 classes[len(mu) - 1][i] += class_size * m
                 lengths[len(mu) - 1][i] += multinomial * m
-        assert _class_table(n) == tuple(map(tuple, classes)), f"n={n}"
-        assert _length_table(n) == tuple(map(tuple, lengths)), f"n={n}"
+        assert _class_table(n) == oracles.trimmed(tuple(map(tuple, classes))), f"n={n}"
+        assert _length_table(n) == oracles.trimmed(tuple(map(tuple, lengths))), f"n={n}"
 
 
 def test_moment_tables_match_bruteforce_oracle():
@@ -220,9 +220,9 @@ def test_moment_tables_match_bruteforce_oracle():
 
         classes, lengths = _class_table(n), _length_table(n)
         assert len(classes) == len(lengths) == n
-        for length in range(1, n + 1):
-            assert list(classes[length - 1]) == oracles.moments(n, length, class_size)
-            assert list(lengths[length - 1]) == oracles.moments(n, length, multinomial)
+        for table, weight in ((classes, class_size), (lengths, multinomial)):
+            expected = tuple(tuple(oracles.moments(n, l, weight)) for l in range(1, n + 1))
+            assert table == oracles.trimmed(expected), f"n={n}"
         # sum_i m_i(mu) = l(mu), so this adds up the class sizes of S_n
         assert sum(sum(v) // l for l, v in enumerate(classes, start=1)) == factorial(n)
         if n > 12:
@@ -240,11 +240,15 @@ def test_moment_tables_match_bruteforce_oracle():
                 continue
             table = covering[r - 1]
             assert len(table) == r
-            for length, vector in enumerate(table, start=1):
-                expected = oracles.moments(
-                    n, length, lambda mu: class_size(mu) * oracles.covering_count(mu, r)
+            expected = tuple(
+                tuple(
+                    oracles.moments(
+                        n, length, lambda mu: class_size(mu) * oracles.covering_count(mu, r)
+                    )
                 )
-                assert list(vector) == expected, f"n={n} r={r} length={length}"
+                for length in range(1, r + 1)
+            )
+            assert table == oracles.trimmed(expected), f"n={n} r={r}"
 
 
 def test_each_moment_table_is_built_once(monkeypatch):
@@ -307,7 +311,7 @@ def test_each_moment_table_is_built_once(monkeypatch):
     # the sums of each mu once
     assert built([IdentityId.CONJ3, IdentityId.CONJ4], 12) == (0, 0, 1)
     assert walks == Counter() and rows == []
-    assert identities._length_table(12) == walked
+    assert identities._length_table(12) == oracles.trimmed(walked)
     # the listing spy is wired: a listing reaches it, each mu once
     assert len(partitions.enumerate_partitions(12)) == oracles.partition_count(12)
     assert sorted(rows) == sorted(oracles.partitions(12))
@@ -318,7 +322,7 @@ def test_packed_covering_table_matches_unpacked_oracle():
     from partition_identities.identities import _covering_table
 
     for n in range(1, 21):
-        assert _covering_table(n) == oracles.covering_table(n), f"n={n}"
+        assert _covering_table(n) == oracles.trimmed(oracles.covering_table(n)), f"n={n}"
 
 
 def test_covering_table_matches_the_partition_walk():
@@ -327,7 +331,7 @@ def test_covering_table_matches_the_partition_walk():
     from partition_identities.identities import _covering_table
 
     for n in range(1, 41):
-        assert _covering_table(n) == oracles.walked_covering_table(n), f"n={n}"
+        assert _covering_table(n) == oracles.trimmed(oracles.walked_covering_table(n)), f"n={n}"
 
 
 def test_class_table_matches_the_partition_walk():
@@ -336,7 +340,7 @@ def test_class_table_matches_the_partition_walk():
     from partition_identities.identities import _class_table
 
     for n in range(1, 41):
-        assert _class_table(n) == oracles.walked_class_table(n), f"n={n}"
+        assert _class_table(n) == oracles.trimmed(oracles.walked_class_table(n)), f"n={n}"
 
 
 def test_length_table_matches_the_partition_walk():
@@ -345,7 +349,7 @@ def test_length_table_matches_the_partition_walk():
     from partition_identities.identities import _length_table
 
     for n in range(1, 41):
-        assert _length_table(n) == oracles.walked_length_table(n), f"n={n}"
+        assert _length_table(n) == oracles.trimmed(oracles.walked_length_table(n)), f"n={n}"
 
 
 def test_length_table_matches_the_block_program():
@@ -355,7 +359,7 @@ def test_length_table_matches_the_block_program():
     from partition_identities.partitions import MAX_N
 
     for n in range(1, MAX_N + 1):
-        assert _length_table(n) == oracles.block_length_table(n), f"n={n}"
+        assert _length_table(n) == oracles.trimmed(oracles.block_length_table(n)), f"n={n}"
 
 
 def test_packed_walk_matches_a_recount():
@@ -418,12 +422,12 @@ def test_corrupted_recurrence_fails_the_partition_walk(monkeypatch):
     monkeypatch.setattr(identities, "perm", perm)
     try:
         for table, walk in walks.items():
-            differ = [n for n in range(1, 13) if table(n) != walk(n)]
+            differ = [n for n in range(1, 13) if table(n) != oracles.trimmed(walk(n))]
             assert differ == list(range(7, 13)), table.__name__
         # the length table divides its rows by n!/l!: the wrong e[6] leaves
         # a remainder there, which a floor division would drop unseen
         for n in range(1, 7):
-            assert identities._length_table(n) == oracles.walked_length_table(n), n
+            assert identities._length_table(n) == oracles.trimmed(oracles.walked_length_table(n)), n
         for n in range(7, 13):
             with pytest.raises(ArithmeticError, match=f"n={n}"):
                 identities._length_table(n)
@@ -455,6 +459,19 @@ def test_length_table_largest_entry_is_a_composition_count():
         assert max(max(v) for v in _length_table(n)) == largest, f"n={n}"
 
 
+def test_moment_vectors_end_at_their_largest_part():
+    # a partition of n with l parts has no part above n - l + 1, and
+    # (n-l+1, 1^(l-1)) has that part, so each length-l vector holds the
+    # n - l + 2 entries i = 0..n-l+1, the last of them nonzero
+    from partition_identities.identities import _class_table, _covering_table, _length_table
+
+    for n in range(1, 41):
+        tables = [_class_table(n), _length_table(n), *_covering_table(n)]
+        for table in tables:
+            for l, vector in enumerate(table, start=1):
+                assert len(vector) == n - l + 2 and vector[-1], (n, l)
+
+
 def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
     # no table takes the walk: all three come from the exponential formula
     from partition_identities import identities, partitions
@@ -470,13 +487,15 @@ def test_moment_tables_are_built_from_the_enumeration(monkeypatch):
     def multinomial(mu):
         return factorial(len(mu)) // prod(map(factorial, Counter(mu).values()))
 
-    assert identities._length_table(7) == tuple(
-        tuple(oracles.moments(7, l, multinomial)) for l in range(1, 8)
+    assert identities._length_table(7) == oracles.trimmed(
+        tuple(tuple(oracles.moments(7, l, multinomial)) for l in range(1, 8))
     )
-    assert identities._covering_table(7) == oracles.covering_table(7)
-    assert identities._class_table(7) == tuple(
-        tuple(oracles.moments(7, l, lambda mu: factorial(7) // oracles.z_value(mu)))
-        for l in range(1, 8)
+    assert identities._covering_table(7) == oracles.trimmed(oracles.covering_table(7))
+    assert identities._class_table(7) == oracles.trimmed(
+        tuple(
+            tuple(oracles.moments(7, l, lambda mu: factorial(7) // oracles.z_value(mu)))
+            for l in range(1, 8)
+        )
     )
     monkeypatch.undo()
     # the p(n) limit applies to every table, before it allocates its

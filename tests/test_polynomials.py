@@ -360,6 +360,28 @@ def test_ratio_equals_only_a_ratio():
             Ratio(*args)
 
 
+def test_ratio_reduces_every_small_pair_as_fraction_does():
+    # every num and den in -30..30, den != 0, and pairs of up to 300 digits
+    # with a 101-digit common factor, in each sign, against Fraction
+    common, p, q = 10**100 + 267, 2**330 + 1, 3**209
+    big = [(a * common, b * common) for a in (p, -p, p * q, 0) for b in (q, -q)]
+    small = [(num, den) for num in range(-30, 31) for den in range(-30, 31) if den]
+    by_value = {}
+    for num, den in small + big:
+        x, f = Ratio(num, den), Fraction(num, den)
+        assert x._values == (f.numerator, f.denominator), (num, den)
+        first = by_value.setdefault(f, x)
+        assert x == first and hash(x) == hash(first), (num, den)
+    # and unequal values stay unequal
+    assert len(set(map(Ratio, *zip(*small + big)))) == len(by_value)
+    for num in range(-30, 31):
+        with pytest.raises(ZeroDivisionError, match="^denominator is zero$"):
+            Ratio(num, 0)
+    for args in ((1.0,), (6.0, 4), (6, 4.0), (Fraction(3),), (6, Fraction(4)), (Fraction(6, 4), 1)):
+        with pytest.raises(TypeError):
+            Ratio(*args)
+
+
 def _digits_by_chunks(x):
     """Decimal digits of x >= 0, 18 at a time, each chunk far under any limit."""
     chunks = []
